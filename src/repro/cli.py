@@ -36,6 +36,7 @@ from typing import Optional, Sequence
 
 from repro.bench.harness import NAMED_MATCHERS
 from repro.engine.catalog import Catalog
+from repro.engine.cluster import sequenced
 from repro.engine.columnar import load_table
 from repro.engine.csv_io import _render, iter_csv
 from repro.engine.executor import Executor
@@ -289,13 +290,7 @@ def _stream_source(args: argparse.Namespace, diagnostics: Diagnostics):
 
         for table in (djia_table(), quote_table()):
             if table.name == table_name:
-                rows = list(table)
-                if parsed.sequence_by:
-                    rows.sort(
-                        key=lambda row: tuple(
-                            row[attr] for attr in parsed.sequence_by
-                        )
-                    )
+                rows = sequenced(table, parsed.sequence_by)
                 return lambda start: (
                     (offset, row)
                     for offset, row in enumerate(rows)

@@ -3,10 +3,11 @@
 "Rows are grouped by their CLUSTER BY attribute(s) (not necessarily
 ordered), and data in each group are sorted by their SEQUENCE BY
 attribute(s)."  Clusters are yielded in first-appearance order of their
-key; with no CLUSTER BY the whole table is a single cluster.
+key; with no CLUSTER BY the whole table is a single cluster.  Keys are
+C-level ``itemgetter`` lookups, so no Python callable runs per row, and
+a cluster is sorted only when the scan reaches it.
 
-The stable re-sort is part of the language semantics, so the default
-(strict) behavior is unchanged from the seed.  Under a lenient
+The stable re-sort is part of the language semantics.  Under a lenient
 :class:`~repro.resilience.ErrorPolicy` the grouping additionally audits
 sequence-key integrity per cluster: out-of-order input is re-sorted with
 a warning recorded in :class:`~repro.resilience.Diagnostics`, and
@@ -17,7 +18,9 @@ first occurrence with a quarantine entry (``SKIP``).
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from collections import defaultdict
+from operator import itemgetter
+from typing import Iterator, Optional, Sequence, Union
 
 from repro.engine.table import Table
 from repro.errors import ExecutionError
@@ -35,28 +38,44 @@ def clusters_of(
     """Yield ``(key, sorted_rows)`` per cluster.
 
     ``key`` is the tuple of CLUSTER BY values (empty tuple when there is
-    no CLUSTER BY clause).
+    no CLUSTER BY clause).  A cluster is sorted only when it is reached.
     """
     policy = ErrorPolicy.coerce(policy)
-    for name in (*cluster_by, *sequence_by):
+    _require_columns(table, (*cluster_by, *sequence_by))
+    audit = bool(sequence_by) and policy.lenient
+    if cluster_by:
+        key_of = itemgetter(*cluster_by)
+        groups = defaultdict(list)
+        for row in table:
+            groups[key_of(row)].append(row)
+    else:
+        rows = list(table) if audit else sequenced(table, sequence_by)
+        groups = {(): rows} if rows else {}
+    for key, rows in groups.items():
+        if len(cluster_by) == 1:
+            key = (key,)
+        if audit:
+            rows = _audit_sequence(
+                table.name, key, rows, sequence_by, policy, diagnostics
+            )
+        elif cluster_by and sequence_by:
+            rows.sort(key=itemgetter(*sequence_by))
+        yield key, rows
+
+
+def sequenced(table: Table, sequence_by: Sequence[str]) -> list:
+    """The table's rows stably sorted by SEQUENCE BY: the single-cluster order."""
+    _require_columns(table, sequence_by)
+    return sorted(table, key=itemgetter(*sequence_by)) if sequence_by else list(table)
+
+
+def _require_columns(table: Table, names: Sequence[str]) -> None:
+    for name in names:
         if name not in table.schema:
             raise ExecutionError(
                 f"table {table.name!r} has no column {name!r} "
                 "(referenced by CLUSTER BY / SEQUENCE BY)"
             )
-    groups: dict[tuple[object, ...], list[dict[str, object]]] = {}
-    for row in table:
-        key = tuple(row[name] for name in cluster_by)
-        groups.setdefault(key, []).append(row)
-    for key, rows in groups.items():
-        if sequence_by:
-            if policy.lenient:
-                rows = _audit_sequence(
-                    table.name, key, rows, sequence_by, policy, diagnostics
-                )
-            else:
-                rows = sorted(rows, key=lambda row: _sort_key(row, sequence_by))
-        yield key, rows
 
 
 def _audit_sequence(
@@ -68,7 +87,7 @@ def _audit_sequence(
     diagnostics: Optional[Diagnostics],
 ) -> list[dict[str, object]]:
     """Sort one cluster, reporting out-of-order and duplicate keys."""
-    keys = [_sort_key(row, sequence_by) for row in rows]
+    keys = [tuple(row[name] for name in sequence_by) for row in rows]
     out_of_order = any(a > b for a, b in zip(keys, keys[1:]))
     ordered = sorted(zip(keys, rows), key=lambda pair: pair[0])
     label = f"cluster {key!r}" if key else "the single cluster"
@@ -103,7 +122,3 @@ def _audit_sequence(
                 "relative order"
             )
     return [row for _, row in ordered]
-
-
-def _sort_key(row: Mapping[str, object], sequence_by: Sequence[str]) -> tuple:
-    return tuple(row[name] for name in sequence_by)

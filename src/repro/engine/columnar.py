@@ -686,6 +686,10 @@ class RowView(_MappingABC):
     def __repr__(self) -> str:
         return f"RowView({dict(self)!r})"
 
+    def __reduce__(self):
+        # The mapping cannot cross a process boundary; the row's values can.
+        return (dict, (dict(self),))
+
 
 class ColumnarTable:
     """A table read from a columnar file via ``mmap``.

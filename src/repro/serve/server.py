@@ -54,6 +54,7 @@ from typing import Any, Callable, Mapping, Optional
 
 from repro import failpoints
 from repro.engine.catalog import Catalog
+from repro.engine.cluster import sequenced
 from repro.engine.executor import Executor
 from repro.errors import ExecutionError, ReproError
 from repro.obs import MetricsRegistry, SlowQueryLog
@@ -801,23 +802,7 @@ class QueryServer:
         order guard always passes and ``seq`` values are deterministic.
         """
         parsed = parse_query(sql)
-        table = self._catalog.table(parsed.table)
-        rows = list(table)
-        if parsed.sequence_by:
-            missing = [
-                attr
-                for attr in parsed.sequence_by
-                if attr not in table.schema.names
-            ]
-            if missing:
-                raise ExecutionError(
-                    f"unknown SEQUENCE BY attribute(s) "
-                    f"{', '.join(repr(a) for a in missing)} "
-                    f"on table {parsed.table!r}"
-                )
-            rows.sort(
-                key=lambda row: tuple(row[attr] for attr in parsed.sequence_by)
-            )
+        rows = sequenced(self._catalog.table(parsed.table), parsed.sequence_by)
 
         def factory(start: int):
             return (

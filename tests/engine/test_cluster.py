@@ -1,12 +1,23 @@
-"""CLUSTER BY / SEQUENCE BY: the paper's Figure 1 behaviour."""
+"""CLUSTER BY / SEQUENCE BY: the paper's Figure 1 behaviour.
+
+The partitioning runs on C-level ``itemgetter`` keys; a Hypothesis
+property pins it to the per-row reference it replaced (keys, row
+objects, order, and lenient-policy diagnostics).
+"""
 
 import datetime as dt
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.engine.cluster import clusters_of
+from repro.engine.cluster import clusters_of, sequenced
+from repro.engine.columnar import load_columnar, write_columnar
 from repro.engine.table import Table
 from repro.errors import ExecutionError
+from repro.resilience import Diagnostics, ErrorPolicy
 
 
 def quote_table(rows):
@@ -79,3 +90,193 @@ class TestClustering:
     def test_empty_table(self):
         table = quote_table([])
         assert list(clusters_of(table, ["name"], ["date"])) == []
+
+    def test_clusters_are_sorted_only_when_reached(self):
+        # A scan that stops early (deadline, row budget) must not pay
+        # for sorting the clusters it never reaches.
+        table = quote_table(ROWS)
+        table.rows[:] = [CountingRow(row) for row in table.rows]
+        clusters = clusters_of(table, ["name"], ["date"])
+        key, first = next(clusters)
+        assert key == ("INTC",)
+        assert [row.date_reads for row in first] == [1, 1, 1]
+        ibm = [row for row in table.rows if row["name"] == "IBM"]
+        assert [row.date_reads for row in ibm] == [0, 0, 0]
+
+
+class CountingRow(dict):
+    """A row that counts reads of its SEQUENCE BY column."""
+
+    def __init__(self, row):
+        super().__init__(row)
+        self.date_reads = 0
+
+    def __getitem__(self, name):
+        if name == "date":
+            self.date_reads += 1
+        return super().__getitem__(name)
+
+
+class TestSequenced:
+    def test_stable_sequence_order(self):
+        table = quote_table(ROWS)
+        rows = sequenced(table, ["date"])
+        assert [(r["date"].day, r["name"]) for r in rows] == [
+            (25, "IBM"), (25, "INTC"), (26, "INTC"),
+            (26, "IBM"), (27, "IBM"), (27, "INTC"),
+        ]
+        ((_, single),) = clusters_of(table, [], ["date"])
+        assert rows == single
+
+    def test_no_sequence_by_is_a_copy_in_insert_order(self):
+        table = quote_table(ROWS)
+        rows = sequenced(table, [])
+        assert rows == table.rows and rows is not table.rows
+
+    def test_unknown_column_rejected(self):
+        with pytest.raises(ExecutionError, match="no column 'when'"):
+            sequenced(quote_table(ROWS), ["when"])
+
+
+# -- reference: the per-row partitioning the itemgetter path replaced ------
+
+
+def reference_clusters_of(
+    table, cluster_by, sequence_by, *, policy=ErrorPolicy.RAISE, diagnostics=None
+):
+    policy = ErrorPolicy.coerce(policy)
+    for name in (*cluster_by, *sequence_by):
+        if name not in table.schema:
+            raise ExecutionError(
+                f"table {table.name!r} has no column {name!r} "
+                "(referenced by CLUSTER BY / SEQUENCE BY)"
+            )
+    groups = {}
+    for row in table:
+        key = tuple(row[name] for name in cluster_by)
+        groups.setdefault(key, []).append(row)
+    for key, rows in groups.items():
+        if sequence_by:
+            if policy.lenient:
+                rows = _reference_audit(
+                    table.name, key, rows, sequence_by, policy, diagnostics
+                )
+            else:
+                rows = sorted(rows, key=lambda row: _reference_key(row, sequence_by))
+        yield key, rows
+
+
+def _reference_audit(table_name, key, rows, sequence_by, policy, diagnostics):
+    keys = [_reference_key(row, sequence_by) for row in rows]
+    out_of_order = any(a > b for a, b in zip(keys, keys[1:]))
+    ordered = sorted(zip(keys, rows), key=lambda pair: pair[0])
+    label = f"cluster {key!r}" if key else "the single cluster"
+    if out_of_order and diagnostics is not None:
+        diagnostics.warn(
+            f"table {table_name!r}, {label}: SEQUENCE BY "
+            f"{tuple(sequence_by)} keys arrived out of order; "
+            "stably re-sorted"
+        )
+    duplicates = sum(a == b for (a, _), (b, _) in zip(ordered, ordered[1:]))
+    if duplicates:
+        if policy is ErrorPolicy.SKIP:
+            deduped = []
+            last_key = object()
+            for sort_key, row in ordered:
+                if sort_key == last_key:
+                    if diagnostics is not None:
+                        diagnostics.quarantine(
+                            f"table {table_name!r}",
+                            0,
+                            f"{label}: duplicate SEQUENCE BY key {sort_key!r}",
+                            tuple(row.values()),
+                        )
+                    continue
+                last_key = sort_key
+                deduped.append(row)
+            return deduped
+        if diagnostics is not None:
+            diagnostics.warn(
+                f"table {table_name!r}, {label}: {duplicates} duplicate "
+                f"SEQUENCE BY key(s); match results depend on their "
+                "relative order"
+            )
+    return [row for _, row in ordered]
+
+
+def _reference_key(row, sequence_by):
+    return tuple(row[name] for name in sequence_by)
+
+
+PROPERTY_SCHEMA = [("g", "str"), ("x", "float"), ("s", "int"), ("t", "float")]
+NAN = float("nan")
+
+#: Mixed int/float, 0.0 with -0.0, a shared NaN object and fresh NaN
+#: objects (equal only to themselves, so each one is its own key).
+numbers = st.one_of(
+    st.sampled_from([0.0, -0.0, 0, 1, 1.0, 2, 2.5, -1.0, NAN]),
+    st.builds(float, st.just("nan")),
+)
+property_rows = st.lists(
+    st.fixed_dictionaries(
+        {
+            "g": st.sampled_from(["a", "b", "c"]),
+            "x": numbers,
+            "s": st.integers(-2, 3),
+            "t": numbers,
+        }
+    ),
+    max_size=24,
+)
+key_columns = st.lists(st.sampled_from(["g", "x", "s", "t"]), max_size=2, unique=True)
+
+
+def _shape(key):
+    """A key's element types and reprs: NaN-safe, and tells 0.0 from -0.0."""
+    return tuple((type(value), repr(value)) for value in key)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=property_rows,
+    cluster_by=key_columns,
+    sequence_by=key_columns,
+    policy=st.sampled_from(list(ErrorPolicy)),
+    mmapped=st.booleans(),
+)
+def test_partitioning_matches_per_row_reference(
+    rows, cluster_by, sequence_by, policy, mmapped
+):
+    table = Table("t", PROPERTY_SCHEMA)
+    table.insert_many(rows)
+    with tempfile.TemporaryDirectory() as workdir:
+        if mmapped:
+            path = os.path.join(workdir, "t.rcol")
+            write_columnar(table, path)
+            table = load_columnar(path)
+        try:
+            got_diagnostics, want_diagnostics = Diagnostics(), Diagnostics()
+            got = list(
+                clusters_of(
+                    table, cluster_by, sequence_by,
+                    policy=policy, diagnostics=got_diagnostics,
+                )
+            )
+            want = list(
+                reference_clusters_of(
+                    table, cluster_by, sequence_by,
+                    policy=policy, diagnostics=want_diagnostics,
+                )
+            )
+            assert all(type(key) is tuple for key, _ in got)
+            assert [_shape(key) for key, _ in got] == [_shape(key) for key, _ in want]
+            assert [[id(row) for row in cluster] for _, cluster in got] == [
+                [id(row) for row in cluster] for _, cluster in want
+            ]
+            assert got_diagnostics.warnings == want_diagnostics.warnings
+            assert repr(got_diagnostics.quarantined) == repr(
+                want_diagnostics.quarantined
+            )
+        finally:
+            if mmapped:
+                table.close()

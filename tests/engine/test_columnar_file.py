@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import datetime as dt
 import os
+import pickle
 
 import pytest
 
 from repro import failpoints
+from repro.engine.catalog import Catalog
 from repro.engine.columnar import (
     ColumnarTable,
     load_columnar,
@@ -27,6 +29,7 @@ from repro.engine.columnar import (
     write_columnar,
 )
 from repro.engine.csv_io import save_csv
+from repro.engine.executor import Executor
 from repro.engine.table import Schema, Table
 from repro.errors import ColumnarFormatError, FailpointError
 from repro.resilience import Diagnostics
@@ -176,6 +179,29 @@ def test_load_table_serves_rcol_directly(tmp_path):
         assert [dict(row) for row in loaded] == table.rows
     finally:
         loaded.close()
+
+
+def test_rcol_table_runs_in_process_workers(tmp_path):
+    """Rows of a mmapped table reach pool processes as plain dicts (the
+    mapping itself cannot be pickled), so a process-parallel query over
+    ``.rcol`` returns the serial in-memory rows."""
+    table = sample_table(rows=40)
+    path = str(tmp_path / "quote.rcol")
+    write_columnar(table, path)
+    loaded = load_columnar(path)
+    sql = (
+        "SELECT X.name, X.date, Y.price FROM quote CLUSTER BY name "
+        "SEQUENCE BY date AS (X, Y) WHERE Y.price > X.price"
+    )
+    try:
+        assert pickle.loads(pickle.dumps(loaded.rows[3])) == table.rows[3]
+        parallel = Executor(
+            Catalog([loaded]), workers=2, parallel_mode="process"
+        ).execute(sql)
+    finally:
+        loaded.close()
+    serial = Executor(Catalog([table])).execute(sql)
+    assert serial.rows and parallel.rows == serial.rows
 
 
 def test_load_table_rcol_schema_mismatch_raises(tmp_path):
