@@ -6,9 +6,9 @@ every timed columnar run, so the number is end-to-end honest — on the
 paper's DJIA Example 10 double-bottom and, in the full profile, the
 planted and random-walk series.  Before any timing, instrumented runs
 assert both paths produce bit-identical matches and identical
-predicate-test counts; uninstrumented timing runs then take the fast
-scans (candidate-start bitsets, C-level run advancement) that the
-instrumented contract deliberately disables.
+predicate-test counts; the timing runs are uninstrumented, so besides
+the counted C-level runs every scan takes, they also hop over
+candidate-start bitsets, which instrumented scans never do.
 
 ``python -m repro.bench.columnar``            regenerate BENCH_columnar.json
 ``python -m repro.bench.columnar --check``    compare against the committed
@@ -102,7 +102,7 @@ def _bench_workload(
         matcher = matcher_cls()
         # Correctness before speed: instrumented runs must agree on the
         # matches AND the predicate-test counts (the columnar path under
-        # instrumentation steps exactly like the row path)...
+        # instrumentation charges exactly the row path's tests)...
         row_inst, col_inst = Instrumentation(), Instrumentation()
         row_matches = matcher.find_matches(rows, pattern, row_inst)
         col_matches = matcher.find_matches(rows, pattern, col_inst, kernels=kernels)

@@ -6,14 +6,14 @@ Two cooperating halves, both behind the existing engine API:
 :mod:`repro.pattern.kernels`): bind a pattern's symbolic kernel programs
 to one cluster's rows and produce per-element **truth arrays** — one
 byte per input position, 1 where the element predicate holds.  Matchers
-substitute ``truth[i]`` for the compiled closure call and, when neither
-instrumentation nor a budget is attached, replace star-run walks with
-C-speed ``bytes.find`` scans.  Because the truth value at every
-position equals what the row evaluator would have returned there, the
-matchers' control flow — and therefore matches, test counts, skip
-accounting, and budget spend — is unchanged by construction; the
-differential suite (``tests/engine/test_columnar_equivalence.py``)
-holds both paths byte-identical.
+substitute ``truth[i]`` for the compiled closure call, and the OPS scan
+advances star runs and mismatch self-loops with C-speed ``bytes.find``
+scans whose tests it charges as one sum.  Because the truth value at
+every position equals what the row evaluator would have returned there,
+matches, test counts, skip accounting, and budget spend are those of
+the row path; the differential suites
+(``tests/engine/test_columnar_equivalence.py``,
+``tests/match/test_counted_runs.py``) hold both paths byte-identical.
 
 Two interchangeable backends build the truth bytes:
 

@@ -97,11 +97,27 @@ class Instrumentation:
                 self.tests_by_element.get(pattern_position, 0) + 1
             )
 
-    def record_skip(self, distance: int) -> None:
-        """Note one shift/next application advancing the attempt origin
-        by ``distance`` input positions (0 = re-anchor in place)."""
-        self.skips += 1
-        self.skip_distance += distance
+    def record_run(self, start: int, stop: int, pattern_position: int) -> None:
+        """Note the tests of input positions ``start .. stop - 1`` against
+        element j in one call: the same counts and trace entries as
+        ``record`` per position, charged as one sum."""
+        count = stop - start
+        self.tests += count
+        if self.trace is not None:
+            self.trace.extend(
+                (index + 1, pattern_position) for index in range(start, stop)
+            )
+        if self.tests_by_element is not None:
+            self.tests_by_element[pattern_position] = (
+                self.tests_by_element.get(pattern_position, 0) + count
+            )
+
+    def record_skip(self, distance: int, times: int = 1) -> None:
+        """Note ``times`` shift/next applications, each advancing the
+        attempt origin by ``distance`` input positions (0 = re-anchor in
+        place)."""
+        self.skips += times
+        self.skip_distance += distance * times
 
     def __repr__(self) -> str:
         traced = f", trace[{len(self.trace)}]" if self.trace is not None else ""

@@ -35,6 +35,13 @@ Transition rules (Section 5, "our search algorithm is generalized"):
 After a success the attempt restarts fresh immediately after the match
 (left-maximal, non-overlapping semantics, identical to the naive
 baseline's).
+
+With truth arrays (:mod:`repro.engine.columnar`) a finished scan takes
+whole runs of rows per step, each found with one ``bytes.find``: a star
+run (the following one bytes of a satisfied starred element) and a
+mismatch self-loop (the following zero bytes of an element whose
+mismatch lands on the same element one row on).  Their tests, skips and
+budget steps are charged as sums, equal to the stepwise loop's.
 """
 
 from __future__ import annotations
@@ -88,27 +95,46 @@ class _Run:
         # Per-element truth arrays from the columnar backend; entry
         # ``j - 1`` replaces the evaluator call when present (see
         # :mod:`repro.engine.columnar`).
+        self.kernels = kernels
         self.truths = kernels.truth if kernels is not None else None
-        # Candidate attempt-start bitset (prefix conjunction of truth
-        # arrays); a zero byte proves a fresh attempt at that position
-        # dies inside the leading prefix, so the uninstrumented scan may
-        # hop straight to the next one byte.
-        self.start_candidates = (
-            kernels.start_candidates(tuple(e.star for e in self.elements))
-            if kernels is not None
-            else None
-        )
         self.names = pattern.spec.names
         self.shift = pattern.shift_next.shift
         self.next_ = pattern.shift_next.next_
         self.m = pattern.m
         # Residual (non-symbolic) conditions may reference the *binding*
-        # of a starred element; an opaque predicate without the flag is
-        # treated as residual — the conservative direction.
+        # of another element; an opaque predicate without the flag is
+        # treated as residual — the conservative direction.  Indexed by
+        # j: ``residual_tested[j]`` — one of elements 2..j has a
+        # residual; ``residual_star_before[j]`` — a starred one of
+        # elements 1..j-1 has.
         self.leading_star = bool(self.elements) and self.elements[0].star
-        self.residuals = tuple(
+        residuals = [
             getattr(element.predicate, "has_residual", True)
             for element in self.elements
+        ]
+        residual_stars = [
+            element.star and residual
+            for element, residual in zip(self.elements, residuals)
+        ]
+        self.residual_tested = tuple(
+            any(residuals[1:j]) for j in range(self.m + 1)
+        )
+        self.residual_star_before = (False,) + tuple(
+            any(residual_stars[: j - 1]) for j in range(1, self.m + 1)
+        )
+        # ``self_loops[j]``: a mismatch at (i, j) always lands on (i + 1, j)
+        # with the same count array — a fresh attempt at j = 1, or a
+        # star-free prefix with shift(j) = 1 and next(j) = j.  Each further
+        # failing row then repeats that one transition.
+        self.self_loops = tuple(
+            (j == 1 and self.next_[1] == 0)
+            or (
+                j >= 2
+                and self.shift[j] == 1
+                and self.next_[j] == j
+                and not any(e.star for e in self.elements[: j - 1])
+            )
+            for j in range(self.m + 1)
         )
         self.matches: list[Match] = []
         self._reset_attempt(0)
@@ -178,13 +204,21 @@ class _Run:
         record = self.record
         budget = self.budget
         truths = self.truths
-        # Star runs may be advanced with one C-level find only when no
-        # observer counts the per-tuple tests: instrumentation and
-        # budgets charge each consumed tuple, and a streaming scan
-        # (finished=False) must suspend tuple-by-tuple at the window
-        # edge.
-        fast_star = record is None and budget is None and finished
-        candidates = self.start_candidates if fast_star else None
+        # Truth-array runs (star runs and mismatch self-loops, below)
+        # advance with one C-level find and charge their tests as one sum;
+        # they need a finished scan, since a streaming one must suspend
+        # tuple-by-tuple at the window edge.  The candidate attempt-start
+        # bitset (prefix conjunction of truth arrays: a zero byte proves a
+        # fresh attempt there dies inside the leading prefix) skips tests
+        # outright, so only uncounted scans hop over it.
+        candidates = (
+            self.kernels.start_candidates(tuple(e.star for e in elements))
+            if finished
+            and self.kernels is not None
+            and record is None
+            and budget is None
+            else None
+        )
         m = self.m
         available = len(rows)
         while True:
@@ -223,6 +257,12 @@ class _Run:
                     ):
                         self._complete_element()
                         self._record_match()
+                    elif self.residual_tested[j]:
+                        # A residual reads an earlier element's binding,
+                        # so a later start may re-bind it and finish
+                        # inside the input.
+                        self._restart_one_in()
+                        continue
                 return
             # Inlined test_element: record, then dispatch to the truth
             # array (columnar), the compiled evaluator, or the
@@ -241,28 +281,69 @@ class _Run:
                         EvalContext(rows, i, self.bindings)
                     )
             if satisfied:
-                if element.star and fast_star and truth is not None:
-                    # Consume the whole remaining run at once: it ends
-                    # at the first zero truth byte (or end of input),
-                    # exactly where tuple-by-tuple stepping would stop.
-                    stop = truth.find(0, i + 1)
-                    if stop < 0 or stop > available:
-                        stop = available
-                    self.i = stop
-                    self.current_consumed += stop - i
-                    continue
                 self.i = i + 1
                 self.current_consumed += 1
                 if not element.star:
                     self._complete_element()
+                elif finished and truth is not None:
+                    # Star run: each following one byte is a satisfied
+                    # test of the same element, up to the first zero byte.
+                    stop = truth.find(0, i + 1)
+                    if stop < 0:
+                        stop = available
+                    if stop > i + 1:
+                        if self._charge_run(i + 1, stop, j):
+                            return
+                        self.i = stop
+                        self.current_consumed += stop - i - 1
             elif element.star and self.current_consumed > 0:
                 # The star run ends here; the same input tuple is re-tested
                 # against the next element on the following iteration.
                 self._complete_element()
             else:
                 self._mismatch()
+                if finished and truth is not None and self.self_loops[j]:
+                    # Mismatch self-loop: each following zero byte costs
+                    # one test and one skip of distance 1, and moves the
+                    # attempt one row on, up to the first one byte.
+                    stop = truth.find(1, i + 1)
+                    if stop < 0:
+                        stop = available
+                    if stop > i + 1:
+                        if self._charge_run(i + 1, stop, j):
+                            return
+                        if self.instrumentation is not None:
+                            self.instrumentation.record_skip(1, stop - i - 1)
+                        self._advance_attempt(stop - i - 1)
 
     # ------------------------------------------------------------------
+
+    def _charge_run(self, start: int, stop: int, j: int) -> bool:
+        """Charge the tests of rows ``start .. stop - 1`` against element
+        ``j`` as one sum; True when the budget stops the scan first.
+
+        The stepwise loop spends one budget step per test, so the run
+        spends them in one ``step``; a trip leaves the scan where the
+        stepwise loop would stop at the run's first test.
+        """
+        if self.budget is not None and self.budget.step(stop - start):
+            return True
+        if self.instrumentation is not None:
+            self.instrumentation.record_run(start, stop, j)
+        return False
+
+    def _advance_attempt(self, rows: int) -> None:
+        """Move the in-flight attempt ``rows`` positions on, unchanged."""
+        self.attempt_start += rows
+        self.i += rows
+        if self.spans:
+            self.spans = [
+                Span(span.start + rows, span.end + rows) for span in self.spans
+            ]
+            self.bindings = {
+                name: (span.start, span.end)
+                for name, span in zip(self.names, self.spans)
+            }
 
     def _complete_element(self) -> None:
         j = self.j
@@ -285,6 +366,12 @@ class _Run:
         if self.budget is not None:
             self.budget.add_match()
 
+    def _restart_one_in(self) -> None:
+        """The naive matcher's restart: a fresh attempt one row in."""
+        if self.instrumentation is not None:
+            self.instrumentation.record_skip(1)
+        self._reset_attempt(self.attempt_start + 1)
+
     def _mismatch(self) -> None:
         """Apply the compiled shift/next after a genuine failure at j."""
         j = self.j
@@ -297,18 +384,20 @@ class _Run:
         # star's run: no graph node represents restarting inside it —
         # skipping its interior is justified only because such a restart
         # replays the exact same alignment, and that argument breaks
-        # when the failed element's condition is a residual (it may
-        # reference the star's binding, which a shorter run re-binds).
-        # In that case fall back to the naive restart one position in.
-        if (
-            j >= 2
-            and self.leading_star
+        # when any element tested after the star has a residual
+        # condition (it may reference the star's binding, which a
+        # shorter run re-binds, and so take a different alignment).
+        # Likewise the graph assumes a starred element consumes the same
+        # run in the shifted alignment; a starred element with a residual
+        # may stop earlier there, once its condition reads other
+        # bindings.  In both cases fall back to the naive restart one
+        # position in.
+        if self.residual_star_before[j] or (
+            self.leading_star
+            and self.residual_tested[j]
             and self.counts[1] >= 2
-            and self.residuals[j - 1]
         ):
-            if self.instrumentation is not None:
-                self.instrumentation.record_skip(1)
-            self._reset_attempt(self.attempt_start + 1)
+            self._restart_one_in()
             return
         nx = self.next_[j]
         if nx == 0:
@@ -336,6 +425,15 @@ class _Run:
                 # phi = 1 verified the failed tuple against element j-shift,
                 # so it counts as consumed by the new attempt.
                 new_counts[t] = self.counts[j - 1] - consumed_by_shift + 1
+            if (
+                new_counts[t] - new_counts[t - 1] > 1
+                and not self.elements[t - 1].star
+            ):
+                # A plain element consumes exactly one row, so it cannot
+                # inherit a starred element's multi-row run: restart
+                # fresh at the shifted origin instead.
+                self._reset_attempt(new_start)
+                return
             span = Span(
                 new_start + new_counts[t - 1],
                 new_start + new_counts[t] - 1,

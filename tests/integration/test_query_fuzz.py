@@ -130,6 +130,69 @@ def test_residual_on_leading_star_binding_regression():
     assert ops.rows == ((dt.date(2000, 1, 5),),)
 
 
+def _one_ticker(prices):
+    table = Table("quote", [("name", "str"), ("date", "date"), ("price", "float")])
+    base = dt.date(2000, 1, 3)
+    for offset, price in enumerate(prices):
+        table.insert(
+            {"name": "AAA", "date": base + dt.timedelta(days=offset), "price": price}
+        )
+    return Catalog([table])
+
+
+def test_residual_on_earlier_element_of_leading_star_regression():
+    """Fuzz-found: the leading star's run must not be skipped when *any*
+    element tested after it carries a residual on its binding, not only
+    the element that failed.  On [49, 41, 33, 34, 35, 32] the attempt
+    with A = rows 1..2 fails at C, but the shorter A = row 2 re-binds
+    ``A.price`` for B's residual and matches rows 2..5."""
+    sql = (
+        "SELECT A.date, D.date FROM quote CLUSTER BY name SEQUENCE BY date "
+        "AS (*A, *B, C, D) WHERE A.price < A.previous.price "
+        "AND B.price > B.previous.price AND B.price < 1.05 * A.price "
+        "AND C.price >= 0.98 * C.previous.price"
+    )
+    catalog = _one_ticker([49.0, 41.0, 33.0, 34.0, 35.0, 32.0])
+    ops = Executor(catalog, domains=DOMAINS, matcher="ops").execute(sql)
+    naive = Executor(catalog, domains=DOMAINS, matcher="naive").execute(sql)
+    assert ops == naive
+    assert ops.rows == ((dt.date(2000, 1, 5), dt.date(2000, 1, 8)),)
+
+
+def test_residual_attempt_reaching_end_of_input_regression():
+    """Fuzz-found: an attempt that runs out of input must not end the
+    scan when a residual reads an earlier binding.  On [53, 45, 46, 54]
+    the attempt from row 0 runs B to the last row, while the start one
+    row later binds ``A.price = 45`` and its B run stops at row 3."""
+    sql = (
+        "SELECT A.date, C.date FROM quote CLUSTER BY name SEQUENCE BY date "
+        "AS (A, *B, C) WHERE B.price < 1.05 * A.price"
+    )
+    catalog = _one_ticker([53.0, 45.0, 46.0, 54.0])
+    ops = Executor(catalog, domains=DOMAINS, matcher="ops").execute(sql)
+    naive = Executor(catalog, domains=DOMAINS, matcher="naive").execute(sql)
+    assert ops == naive
+    assert ops.rows == ((dt.date(2000, 1, 4), dt.date(2000, 1, 6)),)
+
+
+def test_residual_on_starred_element_regression():
+    """Fuzz-found: shift/next assume a starred element consumes the same
+    run in the shifted alignment, which a residual breaks.  On
+    [49, 57, 49, 50, 53, 56] the attempt from row 0 runs C over rows
+    2..4 and fails at D; one row later B binds 49, C's residual stops
+    its run at row 3, and D matches at row 4."""
+    sql = (
+        "SELECT A.date, D.date FROM quote CLUSTER BY name SEQUENCE BY date "
+        "AS (A, B, *C, D) WHERE A.price < 60 AND NOT C.price > 55 "
+        "AND C.price < 1.05 * B.price AND NOT D.price > 55"
+    )
+    catalog = _one_ticker([49.0, 57.0, 49.0, 50.0, 53.0, 56.0])
+    ops = Executor(catalog, domains=DOMAINS, matcher="ops").execute(sql)
+    naive = Executor(catalog, domains=DOMAINS, matcher="naive").execute(sql)
+    assert ops == naive
+    assert ops.rows == ((dt.date(2000, 1, 4), dt.date(2000, 1, 7)),)
+
+
 @settings(max_examples=80, deadline=None)
 @given(queries(), price_tables())
 def test_generated_queries_columnar_matches_row(sql, catalog):
