@@ -88,7 +88,7 @@ class Result:
                 return value.isoformat()
             return str(value)
 
-        with open(path, "w", newline="") as handle:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(self.columns)
             for row in self.rows:

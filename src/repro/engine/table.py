@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from itertools import repeat
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import SchemaError
 
@@ -23,6 +24,10 @@ _PYTHON_TYPES = {
     "float": (int, float),
     "date": (_dt.date,),
 }
+
+#: The same rule as exact ``type()`` sets, checked a whole column at a
+#: time in C; a subclass falls back to the ``isinstance`` test.
+_EXACT_TYPES = {name: frozenset(types) for name, types in _PYTHON_TYPES.items()}
 
 
 @dataclass(frozen=True)
@@ -43,6 +48,12 @@ class Column:
             raise SchemaError(
                 f"column {self.name!r} expects {self.type}, got {value!r}"
             )
+
+    def validate_all(self, values: Sequence[object]) -> None:
+        """:meth:`validate` every value of a column."""
+        if not set(map(type, values)) <= _EXACT_TYPES[self.type]:
+            for value in values:
+                self.validate(value)
 
 
 class Schema:
@@ -115,6 +126,26 @@ class Table:
     def insert_many(self, rows: Iterable[Mapping[str, object]]) -> None:
         for row in rows:
             self.insert(row)
+
+    def extend_columns(self, columns: Sequence[Sequence[object]]) -> None:
+        """Append rows given column-wise, one sequence per schema column.
+
+        Every value is checked against its column's type before any row
+        is appended, so a rejected value leaves the table unchanged.  The
+        rows are the dicts :meth:`insert` builds: schema order, same
+        values.
+        """
+        schema_columns = self.schema.columns
+        if len(columns) != len(schema_columns):
+            raise SchemaError(
+                f"expected {len(schema_columns)} columns, got {len(columns)}"
+            )
+        if len(set(map(len, columns))) > 1:
+            raise SchemaError("columns differ in length")
+        for column, values in zip(schema_columns, columns):
+            column.validate_all(values)
+        names = self.schema.names
+        self._rows.extend(map(dict, map(zip, repeat(names), zip(*columns))))
 
     @property
     def rows(self) -> list[dict[str, object]]:

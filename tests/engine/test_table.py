@@ -92,5 +92,35 @@ class TestTable:
             table.insert({"name": "IBM", "price": "eighty"})
         assert len(table) == 0
 
+    def test_extend_columns_builds_the_rows_insert_builds(self):
+        by_columns, by_rows = self._table(), self._table()
+        by_columns.extend_columns([("IBM", "GE"), [80.0, 81]])
+        by_rows.insert_many([{"price": 80.0, "name": "IBM"}, {"name": "GE", "price": 81}])
+        assert [list(row.items()) for row in by_columns] == [
+            list(row.items()) for row in by_rows
+        ]
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            [("IBM",), [True]],  # bool is never a number
+            [("IBM",), ["80"]],
+            [("IBM", "GE"), [80.0]],
+            [("IBM",)],
+        ],
+    )
+    def test_extend_columns_rejects_without_appending(self, columns):
+        table = self._table()
+        with pytest.raises(SchemaError):
+            table.extend_columns(columns)
+        assert len(table) == 0
+
+    def test_extend_columns_takes_subclasses_as_insert_does(self):
+        table = Table("t", [("day", "date")])
+        noon = dt.datetime(2000, 1, 1, 12)
+        table.extend_columns([[noon]])
+        table.insert({"day": noon})
+        assert table.rows == [{"day": noon}, {"day": noon}]
+
     def test_repr(self):
         assert "t" in repr(self._table())
