@@ -215,7 +215,6 @@ def _command_query(args: argparse.Namespace, out) -> int:
         policy=args.on_error,
         limits=_limits_from_args(args),
         workers=args.workers,
-        parallel_mode=args.parallel_mode,
         evaluator=args.evaluator,
     )
     instrumentation = Instrumentation()
@@ -305,23 +304,20 @@ def _stream_source(args: argparse.Namespace, diagnostics: Diagnostics):
 def _stream_store(args: argparse.Namespace):
     """Build the stream's checkpoint store from ``--checkpoint`` flags.
 
-    ``--checkpoint-replicas 1`` (the default) keeps the legacy single
-    flat file; N > 1 replicates across ``PATH``, ``PATH.r1`` …
-    ``PATH.r{{N-1}}`` with quorum writes and repair-on-load.
+    ``--checkpoint-replicas N`` (default 1) writes ``PATH``, ``PATH.r1``
+    … ``PATH.r{N-1}`` with quorum writes and repair-on-load.
     """
-    from repro.recovery import CheckpointStore, ReplicatedCheckpointStore
+    from repro.recovery import CheckpointStore
 
     if not args.checkpoint:
         return None
     replicas = getattr(args, "checkpoint_replicas", 1)
     if replicas < 1:
         raise ExecutionError("--checkpoint-replicas must be >= 1")
-    if replicas == 1:
-        return CheckpointStore(args.checkpoint)
-    paths = [args.checkpoint] + [
-        f"{args.checkpoint}.r{index}" for index in range(1, replicas)
-    ]
-    return ReplicatedCheckpointStore(paths)
+    return CheckpointStore(
+        args.checkpoint,
+        *(f"{args.checkpoint}.r{index}" for index in range(1, replicas)),
+    )
 
 
 def _command_stream(args: argparse.Namespace, out) -> int:
@@ -466,14 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
         "identical to serial execution — see docs/performance.md",
     )
     query.add_argument(
-        "--parallel-mode",
-        choices=["auto", "process", "thread"],
-        default="auto",
-        help="worker pool flavor for --workers > 1: process pools suit "
-        "compiled CPU-bound work, threads suit small inputs "
-        "(default: auto)",
-    )
-    query.add_argument(
         "--evaluator",
         choices=["auto", "columnar", "row"],
         default="auto",
@@ -512,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="replicate the checkpoint across N files (PATH, PATH.r1, "
         "...) with majority-quorum writes and repair-on-load "
-        "(default 1: single flat file)",
+        "(default 1: PATH only)",
     )
     stream.add_argument(
         "--resume",

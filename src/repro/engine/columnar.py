@@ -315,27 +315,6 @@ def materialize_kernels(
     )
 
 
-def first_element_candidates(compiled, rows: Sequence) -> Optional[int]:
-    """Candidate count of the first lowerable element, for work weighting.
-
-    The parallel splitter (:func:`repro.engine.parallel.split_partitions`)
-    can weight partitions by how many positions survive the first
-    element's kernel instead of by raw row count.  Returns None when no
-    element lowers or materialization declines.
-    """
-    plan = compiled.kernel_plan
-    for kernel in plan.elements:
-        if kernel is None:
-            continue
-        store = ColumnStore(rows)
-        try:
-            built, _ = _element_truth(kernel, store, store.n, numpy_backend())
-        except Exception:
-            return None
-        return None if built is None else built.count(1)
-    return None
-
-
 def _element_truth(
     kernel: ElementKernel, store: ColumnStore, n: int, np
 ) -> tuple[bytes, bool]:

@@ -67,10 +67,6 @@ MATCHERS: dict[str, type] = {
 #: plans (restart-based scans).
 _RESTART_MATCHERS = ("naive", "backtracking")
 
-#: Execution modes accepted by ``parallel_mode`` (see
-#: :mod:`repro.engine.parallel`).
-PARALLEL_MODES = ("auto", "process", "thread")
-
 #: Predicate evaluation modes accepted by ``evaluator``: ``"row"`` pins
 #: the per-row closures (the differential oracle for the columnar path),
 #: ``"columnar"`` always materializes truth arrays for the lowered
@@ -132,7 +128,6 @@ class Executor:
         codegen: bool = True,
         plan_cache_size: int = 128,
         workers: int = 1,
-        parallel_mode: str = "auto",
         metrics: Optional[MetricsRegistry] = None,
         evaluator: str = "auto",
     ):
@@ -157,8 +152,8 @@ class Executor:
             tuple[str, tuple[str, ...]], _CachedPlan
         ] = OrderedDict()
         # Cache reads mutate LRU order (move_to_end) and eviction mutates
-        # the dict, so every access is serialized: parallel thread workers
-        # and user threads sharing one executor must not corrupt it.
+        # the dict, so every access is serialized: threads sharing one
+        # executor (the serving layer's pool) must not corrupt it.
         self._plan_cache_lock = threading.Lock()
         # The flight recorder's registry (docs/observability.md): shared
         # with the serving layer when one is passed in, private otherwise.
@@ -179,13 +174,7 @@ class Executor:
         )
         if not isinstance(workers, int) or workers < 1:
             raise ExecutionError(f"workers must be a positive int, got {workers!r}")
-        if parallel_mode not in PARALLEL_MODES:
-            raise ExecutionError(
-                f"parallel_mode must be one of {PARALLEL_MODES}, "
-                f"got {parallel_mode!r}"
-            )
         self._workers = workers
-        self._parallel_mode = parallel_mode
         if evaluator not in EVALUATOR_MODES:
             raise ExecutionError(
                 f"evaluator must be one of {EVALUATOR_MODES}, "
@@ -278,7 +267,6 @@ class Executor:
                 query,
                 instrumentation,
                 workers=effective_workers,
-                mode=self._parallel_mode,
                 limits=limits,
                 cancel=cancel,
                 trace=trace,
@@ -933,7 +921,6 @@ def execute(
     fallback: Optional[str] = "naive",
     codegen: bool = True,
     workers: int = 1,
-    parallel_mode: str = "auto",
     evaluator: str = "auto",
 ) -> Result:
     """One-shot convenience wrapper around :class:`Executor`."""
@@ -946,6 +933,5 @@ def execute(
         fallback=fallback,
         codegen=codegen,
         workers=workers,
-        parallel_mode=parallel_mode,
         evaluator=evaluator,
     ).execute(query, instrumentation)

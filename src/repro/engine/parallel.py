@@ -36,25 +36,24 @@ in partition order (the same rows serial keeps, though workers may have
 tested more predicates finding discarded ones), and a
 ``wall_clock_deadline`` is pushed down to every worker so a mid-pool
 expiry stops outstanding workers and still returns a well-formed
-partial report.  See "Parallel execution" in ``docs/performance.md``.
+partial report; either way ``limits_hit`` names the configured limit,
+as the serial loop does.  See "Parallel execution" in
+``docs/performance.md``.
 
-Worker modes: ``process`` re-plans the query from its text in each
-worker (compiled-predicate closures cannot cross the pickle boundary —
-re-compilation is deterministic) and suits CPU-bound compiled
-workloads; ``thread`` shares the in-memory plan and suits small inputs
-or pre-built ``ast.Query`` objects, and is the fallback whenever the
-query is not a string.  ``auto`` picks ``process`` on multi-core hosts
-for string queries, ``thread`` otherwise.
+Where the units run: on a process pool when the query is a string and
+more than one CPU is usable (:func:`usable_cpus`) — each worker
+re-plans the query from its text, since compiled-predicate closures
+cannot cross the pickle boundary and re-compilation is deterministic.
+Otherwise (one usable CPU, a single unit, or a pre-built ``ast.Query``
+that cannot be shipped to a fresh interpreter) the units run in-line,
+one after another, through the same worker code.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures import as_completed
 from dataclasses import dataclass
@@ -111,67 +110,34 @@ class WorkUnit:
     partitions: tuple
 
 
-def split_partitions(
-    partitions: Sequence,
-    workers: int,
-    unit_size: Optional[int] = None,
-    weights: Optional[Sequence[int]] = None,
-) -> list[WorkUnit]:
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one (``taskset``, cgroup cpusets), the machine's count elsewhere.
+
+    A process pinned to one CPU gains nothing from a pool, so the
+    partitions then run in-line.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def split_partitions(partitions: Sequence, workers: int) -> list[WorkUnit]:
     """Chunk ``partitions`` into consecutive, order-preserving work units.
 
     Every input item appears in exactly one unit, units concatenate back
     to the input order, and no unit is empty — the invariants the
     property suite (``tests/engine/test_parallel_properties.py``) pins.
-    ``unit_size`` defaults to an oversubscription of
-    ``workers * UNIT_OVERSUBSCRIPTION`` units so skewed partitions
-    rebalance across the pool.
-
-    ``weights`` (one non-negative int per partition, e.g. the columnar
-    first-element candidate counts) switches to weighted chunking: units
-    stay consecutive and order-preserving, but each unit closes once its
-    accumulated weight reaches ``total_weight / (workers *
-    UNIT_OVERSUBSCRIPTION)``, so a partition with many candidate
-    positions does not drag a unit's worth of cheap siblings behind it.
-    Mutually exclusive with ``unit_size``.
+    Units are sized for ``workers * UNIT_OVERSUBSCRIPTION`` of them, so
+    skewed partitions rebalance across the pool.
     """
     if workers < 1:
         raise ExecutionError(f"workers must be positive, got {workers}")
-    if unit_size is not None and unit_size < 1:
-        raise ExecutionError(f"unit_size must be positive, got {unit_size}")
-    total = len(partitions)
-    if total == 0:
-        return []
-    if weights is not None:
-        if unit_size is not None:
-            raise ExecutionError("unit_size and weights are mutually exclusive")
-        if len(weights) != total:
-            raise ExecutionError(
-                f"weights must match partitions: {len(weights)} != {total}"
-            )
-        if any(weight < 0 for weight in weights):
-            raise ExecutionError("weights must be non-negative")
-        target = sum(weights) / (workers * UNIT_OVERSUBSCRIPTION)
-        units = []
-        current: list = []
-        accumulated = 0
-        for partition, weight in zip(partitions, weights):
-            current.append(partition)
-            accumulated += weight
-            if accumulated >= target:
-                units.append(WorkUnit(len(units), tuple(current)))
-                current = []
-                accumulated = 0
-        if current:
-            units.append(WorkUnit(len(units), tuple(current)))
-        return units
-    if unit_size is None:
-        unit_size = max(1, -(-total // (workers * UNIT_OVERSUBSCRIPTION)))
-    units = []
-    for start in range(0, total, unit_size):
-        units.append(
-            WorkUnit(len(units), tuple(partitions[start : start + unit_size]))
-        )
-    return units
+    size = max(1, -(-len(partitions) // (workers * UNIT_OVERSUBSCRIPTION)))
+    return [
+        WorkUnit(index, tuple(partitions[start : start + size]))
+        for index, start in enumerate(range(0, len(partitions), size))
+    ]
 
 
 def index_outcomes(outcomes: Iterable[dict]) -> dict[int, dict]:
@@ -244,7 +210,8 @@ def _run_unit(
     a PlanningError downgrade replaces it for the unit's remaining
     partitions.  A per-unit budget carries the pushed-down deadline and
     the global ``max_matches`` allowance (a unit alone can prove the
-    global cap reached; the merge enforces it across units).
+    global cap reached; the merge enforces it across units); the outcome
+    says whether it tripped, and the parent names the limit.
 
     The first partition that raises stops the unit: its error is
     reported with its partition index so the parent can deterministically
@@ -254,13 +221,13 @@ def _run_unit(
     failpoints.maybe_fail("parallel.worker_start")
     matcher_name = plan.matcher_name
     matcher = MATCHERS[matcher_name]()
-    unit_diagnostics = Diagnostics()
     budget = None
     if deadline_remaining is not None or max_matches is not None:
-        limits = ResourceLimits(
-            wall_clock_deadline=deadline_remaining, max_matches=max_matches
+        budget = Budget(
+            ResourceLimits(
+                wall_clock_deadline=deadline_remaining, max_matches=max_matches
+            )
         )
-        budget = Budget(limits, unit_diagnostics)
     outcomes: list[dict] = []
     error: Optional[tuple[int, str, str]] = None
     error_obj: Optional[BaseException] = None
@@ -324,7 +291,7 @@ def _run_unit(
     return {
         "unit": unit_index,
         "partitions": outcomes,
-        "limits_hit": list(unit_diagnostics.limits_hit),
+        "tripped": budget is not None and budget.tripped is not None,
         "error": error,
         "error_obj": error_obj,
         "span": (
@@ -366,8 +333,8 @@ def _plan_from_payload(payload: dict) -> _WorkerPlan:
         policy=ErrorPolicy.coerce(payload["policy"]),
         fallback=payload["fallback"],
         record_trace=payload["record_trace"],
-        record_spans=payload.get("record_spans", False),
-        evaluator=payload.get("evaluator", "row"),
+        record_spans=payload["record_spans"],
+        evaluator=payload["evaluator"],
     )
 
 
@@ -425,49 +392,6 @@ def _rebuild_error(class_name: str, message: str) -> BaseException:
 # ----------------------------------------------------------------------
 
 
-def _partition_weights(executor, compiled, admitted) -> Optional[list[int]]:
-    """Columnar candidate counts per partition, or None for row counts.
-
-    When the columnar path is engaged, the cost of a partition tracks how
-    many positions survive its first lowered kernel, not its raw length —
-    the splitter weights units by that signal so one candidate-dense
-    stock does not straggle a unit of candidate-free siblings.  Weighting
-    only reshapes unit *boundaries*; the merge stays partition-ordered,
-    so outputs are unchanged.  None (row-count splitting) whenever the
-    columnar path is off or any partition declines to materialize.
-    """
-    if len(admitted) <= 1 or executor._evaluator == "row":
-        return None
-    if not compiled.use_codegen:
-        return None
-    from repro.engine.columnar import (
-        first_element_candidates,
-        vector_backend_active,
-    )
-
-    if executor._evaluator == "auto" and not vector_backend_active():
-        return None
-    weights = []
-    for partition in admitted:
-        candidates = first_element_candidates(compiled, partition.rows)
-        if candidates is None:
-            return None
-        # +1 keeps empty-candidate partitions from weighing nothing: the
-        # worker still pays per-partition dispatch and kernel build.
-        weights.append(candidates + 1)
-    return weights
-
-
-def _resolve_mode(mode: str, query: Union[str, ast.Query]) -> str:
-    """Pick the pool flavor; non-string queries always run on threads
-    (a pre-built AST cannot be shipped to a fresh interpreter)."""
-    if not isinstance(query, str):
-        return "thread"
-    if mode == "auto":
-        return "process" if (os.cpu_count() or 1) > 1 else "thread"
-    return mode
-
-
 def _remaining(deadline_end: Optional[float]) -> Optional[float]:
     if deadline_end is None:
         return None
@@ -488,24 +412,26 @@ def _harvest(future, unit: WorkUnit, outcome_by_unit: dict[int, dict]) -> None:
         outcome = {
             "unit": unit.index,
             "partitions": [],
-            "limits_hit": [],
+            "tripped": False,
             "error": (first, type(exc).__name__, str(exc)),
             "error_obj": exc,
         }
     outcome_by_unit[outcome["unit"]] = outcome
 
 
+def _unit_rows(unit: WorkUnit) -> list[tuple]:
+    return [(partition.index, partition.rows) for partition in unit.partitions]
+
+
 def _run_units_pooled(
-    plan: _WorkerPlan,
+    payload: dict,
     units: Sequence[WorkUnit],
     workers: int,
-    mode: str,
-    payload: Optional[dict],
     deadline_end: Optional[float],
     max_matches: Optional[int],
     budget: Optional[Budget],
 ) -> dict[int, dict]:
-    """Dispatch units to a process or thread pool and collect outcomes.
+    """Dispatch units to a process pool and collect their outcomes.
 
     A global deadline expiring mid-pool trips the parent budget (which
     records the canonical limit diagnostic), cancels undispatched units,
@@ -514,36 +440,25 @@ def _run_units_pooled(
     outcomes are still merged.
     """
     outcome_by_unit: dict[int, dict] = {}
-    max_workers = min(workers, len(units))
+    if payload["evaluator"] != "row" and payload["codegen"]:
+        # Forked workers inherit the parent's modules: import NumPy for
+        # the columnar kernels once here, not once per worker per query.
+        from repro.engine.columnar import vector_backend_active
 
-    def unit_task(unit: WorkUnit) -> tuple:
-        return (
-            unit.index,
-            [(p.index, p.rows) for p in unit.partitions],
-            _remaining(deadline_end),
-            max_matches,
-        )
-
-    if mode == "process":
-        pool = ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=_process_initializer,
-            initargs=(payload,),
-        )
-
-        def submit(unit: WorkUnit):
-            return pool.submit(_process_run_unit, unit_task(unit))
-
-    else:
-        pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-parallel"
-        )
-
-        def submit(unit: WorkUnit):
-            return pool.submit(_run_unit, plan, *unit_task(unit))
-
+        vector_backend_active()
+    pool = ProcessPoolExecutor(
+        max_workers=min(workers, len(units)),
+        initializer=_process_initializer,
+        initargs=(payload,),
+    )
     try:
-        future_units = {submit(unit): unit for unit in units}
+        future_units = {
+            pool.submit(
+                _process_run_unit,
+                (unit.index, _unit_rows(unit), _remaining(deadline_end), max_matches),
+            ): unit
+            for unit in units
+        }
         try:
             for future in as_completed(future_units, timeout=_remaining(deadline_end)):
                 _harvest(future, future_units[future], outcome_by_unit)
@@ -571,7 +486,6 @@ def execute_parallel(
     instrumentation: Optional[Instrumentation] = None,
     *,
     workers: int,
-    mode: str = "auto",
     limits: Optional[ResourceLimits] = None,
     cancel=None,
     trace: Optional[Trace] = None,
@@ -593,13 +507,24 @@ def execute_parallel(
     (see :class:`_WorkerPlan.record_spans`), and the merged result
     carries a :class:`~repro.obs.QueryProfile`.
     """
+    if executor._matcher_name not in MATCHERS:
+        # A custom matcher instance has no registry constructor workers
+        # could call; honor the request serially rather than guess.
+        result, report = executor._execute_serial(
+            query, instrumentation, limits=limits, cancel=cancel, trace=trace
+        )
+        result.diagnostics.warn(
+            f"matcher {executor._matcher_name!r} is not in the matcher "
+            "registry; parallel execution needs a registry matcher — ran "
+            "serially"
+        )
+        return result, report
     if trace is None:
         return _parallel_pass(
             executor,
             query,
             instrumentation,
             workers=workers,
-            mode=mode,
             limits=limits,
             cancel=cancel,
             trace=None,
@@ -610,7 +535,6 @@ def execute_parallel(
             query,
             instrumentation,
             workers=workers,
-            mode=mode,
             limits=limits,
             cancel=cancel,
             trace=trace,
@@ -631,7 +555,6 @@ def _parallel_pass(
     instrumentation: Optional[Instrumentation] = None,
     *,
     workers: int,
-    mode: str = "auto",
     limits: Optional[ResourceLimits] = None,
     cancel=None,
     trace: Optional[Trace] = None,
@@ -654,16 +577,6 @@ def _parallel_pass(
     analyzed, compiled = entry.analyzed, entry.compiled
     if trace is not None:
         _annotate_plan_span(plan_span, diagnostics, matcher_name, compiled)
-
-    if matcher_name not in MATCHERS:
-        # A custom matcher instance has no registry constructor workers
-        # could call; honor the request serially rather than guess.
-        result, report = executor._execute_serial(query, instrumentation)
-        result.diagnostics.warn(
-            f"matcher {matcher_name!r} is not in the matcher registry; "
-            "parallel execution needs a registry matcher — ran serially"
-        )
-        return result, report
 
     instrumentation = (
         instrumentation if instrumentation is not None else Instrumentation()
@@ -737,59 +650,48 @@ def _parallel_pass(
         record_spans=trace is not None,
         evaluator=executor._evaluator,
     )
-    units = split_partitions(
-        admitted, workers, weights=_partition_weights(executor, compiled, admitted)
-    )
+    units = split_partitions(admitted, workers)
     max_matches = limits.max_matches
-    resolved_mode = _resolve_mode(mode, query)
+    pooled = len(units) > 1 and isinstance(query, str) and usable_cpus() > 1
     pool_span = None
     if trace is not None:
         pool_cm = trace.span("parallel")
         pool_span = pool_cm.__enter__()
     try:
-        if len(units) <= 1:
-            # One unit (or none) cannot use a pool; run it in-line through
-            # the identical worker code path.
+        if pooled:
+            payload = {
+                "query": query,
+                "positive": executor._domains.fingerprint(),
+                "codegen": executor._codegen,
+                "degraded": degraded,
+                "matcher": matcher_name,
+                "fallback": executor._fallback,
+                "policy": executor._policy.value,
+                "record_trace": plan.record_trace,
+                "record_spans": plan.record_spans,
+                "evaluator": plan.evaluator,
+            }
+            outcome_by_unit = _run_units_pooled(
+                payload, units, workers, deadline_end, max_matches, budget
+            )
+        else:
             outcome_by_unit = index_outcomes(
                 _run_unit(
                     plan,
                     unit.index,
-                    [(p.index, p.rows) for p in unit.partitions],
+                    _unit_rows(unit),
                     _remaining(deadline_end),
                     max_matches,
                 )
                 for unit in units
             )
-        else:
-            payload = None
-            if resolved_mode == "process":
-                payload = {
-                    "query": query,
-                    "positive": executor._domains.fingerprint(),
-                    "codegen": executor._codegen,
-                    "degraded": degraded,
-                    "matcher": matcher_name,
-                    "fallback": executor._fallback,
-                    "policy": executor._policy.value,
-                    "record_trace": plan.record_trace,
-                    "record_spans": plan.record_spans,
-                    "evaluator": plan.evaluator,
-                }
-            outcome_by_unit = _run_units_pooled(
-                plan,
-                units,
-                workers,
-                resolved_mode,
-                payload,
-                deadline_end,
-                max_matches,
-                budget,
-            )
     finally:
         if pool_span is not None:
             pool_cm.__exit__(None, None, None)
             pool_span.annotate(
-                mode=resolved_mode, workers=workers, units=len(units)
+                mode="process" if pooled else "inline",
+                workers=workers,
+                units=len(units),
             )
     if trace is not None:
         # Graft the per-unit span trees the workers reported (duration
@@ -850,10 +752,14 @@ def _parallel_pass(
                 if budget is not None:
                     budget.trip(f"max_matches ({max_matches}) reached")
                 break
-    for unit_index in sorted(outcome_by_unit):
-        for message in outcome_by_unit[unit_index]["limits_hit"]:
-            if message not in diagnostics.limits_hit:
-                diagnostics.record_limit(message)
+    if budget is not None and any(
+        outcome["tripped"] for outcome in outcome_by_unit.values()
+    ):
+        # A unit's budget holds only the allowance left when it was
+        # dispatched, and what it ran out of is the configured deadline
+        # (a unit that reached the match cap has tripped the budget in
+        # the merge above); name it as the serial loop does.
+        budget.expire()
 
     report = ExecutionReport(
         matcher=final_matcher,

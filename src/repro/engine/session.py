@@ -56,7 +56,6 @@ class Session:
         policy: Union[ErrorPolicy, str] = ErrorPolicy.RAISE,
         limits: Optional[ResourceLimits] = None,
         workers: int = 1,
-        parallel_mode: str = "auto",
     ):
         self.catalog = catalog if catalog is not None else Catalog()
         self.policy = ErrorPolicy.coerce(policy)
@@ -69,7 +68,6 @@ class Session:
             policy=self.policy,
             limits=self.limits,
             workers=workers,
-            parallel_mode=parallel_mode,
         )
 
     def execute(

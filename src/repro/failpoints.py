@@ -71,7 +71,7 @@ KNOWN_SITES: Tuple[str, ...] = (
     "checkpoint.write",        # payload of the temp-file write (torn-able)
     "checkpoint.fsync",        # file fsync before rename (skippable)
     "checkpoint.rename",       # between .prev rotation and final rename
-    "checkpoint.replica_write",  # each replica write in a replicated save
+    "checkpoint.replica_write",  # each replica write of a checkpoint save
     "recovery.restore",        # checkpoint load during runner restore
     "serve.send_frame",        # every server->client NDJSON frame
     "parallel.worker_start",   # entry of each parallel work unit

@@ -15,7 +15,8 @@ top of :class:`~repro.match.streaming.OpsStreamMatcher`:
 2. **Durable checkpoints** (:class:`CheckpointStore`) — versioned,
    checksummed checkpoint files written atomically
    (write-temp → fsync → rename), with corruption detection that falls
-   back to the previous good checkpoint instead of crashing.
+   back to the previous good checkpoint instead of crashing, and
+   optional replicas with quorum writes and repair on load.
 3. **A recovering runner** (:class:`RecoveringStreamRunner`) — wraps any
    offset-addressable row source with retry/backoff on transient errors,
    periodic checkpointing, resume-from-offset, and exactly-once match
@@ -38,7 +39,7 @@ import random
 import struct
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Mapping, Optional, Tuple
 
 from repro import failpoints
 from repro.errors import (
@@ -224,212 +225,63 @@ def restore_matcher(
     return matcher
 
 
-class CheckpointStore:
-    """Durable, atomically-replaced checkpoint files.
-
-    Frame layout::
-
-        magic "RPCK" | version (u16) | payload length (u32)
-        sha256(payload) — 32 bytes
-        payload — pickled checkpoint object
-
-    ``save()`` writes a temp file in the same directory, fsyncs it,
-    rotates the current checkpoint to ``<path>.prev``, then atomically
-    renames the temp file into place (and best-effort fsyncs the
-    directory), so a crash at any point leaves at least one readable
-    checkpoint on disk.  ``load()`` validates magic, version, length,
-    and checksum; a corrupt or truncated latest checkpoint falls back to
-    ``.prev`` with a diagnostic warning.
-    """
-
-    def __init__(self, path: str | os.PathLike, *, keep_previous: bool = True):
-        self.path = os.fspath(path)
-        self.keep_previous = keep_previous
-
-    @property
-    def previous_path(self) -> str:
-        return self.path + ".prev"
-
-    def exists(self) -> bool:
-        return os.path.exists(self.path) or os.path.exists(self.previous_path)
-
-    def save(self, state: object) -> None:
-        """Serialize ``state`` and atomically replace the checkpoint.
-
-        The failpoint sites here model the crash-consistency hazards this
-        protocol defends against: ``checkpoint.write`` can tear the frame
-        (partial temp-file write), ``checkpoint.fsync`` can be skipped or
-        fail (lost page cache), and ``checkpoint.rename`` fires between
-        the ``.prev`` rotation and the final rename — the window where a
-        crash leaves only the fallback on disk.  All are no-ops unless a
-        test arms them (see :mod:`repro.failpoints`).
-        """
-        payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        frame = (
-            _HEADER.pack(_MAGIC, CHECKPOINT_VERSION, len(payload))
-            + hashlib.sha256(payload).digest()
-            + payload
-        )
-        frame = failpoints.mangle("checkpoint.write", frame)
-        directory = os.path.dirname(self.path) or "."
-        tmp_path = self.path + ".tmp"
-        with open(tmp_path, "wb") as handle:
-            handle.write(frame)
-            handle.flush()
-            if not failpoints.maybe_fail("checkpoint.fsync"):
-                os.fsync(handle.fileno())
-        if self.keep_previous and os.path.exists(self.path):
-            os.replace(self.path, self.previous_path)
-        failpoints.maybe_fail("checkpoint.rename")
-        os.replace(tmp_path, self.path)
-        try:  # pragma: no cover - platform dependent
-            dir_fd = os.open(directory, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-        except OSError:
-            pass
-
-    def load(self, *, diagnostics: Optional[Diagnostics] = None) -> object:
-        """Read the newest valid checkpoint.
-
-        A corrupt latest file falls back to ``.prev`` (recorded as a
-        warning in ``diagnostics``); if neither file is usable the last
-        corruption error escapes as :class:`CheckpointCorrupt`, and a
-        completely missing checkpoint raises :class:`RecoveryError`.
-        """
-        candidates = [self.path]
-        if self.keep_previous:
-            candidates.append(self.previous_path)
-        last_error: Optional[Exception] = None
-        seen_any = False
-        for index, candidate in enumerate(candidates):
-            if not os.path.exists(candidate):
-                continue
-            seen_any = True
-            try:
-                state = self._read(candidate)
-            except CheckpointCorrupt as error:
-                last_error = error
-                if diagnostics is not None:
-                    diagnostics.warn(
-                        f"checkpoint {candidate} is corrupt ({error}); "
-                        + (
-                            "falling back to the previous checkpoint"
-                            if index + 1 < len(candidates)
-                            else "no fallback remains"
-                        )
-                    )
-                continue
-            if index > 0 and diagnostics is not None:
-                diagnostics.warn(
-                    f"restored from fallback checkpoint {candidate}; "
-                    f"matches emitted after it may be re-emitted "
-                    f"(at-least-once)"
-                )
-            return state
-        if not seen_any:
-            raise RecoveryError(f"no checkpoint at {self.path}")
-        assert last_error is not None
-        raise last_error
-
-    @staticmethod
-    def _read(path: str) -> object:
-        with open(path, "rb") as handle:
-            data = handle.read()
-        if len(data) < _HEADER.size + _DIGEST_SIZE:
-            raise CheckpointCorrupt(
-                f"{path}: truncated header ({len(data)} bytes)"
-            )
-        magic, version, length = _HEADER.unpack_from(data)
-        if magic != _MAGIC:
-            raise CheckpointCorrupt(f"{path}: bad magic {magic!r}")
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointCorrupt(
-                f"{path}: unsupported checkpoint version {version} "
-                f"(this build reads version {CHECKPOINT_VERSION})"
-            )
-        start = _HEADER.size + _DIGEST_SIZE
-        payload = data[start : start + length]
-        if len(payload) != length:
-            raise CheckpointCorrupt(
-                f"{path}: truncated payload "
-                f"({len(payload)} of {length} bytes)"
-            )
-        digest = data[_HEADER.size : start]
-        if hashlib.sha256(payload).digest() != digest:
-            raise CheckpointCorrupt(f"{path}: checksum mismatch")
-        try:
-            return pickle.loads(payload)
-        except Exception as error:
-            raise CheckpointCorrupt(
-                f"{path}: payload decoding failed ({error})"
-            ) from error
-
-
 @dataclass(frozen=True)
 class _Generational:
-    """Envelope a replicated store pickles into each replica: the state
-    plus a monotonically increasing write generation, so a read can tell
-    which surviving replica is newest without trusting mtimes."""
+    """What every frame carries: the state plus a write generation that
+    rises with each save, so a read can tell which surviving replica is
+    newest without trusting mtimes."""
 
     generation: int
     state: object
 
 
-class ReplicatedCheckpointStore:
-    """Fan-out checkpointing across N replica paths with read repair.
+class CheckpointStore:
+    """Durable checkpoints: checksummed frames, ``.prev`` fallback, and
+    replicas with majority-quorum writes and repair on load.
 
-    Each replica is a full :class:`CheckpointStore` (own checksummed
-    frame, own ``.prev`` fallback), typically in a different directory —
-    ideally a different filesystem — so losing one failure domain loses
-    one replica, not the stream's durability.  Every ``save()`` stamps
-    the state with a generation number and fans out to all replicas; the
-    write succeeds if at least ``quorum`` replicas (default: a majority)
-    land, and per-replica failures are counted loudly rather than
-    silently shrinking durability.
+    Frame layout (one frame per file)::
 
-    ``load()`` reads *every* replica, picks the highest valid
-    generation, and repairs divergent replicas in place — stale (older
-    generation), corrupt, or missing replicas are rewritten with the
-    winning state, so one surviving replica is enough to restore and the
-    fleet converges back to full strength on the next load.  Divergence
-    and repair are recorded in :class:`~repro.resilience.Diagnostics`
-    (``replicas_repaired``, plus a warning per repair) and mirrored into
-    an optional metrics counter.
+        magic "RPCK" | version (u16) | payload length (u32)
+        sha256(payload) — 32 bytes
+        payload — pickled ``_Generational(generation, state)``
 
-    Duck-type compatible with :class:`CheckpointStore` (``exists`` /
-    ``save`` / ``load`` / ``path``), so it drops into
-    :class:`RecoveringStreamRunner`, ``Executor.stream``, and the serve
-    subscription path unchanged.
+    ``path`` is the primary replica; each of ``replicas`` is another full
+    copy, ideally in another directory on another volume, so losing one
+    failure domain loses one replica, not the stream's durability.  One
+    replica is the default.
+
+    ``save()`` stamps the state with the next generation and writes it to
+    every replica: a temp file in the replica's directory is written and
+    fsynced, the current file rotates to ``<replica>.prev``, the temp
+    file is renamed into place, and the directory is fsynced (best
+    effort), so a crash at any point leaves a readable frame behind.  A
+    replica whose directory was wiped is recreated.  The save succeeds
+    when a majority of replicas land; each failed replica is counted in
+    ``write_failures`` and recorded in ``diagnostics``.
+
+    ``load()`` reads every replica — a corrupt or truncated file falls
+    back to its ``.prev`` with a warning — and returns the newest valid
+    generation.  Replicas that are missing, corrupt or stale are then
+    rewritten with it (best effort), counted in ``repairs``, in
+    ``repair_counter`` and in the caller's diagnostics, so one surviving
+    replica is enough to restore.  A frame whose payload is a bare state,
+    as written before saves were generation-stamped, loads as
+    generation 0.
     """
 
     def __init__(
         self,
-        paths: Sequence[str | os.PathLike],
-        *,
-        keep_previous: bool = True,
-        quorum: Optional[int] = None,
+        path: str | os.PathLike,
+        *replicas: str | os.PathLike,
         repair_counter=None,
         diagnostics: Optional[Diagnostics] = None,
     ):
-        if not paths:
-            raise ValueError("ReplicatedCheckpointStore needs at least one path")
-        resolved = [os.fspath(path) for path in paths]
-        if len(set(resolved)) != len(resolved):
-            raise ValueError(f"replica paths must be distinct, got {resolved}")
-        self._stores = [
-            CheckpointStore(path, keep_previous=keep_previous) for path in resolved
-        ]
-        majority = len(resolved) // 2 + 1
-        if quorum is None:
-            quorum = majority
-        if not 1 <= quorum <= len(resolved):
-            raise ValueError(
-                f"quorum must be in 1..{len(resolved)}, got {quorum}"
-            )
-        self.quorum = quorum
+        paths = tuple(os.fspath(each) for each in (path, *replicas))
+        if len(set(paths)) != len(paths):
+            raise ValueError(f"replica paths must be distinct, got {list(paths)}")
+        self.path = paths[0]
+        self.replica_paths = paths
+        self.quorum = len(paths) // 2 + 1
         # Generation is discovered lazily: a fresh process opening existing
         # replicas must continue *above* the highest generation on disk,
         # never restart at 1 (which would make every subsequent read treat
@@ -438,140 +290,112 @@ class ReplicatedCheckpointStore:
         self.repairs = 0
         self.write_failures = 0
         self._repair_counter = repair_counter
-        # save() has no diagnostics argument (CheckpointStore parity), so
-        # write-failure accounting goes through this bound record instead.
+        # save() takes no diagnostics argument, so write failures are
+        # recorded through this bound one.
         self._diagnostics = diagnostics
 
     @property
-    def path(self) -> str:
-        """The primary replica path (used in error messages)."""
-        return self._stores[0].path
-
-    @property
-    def replica_paths(self) -> Tuple[str, ...]:
-        return tuple(store.path for store in self._stores)
+    def previous_path(self) -> str:
+        return self.path + ".prev"
 
     @property
     def generation(self) -> Optional[int]:
         return self._generation
 
     def exists(self) -> bool:
-        return any(store.exists() for store in self._stores)
-
-    @staticmethod
-    def _replica_save(store: CheckpointStore, stamped: "_Generational") -> None:
-        """Write one replica, recreating its directory if the whole
-        failure domain (e.g. a wiped replica volume) is gone."""
-        parent = os.path.dirname(store.path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        store.save(stamped)
-
-    def _scan_generation(self) -> int:
-        """Highest generation readable from any replica (0 when none)."""
-        best = 0
-        for store in self._stores:
-            if not store.exists():
-                continue
-            try:
-                raw = store.load()
-            except (CheckpointCorrupt, RecoveryError):
-                continue
-            if isinstance(raw, _Generational):
-                best = max(best, raw.generation)
-        return best
+        return any(
+            os.path.exists(path) or os.path.exists(path + ".prev")
+            for path in self.replica_paths
+        )
 
     def save(self, state: object) -> None:
-        """Stamp ``state`` with the next generation and fan out.
+        """Stamp ``state`` with the next generation and write every replica.
 
-        Raises :class:`~repro.errors.RecoveryError` when fewer than
-        ``quorum`` replicas accept the write; the generation is *not*
-        rolled back in that case (the replicas that did land are valid
-        and newest, and the next load repairs the rest).
+        The failpoint sites here model the crash-consistency hazards this
+        protocol defends against, and each is hit once per replica, in
+        replica order: ``checkpoint.replica_write`` fails the whole
+        replica write, ``checkpoint.write`` can tear the frame (partial
+        temp-file write), ``checkpoint.fsync`` can be skipped or fail
+        (lost page cache), and ``checkpoint.rename`` fires between the
+        ``.prev`` rotation and the final rename — the window where a crash
+        leaves only the fallback on disk.  All are no-ops unless a test
+        arms them (see :mod:`repro.failpoints`).
+
+        When no replica lands, the write's own error escapes; when some
+        land but fewer than a majority,
+        :class:`~repro.errors.RecoveryError` does.  The generation is not
+        rolled back either way: the replicas that did land are valid and
+        newest, and the next load repairs the rest.
         """
         if self._generation is None:
             self._generation = self._scan_generation()
         self._generation += 1
-        stamped = _Generational(self._generation, state)
+        frame = _frame(_Generational(self._generation, state))
         failures: List[Tuple[str, Exception]] = []
-        for store in self._stores:
+        for path in self.replica_paths:
             try:
                 failpoints.maybe_fail("checkpoint.replica_write")
-                self._replica_save(store, stamped)
+                _write_frame(path, frame)
             except Exception as error:
-                failures.append((store.path, error))
+                failures.append((path, error))
                 if self._diagnostics is not None:
-                    self._diagnostics.record_replica_write_failure(
-                        store.path, str(error)
-                    )
+                    self._diagnostics.record_replica_write_failure(path, str(error))
         self.write_failures += len(failures)
-        written = len(self._stores) - len(failures)
-        if written < self.quorum:
-            detail = "; ".join(
-                f"{path}: {error}" for path, error in failures[:3]
-            )
-            raise RecoveryError(
-                f"checkpoint write quorum failed: {written}/"
-                f"{len(self._stores)} replicas written "
-                f"(need {self.quorum}): {detail}"
-            ) from failures[-1][1]
+        written = len(self.replica_paths) - len(failures)
+        if written >= self.quorum:
+            return
+        if not written:
+            raise failures[-1][1]
+        detail = "; ".join(f"{path}: {error}" for path, error in failures[:3])
+        raise RecoveryError(
+            f"checkpoint write quorum failed: {written}/"
+            f"{len(self.replica_paths)} replicas written "
+            f"(need {self.quorum}): {detail}"
+        ) from failures[-1][1]
 
     def load(self, *, diagnostics: Optional[Diagnostics] = None) -> object:
         """Return the newest valid state across replicas, repairing others.
 
-        Replica-local ``.prev`` fallback happens inside each
-        :class:`CheckpointStore`; this layer then arbitrates by
-        generation.  After the winner is chosen, every replica that was
-        missing, corrupt, or stale is rewritten with the winning stamped
-        state (best effort — a replica that cannot be repaired is warned
-        about and retried on the next save/load).
+        Raises :class:`RecoveryError` when no replica has a checkpoint
+        file, and the last :class:`CheckpointCorrupt` when none of the
+        files that exist reads clean.
         """
-        best_generation = -1
-        best_stamped: Optional[_Generational] = None
-        outcomes: List[Tuple[CheckpointStore, str, Optional[int]]] = []
+        best: Optional[_Generational] = None
+        outcomes: List[Tuple[str, str, Optional[int]]] = []
         last_error: Optional[Exception] = None
-        for store in self._stores:
-            if not store.exists():
-                outcomes.append((store, "missing", None))
-                continue
+        for path in self.replica_paths:
             try:
-                raw = store.load(diagnostics=diagnostics)
-            except (CheckpointCorrupt, RecoveryError) as error:
+                stamped = _read_replica(path, diagnostics)
+            except CheckpointCorrupt as error:
                 last_error = error
-                outcomes.append((store, "corrupt", None))
+                outcomes.append((path, "corrupt", None))
                 continue
-            if isinstance(raw, _Generational):
-                stamped = raw
-            else:
-                # A pre-replication single-store file: adopt it as
-                # generation 0 so upgrades in place keep their state.
-                stamped = _Generational(0, raw)
-            outcomes.append((store, "ok", stamped.generation))
-            if stamped.generation > best_generation:
-                best_generation = stamped.generation
-                best_stamped = stamped
-        if best_stamped is None:
-            if all(outcome == "missing" for _, outcome, _ in outcomes):
-                raise RecoveryError(
-                    f"no checkpoint at any replica of {self.path} "
-                    f"(replicas: {', '.join(self.replica_paths)})"
-                )
-            assert last_error is not None
-            raise last_error
-        for store, outcome, generation in outcomes:
-            if outcome == "ok" and generation == best_generation:
+            if stamped is None:
+                outcomes.append((path, "missing", None))
+                continue
+            outcomes.append((path, "ok", stamped.generation))
+            if best is None or stamped.generation > best.generation:
+                best = stamped
+        if best is None:
+            if last_error is not None:
+                raise last_error
+            raise RecoveryError(
+                f"no checkpoint at {', '.join(self.replica_paths)}"
+            )
+        for path, outcome, generation in outcomes:
+            if generation == best.generation:
                 continue
             reason = (
                 outcome
-                if outcome != "ok"
-                else f"stale (generation {generation} < {best_generation})"
+                if generation is None
+                else f"stale (generation {generation} < {best.generation})"
             )
             try:
-                self._replica_save(store, best_stamped)
+                _write_frame(path, _frame(best))
             except Exception as error:  # repair is best effort
                 if diagnostics is not None:
                     diagnostics.warn(
-                        f"checkpoint replica {store.path} is {reason} and "
+                        f"checkpoint replica {path} is {reason} and "
                         f"could not be repaired ({error})"
                     )
                 continue
@@ -581,15 +405,131 @@ class ReplicatedCheckpointStore:
             if diagnostics is not None:
                 diagnostics.record_replica_repaired()
                 diagnostics.warn(
-                    f"checkpoint replica {store.path} was {reason}; "
-                    f"repaired to generation {best_generation}"
+                    f"checkpoint replica {path} was {reason}; "
+                    f"repaired to generation {best.generation}"
                 )
-        self._generation = best_generation
-        return best_stamped.state
+        self._generation = best.generation
+        return best.state
+
+    def _scan_generation(self) -> int:
+        """Highest generation readable from any replica (0 when none)."""
+        best = 0
+        for path in self.replica_paths:
+            try:
+                stamped = _read_replica(path, None)
+            except CheckpointCorrupt:
+                continue
+            if stamped is not None:
+                best = max(best, stamped.generation)
+        return best
 
 
-#: Anything the runner/executor/serve layers accept as a checkpoint store.
-StoreLike = Union[CheckpointStore, ReplicatedCheckpointStore]
+def _frame(stamped: _Generational) -> bytes:
+    payload = pickle.dumps(stamped, protocol=pickle.HIGHEST_PROTOCOL)
+    return (
+        _HEADER.pack(_MAGIC, CHECKPOINT_VERSION, len(payload))
+        + hashlib.sha256(payload).digest()
+        + payload
+    )
+
+
+def _write_frame(path: str, frame: bytes) -> None:
+    """Atomically replace ``path`` with ``frame``, keeping the old file
+    as ``path.prev`` (see :meth:`CheckpointStore.save`)."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        os.makedirs(directory, exist_ok=True)
+    frame = failpoints.mangle("checkpoint.write", frame)
+    tmp_path = path + ".tmp"
+    with open(tmp_path, "wb") as handle:
+        handle.write(frame)
+        handle.flush()
+        if not failpoints.maybe_fail("checkpoint.fsync"):
+            os.fsync(handle.fileno())
+    if os.path.exists(path):
+        os.replace(path, path + ".prev")
+    failpoints.maybe_fail("checkpoint.rename")
+    os.replace(tmp_path, path)
+    try:  # pragma: no cover - platform dependent
+        dir_fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+    except OSError:
+        pass
+
+
+def _read_replica(
+    path: str, diagnostics: Optional[Diagnostics]
+) -> Optional[_Generational]:
+    """One replica's newest readable frame: ``path``, else ``path.prev``.
+
+    None when neither file exists; the last :class:`CheckpointCorrupt`
+    when neither reads clean.  Fallbacks and corruption are recorded as
+    warnings in ``diagnostics``.
+    """
+    candidates = (path, path + ".prev")
+    last_error: Optional[CheckpointCorrupt] = None
+    for index, candidate in enumerate(candidates):
+        if not os.path.exists(candidate):
+            continue
+        try:
+            state = _read_frame(candidate)
+        except CheckpointCorrupt as error:
+            last_error = error
+            if diagnostics is not None:
+                diagnostics.warn(
+                    f"checkpoint {candidate} is corrupt ({error}); "
+                    + (
+                        "falling back to the previous checkpoint"
+                        if index + 1 < len(candidates)
+                        else "no fallback remains"
+                    )
+                )
+            continue
+        if index > 0 and diagnostics is not None:
+            diagnostics.warn(
+                f"restored from fallback checkpoint {candidate}; "
+                f"matches emitted after it may be re-emitted "
+                f"(at-least-once)"
+            )
+        if isinstance(state, _Generational):
+            return state
+        return _Generational(0, state)
+    if last_error is not None:
+        raise last_error
+    return None
+
+
+def _read_frame(path: str) -> object:
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if len(data) < _HEADER.size + _DIGEST_SIZE:
+        raise CheckpointCorrupt(f"{path}: truncated header ({len(data)} bytes)")
+    magic, version, length = _HEADER.unpack_from(data)
+    if magic != _MAGIC:
+        raise CheckpointCorrupt(f"{path}: bad magic {magic!r}")
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointCorrupt(
+            f"{path}: unsupported checkpoint version {version} "
+            f"(this build reads version {CHECKPOINT_VERSION})"
+        )
+    start = _HEADER.size + _DIGEST_SIZE
+    payload = data[start : start + length]
+    if len(payload) != length:
+        raise CheckpointCorrupt(
+            f"{path}: truncated payload ({len(payload)} of {length} bytes)"
+        )
+    digest = data[_HEADER.size : start]
+    if hashlib.sha256(payload).digest() != digest:
+        raise CheckpointCorrupt(f"{path}: checksum mismatch")
+    try:
+        return pickle.loads(payload)
+    except Exception as error:
+        raise CheckpointCorrupt(
+            f"{path}: payload decoding failed ({error})"
+        ) from error
 
 
 @dataclass(frozen=True)
@@ -707,7 +647,7 @@ class RecoveringStreamRunner:
         pattern: CompiledPattern,
         source_factory: Callable[[int], Iterator[Tuple[int, Mapping[str, object]]]],
         *,
-        store: Optional[StoreLike] = None,
+        store: Optional[CheckpointStore] = None,
         checkpoints: Optional[CheckpointPolicy] = None,
         retry: Optional[RetryPolicy] = None,
         limits: Optional[ResourceLimits] = None,

@@ -187,7 +187,7 @@ class Diagnostics:
         self.checkpoints_restored = 0
         self.duplicates_suppressed = 0
         self.dropped_regions = 0
-        # Replicated-checkpoint divergence (see ReplicatedCheckpointStore):
+        # Checkpoint-replica divergence (see recovery.CheckpointStore):
         # repairs happen on load, write failures on save.  Both also emit
         # a warning, so a diverged fleet is never a silently-ok run.
         self.replicas_repaired = 0
@@ -468,8 +468,8 @@ class Budget:
     matches it has accumulated so far.
 
     Charging (``add_rows``, ``add_match``, ``trip``) is internally
-    locked so a budget shared across parallel thread workers cannot
-    check-then-charge past its limits; ``step()`` stays lock-free — its
+    locked so a budget shared across threads cannot check-then-charge
+    past its limits; ``step()`` stays lock-free — its
     countdown is a heuristic for when to consult the clock, and a rare
     lost decrement only shifts a deadline check by a few iterations.
     """
@@ -548,11 +548,14 @@ class Budget:
                     reason if isinstance(reason, str) else "cancelled by caller"
                 )
         if self._deadline is not None and self._clock() > self._deadline:
-            return self.trip(
-                f"wall_clock_deadline "
-                f"({self.limits.wall_clock_deadline}s) exceeded"
-            )
+            return self.expire()
         return False
+
+    def expire(self) -> bool:
+        """Trip on the wall-clock deadline, naming the configured limit."""
+        return self.trip(
+            f"wall_clock_deadline ({self.limits.wall_clock_deadline}s) exceeded"
+        )
 
     def add_rows(self, count: int) -> bool:
         """Account for rows about to be handed to the matcher.

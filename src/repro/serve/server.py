@@ -59,13 +59,7 @@ from repro.engine.executor import Executor
 from repro.errors import ExecutionError, ReproError
 from repro.obs import MetricsRegistry, SlowQueryLog
 from repro.pattern.predicates import AttributeDomains
-from repro.recovery import (
-    CheckpointPolicy,
-    CheckpointStore,
-    ReplicatedCheckpointStore,
-    RunnerCheckpoint,
-    StoreLike,
-)
+from repro.recovery import CheckpointPolicy, CheckpointStore, RunnerCheckpoint
 from repro.resilience import CancelToken, Diagnostics
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
@@ -137,7 +131,6 @@ class QueryServer:
         pool_workers: int = 4,
         max_pending: Optional[int] = None,
         query_workers: int = 1,
-        parallel_mode: str = "auto",
         checkpoint_dir: Optional[str] = None,
         checkpoint_replicas: int = 1,
         subscription_checkpoint_every: int = 256,
@@ -167,7 +160,6 @@ class QueryServer:
             domains=domains,
             matcher=matcher,
             policy=policy,
-            parallel_mode=parallel_mode,
             metrics=self.metrics,
             evaluator=evaluator,
         )
@@ -248,12 +240,6 @@ class QueryServer:
         self._loop = asyncio.get_running_loop()
         if self._checkpoint_dir:
             os.makedirs(self._checkpoint_dir, exist_ok=True)
-            for index in range(self._checkpoint_replicas):
-                if self._checkpoint_replicas > 1:
-                    os.makedirs(
-                        os.path.join(self._checkpoint_dir, f"replica{index}"),
-                        exist_ok=True,
-                    )
         self._server = await asyncio.start_server(
             self._handle_connection,
             self._host,
@@ -772,10 +758,11 @@ class QueryServer:
         tenant: str,
         subscription: str,
         diagnostics: Optional[Diagnostics] = None,
-    ) -> StoreLike:
+    ) -> CheckpointStore:
         """The checkpoint store for one subscription.
 
-        With ``checkpoint_replicas > 1`` the same filename fans out to
+        One replica is ``checkpoint_dir/<file>``; with
+        ``checkpoint_replicas > 1`` the same filename fans out to
         ``replica0..N-1`` subdirectories of the checkpoint dir — one
         failure domain per subdirectory (mount them on different volumes
         in production), repaired on load and counted in the registry.
@@ -783,13 +770,16 @@ class QueryServer:
         filename = (
             f"{_safe_filename(tenant)}__{_safe_filename(subscription)}.ckpt"
         )
-        if self._checkpoint_replicas <= 1:
-            return CheckpointStore(os.path.join(self._checkpoint_dir, filename))
-        return ReplicatedCheckpointStore(
+        directories = (
             [
-                os.path.join(self._checkpoint_dir, f"replica{index}", filename)
+                os.path.join(self._checkpoint_dir, f"replica{index}")
                 for index in range(self._checkpoint_replicas)
-            ],
+            ]
+            if self._checkpoint_replicas > 1
+            else [self._checkpoint_dir]
+        )
+        return CheckpointStore(
+            *(os.path.join(directory, filename) for directory in directories),
             repair_counter=self._replica_repair_counter,
             diagnostics=diagnostics,
         )

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro.data.djia import djia_table
 from repro.data.quotes import quote_table
+from repro.engine import parallel
 from repro.engine.catalog import Catalog
 from repro.pattern.compiler import compile_pattern
 from repro.pattern.predicates import AttributeDomains, col, comparison, predicate
@@ -109,3 +112,16 @@ def paper_catalog():
     catalog.register(quote_table(days=250, seed=7))
     catalog.register(djia_table())
     return catalog
+
+
+#: The usable-CPU count that sends the parallel engine down each path.
+PATH_CPUS = {"inline": 1, "process": 2}
+
+
+@contextlib.contextmanager
+def parallel_path(path: str):
+    """Run parallel queries in-line or on a process pool, whatever CPUs
+    this runner has, by faking the usable-CPU count."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parallel, "usable_cpus", lambda: PATH_CPUS[path])
+        yield

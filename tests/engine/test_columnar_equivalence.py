@@ -27,12 +27,12 @@ from hypothesis import strategies as st
 from repro.engine.catalog import Catalog
 from repro.engine.columnar import load_columnar, write_columnar
 from repro.engine.executor import Executor
-from repro.engine.parallel import split_partitions
 from repro.engine.table import Table
 from repro.errors import ExecutionError
 from repro.match.base import Instrumentation
 from repro.pattern.predicates import AttributeDomains
 from repro.resilience import ResourceLimits
+from tests.conftest import parallel_path
 
 DOMAINS = AttributeDomains.prices()
 VARS = "ABCD"
@@ -125,10 +125,10 @@ def run(catalog, sql, *, matcher="ops", evaluator="row", workers=1, limits=None)
         matcher=matcher,
         evaluator=evaluator,
         workers=workers,
-        parallel_mode="thread",
         limits=limits,
     )
-    result, report = executor.execute_with_report(sql, instrumentation)
+    with parallel_path("inline"):
+        result, report = executor.execute_with_report(sql, instrumentation)
     return result, report, instrumentation
 
 
@@ -264,31 +264,3 @@ def test_interpreted_oracle_stays_kernel_free():
 def test_invalid_evaluator_mode_rejected():
     with pytest.raises(ExecutionError):
         Executor(Catalog([build_table({"AAA": []})]), evaluator="vector")
-
-
-# ----------------------------------------------------------------------
-# Weighted splitter invariants (candidate-count work weighting)
-# ----------------------------------------------------------------------
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.integers(0, 50), min_size=1, max_size=40),
-    st.integers(1, 8),
-)
-def test_weighted_split_invariants(weights, workers):
-    partitions = list(range(len(weights)))
-    units = split_partitions(partitions, workers, weights=weights)
-    flattened = [p for unit in units for p in unit.partitions]
-    assert flattened == partitions  # every item once, order preserved
-    assert all(unit.partitions for unit in units)  # no empty unit
-    assert [unit.index for unit in units] == list(range(len(units)))
-
-
-def test_weighted_split_validation():
-    with pytest.raises(ExecutionError):
-        split_partitions([1, 2], 2, unit_size=1, weights=[1, 1])
-    with pytest.raises(ExecutionError):
-        split_partitions([1, 2], 2, weights=[1])
-    with pytest.raises(ExecutionError):
-        split_partitions([1, 2], 2, weights=[1, -1])

@@ -33,6 +33,7 @@ from repro.engine.executor import Executor
 from repro.engine.table import Schema, Table
 from repro.errors import ColumnarFormatError, FailpointError
 from repro.resilience import Diagnostics
+from tests.conftest import parallel_path
 
 SCHEMA = [("name", "str"), ("date", "date"), ("price", "float"), ("volume", "int")]
 
@@ -195,9 +196,8 @@ def test_rcol_table_runs_in_process_workers(tmp_path):
     )
     try:
         assert pickle.loads(pickle.dumps(loaded.rows[3])) == table.rows[3]
-        parallel = Executor(
-            Catalog([loaded]), workers=2, parallel_mode="process"
-        ).execute(sql)
+        with parallel_path("process"):
+            parallel = Executor(Catalog([loaded]), workers=2).execute(sql)
     finally:
         loaded.close()
     serial = Executor(Catalog([table])).execute(sql)

@@ -19,6 +19,7 @@ from repro.engine.executor import Executor
 from repro.engine.table import Schema, Table
 from repro.pattern.predicates import AttributeDomains
 from repro.resilience import ResourceLimits
+from tests.conftest import parallel_path
 
 QUERY = (
     "SELECT X.name, X.date, Z.date FROM quote CLUSTER BY name "
@@ -50,13 +51,13 @@ class TestDeadlineMidPool:
             domains=AttributeDomains.prices(),
             matcher="naive",
             workers=2,
-            parallel_mode="thread",
             # An order of magnitude below the workload's full runtime,
             # so the deadline reliably fires while units are in flight.
             limits=ResourceLimits(wall_clock_deadline=0.01),
         )
         started = time.monotonic()
-        result, report = executor.execute_with_report(QUERY)
+        with parallel_path("inline"):
+            result, report = executor.execute_with_report(QUERY)
         elapsed = time.monotonic() - started
         # Workers hold the same deadline allowance, so expiry stops the
         # pool promptly instead of letting stragglers run to completion.
@@ -82,7 +83,6 @@ class TestDeadlineMidPool:
             domains=AttributeDomains.prices(),
             matcher="naive",
             workers=2,
-            parallel_mode="thread",
             limits=ResourceLimits(wall_clock_deadline=300.0),
         ).execute(QUERY)
         assert bounded.rows == serial.rows
@@ -94,13 +94,44 @@ class TestDeadlineMidPool:
             catalog,
             domains=AttributeDomains.prices(),
             workers=4,
-            parallel_mode="thread",
             limits=ResourceLimits(wall_clock_deadline=0.0),
         )
-        result, report = executor.execute_with_report(QUERY)
+        with parallel_path("inline"):
+            result, report = executor.execute_with_report(QUERY)
         assert result.rows == ()
         assert result.diagnostics.limit_hit
         assert report.matches == 0
+
+
+class TestDeadlineNaming:
+    """Every parallel run names the configured deadline, as serial does,
+    not the allowance left over for a unit when it was dispatched."""
+
+    LIMITS = ResourceLimits(wall_clock_deadline=0.01)
+    MESSAGE = "wall_clock_deadline (0.01s) exceeded"
+
+    def run(self, catalog, workers):
+        return Executor(
+            catalog,
+            domains=AttributeDomains.prices(),
+            matcher="naive",
+            workers=workers,
+            limits=self.LIMITS,
+        ).execute_with_report(QUERY)
+
+    def test_inline_run_names_the_configured_deadline(self):
+        # One partition is one work unit, which always runs in-line.
+        catalog = heavy_catalog(partitions=1, rows=40_000)
+        serial, _ = self.run(catalog, 1)
+        parallel, _ = self.run(catalog, 2)
+        assert serial.diagnostics.limits_hit == [self.MESSAGE]
+        assert parallel.diagnostics.limits_hit == [self.MESSAGE]
+
+    def test_pooled_run_names_it_once(self):
+        with parallel_path("process"):
+            result, report = self.run(heavy_catalog(), 2)
+        assert result.diagnostics.limits_hit == [self.MESSAGE]
+        assert report.matches == len(result.rows)
 
 
 class TestCliExitCode:

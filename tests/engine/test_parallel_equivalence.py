@@ -5,8 +5,9 @@ through :mod:`repro.engine.parallel` — and asserts the strongest
 equality the contract promises: identical rows in identical order,
 identical report accounting (clusters, rows scanned, predicate tests,
 matches, matcher name), and identical diagnostics, across all registry
-matchers × both evaluators × error policies, in both thread and process
-pool modes.
+matchers × both evaluators × error policies, with the units run in-line
+and on a process pool (chosen by faking the usable-CPU count, so both
+paths run on any host).
 """
 
 from __future__ import annotations
@@ -15,12 +16,16 @@ import random
 
 import pytest
 
+from repro.data.quotes import quote_table
 from repro.engine.catalog import Catalog
 from repro.engine.executor import Executor
 from repro.engine.table import Schema, Table
 from repro.match.base import Instrumentation
+from repro.match.ops_star import OpsStarMatcher
+from repro.obs import Trace
 from repro.pattern.predicates import AttributeDomains
 from repro.resilience import ResourceLimits
+from tests.conftest import parallel_path
 
 MATCHER_NAMES = ["ops", "ops-nonstar", "naive", "backtracking"]
 
@@ -53,16 +58,16 @@ def make_catalog(seed: int, partitions: int = 8, rows: int = 80) -> Catalog:
     return Catalog([table])
 
 
-def run(catalog, query, *, workers=1, mode="auto", trace=False, **kw):
+def run(catalog, query, *, workers=1, path="inline", trace=False, **kw):
     executor = Executor(
         catalog,
         domains=AttributeDomains.prices(),
         workers=workers,
-        parallel_mode=mode,
         **kw,
     )
     instrumentation = Instrumentation(record_trace=trace)
-    result, report = executor.execute_with_report(query, instrumentation)
+    with parallel_path(path):
+        result, report = executor.execute_with_report(query, instrumentation)
     return result, report, instrumentation
 
 
@@ -76,10 +81,10 @@ REPORT_FIELDS = (
 )
 
 
-def assert_equivalent(catalog, query, *, workers, mode, trace=False, **kw):
+def assert_equivalent(catalog, query, *, workers, path, trace=False, **kw):
     r0, rep0, inst0 = run(catalog, query, trace=trace, **kw)
     r1, rep1, inst1 = run(
-        catalog, query, workers=workers, mode=mode, trace=trace, **kw
+        catalog, query, workers=workers, path=path, trace=trace, **kw
     )
     assert r0.columns == r1.columns
     assert r0.rows == r1.rows
@@ -104,13 +109,13 @@ class TestDifferential:
             # The non-star matcher needs the lenient downgrade to run
             # star patterns; equivalence must hold through the fallback.
             kw["policy"] = "skip"
-        assert_equivalent(catalog, query, workers=workers, mode="thread", **kw)
+        assert_equivalent(catalog, query, workers=workers, path="inline", **kw)
 
     @pytest.mark.parametrize("matcher", ["ops", "naive"])
     def test_process_pool_mode(self, matcher):
         catalog = make_catalog(seed=5)
         r, rep = assert_equivalent(
-            catalog, STAR_QUERY, workers=2, mode="process", matcher=matcher
+            catalog, STAR_QUERY, workers=2, path="process", matcher=matcher
         )
         assert rep.clusters_searched == 8
 
@@ -124,18 +129,18 @@ class TestDifferential:
         )
         query = rng.choice(QUERIES)
         workers = rng.choice([2, 4])
-        assert_equivalent(catalog, query, workers=workers, mode="thread")
+        assert_equivalent(catalog, query, workers=workers, path="inline")
 
     def test_trace_merge_preserves_order(self):
         catalog = make_catalog(seed=3, partitions=5, rows=40)
         assert_equivalent(
-            catalog, FLAT_QUERY, workers=3, mode="thread", trace=True
+            catalog, FLAT_QUERY, workers=3, path="inline", trace=True
         )
 
     def test_workers_one_is_the_serial_path(self):
         catalog = make_catalog(seed=3)
         r0, rep0, _ = run(catalog, STAR_QUERY)
-        r1, rep1, _ = run(catalog, STAR_QUERY, workers=1, mode="thread")
+        r1, rep1, _ = run(catalog, STAR_QUERY, workers=1, path="inline")
         assert r0.rows == r1.rows
         assert rep0.predicate_tests == rep1.predicate_tests
 
@@ -148,12 +153,12 @@ class TestDifferential:
 
     def test_single_partition_runs_inline(self):
         catalog = make_catalog(seed=3, partitions=1)
-        assert_equivalent(catalog, STAR_QUERY, workers=4, mode="thread")
+        assert_equivalent(catalog, STAR_QUERY, workers=4, path="inline")
 
     def test_empty_table(self):
         catalog = make_catalog(seed=3, partitions=0)
         r, rep = assert_equivalent(
-            catalog, STAR_QUERY, workers=2, mode="thread"
+            catalog, STAR_QUERY, workers=2, path="inline"
         )
         assert r.rows == () and rep.clusters == 0
 
@@ -166,8 +171,8 @@ class TestErrorPolicies:
             if row["name"] == name and row["date"] == date:
                 row["price"] = "bogus"
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_raise_policy_same_error(self, mode):
+    @pytest.mark.parametrize("path", ["inline", "process"])
+    def test_raise_policy_same_error(self, path):
         catalog = make_catalog(seed=7)
         self.corrupt(catalog)
         errors = []
@@ -177,7 +182,7 @@ class TestErrorPolicies:
                     catalog,
                     STAR_QUERY,
                     workers=workers,
-                    mode=mode,
+                    path=path,
                     matcher="naive",
                 )
             errors.append(str(excinfo.value))
@@ -192,7 +197,7 @@ class TestErrorPolicies:
         with pytest.raises(TypeError) as serial_err:
             run(catalog, STAR_QUERY, matcher="naive")
         with pytest.raises(TypeError) as parallel_err:
-            run(catalog, STAR_QUERY, workers=4, mode="thread", matcher="naive")
+            run(catalog, STAR_QUERY, workers=4, path="inline", matcher="naive")
         assert str(serial_err.value) == str(parallel_err.value)
 
     @pytest.mark.parametrize("policy", ["skip", "collect"])
@@ -204,11 +209,11 @@ class TestErrorPolicies:
         for name in ("S01", "S04"):
             table.insert({"name": name, "date": 5, "price": 55.0})
         assert_equivalent(
-            catalog, FLAT_QUERY, workers=3, mode="thread", policy=policy
+            catalog, FLAT_QUERY, workers=3, path="inline", policy=policy
         )
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_degraded_fallback_equivalence(self, mode):
+    @pytest.mark.parametrize("path", ["inline", "process"])
+    def test_degraded_fallback_equivalence(self, path):
         # ops-nonstar cannot run a star pattern; under a lenient policy
         # both paths downgrade to naive and record one identical
         # downgrade diagnostic.
@@ -217,7 +222,7 @@ class TestErrorPolicies:
             catalog,
             STAR_QUERY,
             workers=3,
-            mode=mode,
+            path=path,
             matcher="ops-nonstar",
             policy="skip",
         )
@@ -234,7 +239,7 @@ class TestErrorPolicies:
                     catalog,
                     STAR_QUERY,
                     workers=workers,
-                    mode="thread",
+                    path="inline",
                     matcher="ops-nonstar",
                 )
 
@@ -245,7 +250,7 @@ class TestLimits:
         limits = ResourceLimits(max_matches=5)
         r0, rep0, _ = run(catalog, STAR_QUERY, limits=limits)
         r1, rep1, _ = run(
-            catalog, STAR_QUERY, workers=4, mode="thread", limits=limits
+            catalog, STAR_QUERY, workers=4, path="inline", limits=limits
         )
         assert r0.rows == r1.rows
         assert rep0.matches == rep1.matches == 5
@@ -256,7 +261,7 @@ class TestLimits:
         limits = ResourceLimits(max_matches=0)
         r0, rep0, _ = run(catalog, STAR_QUERY, limits=limits)
         r1, rep1, _ = run(
-            catalog, STAR_QUERY, workers=2, mode="thread", limits=limits
+            catalog, STAR_QUERY, workers=2, path="inline", limits=limits
         )
         assert r0.rows == r1.rows == ()
         assert rep0.clusters == rep1.clusters
@@ -269,7 +274,7 @@ class TestLimits:
         limits = ResourceLimits(max_rows_scanned=300)
         r0, rep0, _ = run(catalog, STAR_QUERY, limits=limits)
         r1, rep1, _ = run(
-            catalog, STAR_QUERY, workers=4, mode="thread", limits=limits
+            catalog, STAR_QUERY, workers=4, path="inline", limits=limits
         )
         assert r0.rows == r1.rows
         assert rep0.rows_scanned == rep1.rows_scanned <= 300
@@ -277,12 +282,62 @@ class TestLimits:
         assert rep0.predicate_tests == rep1.predicate_tests
         assert r0.diagnostics.limits_hit == r1.diagnostics.limits_hit
 
+    def test_max_matches_in_a_pool_names_only_the_cap(self):
+        catalog = make_catalog(seed=13)
+        limits = ResourceLimits(max_matches=5)
+        r0, _, _ = run(catalog, STAR_QUERY, limits=limits)
+        r1, rep1, _ = run(
+            catalog, STAR_QUERY, workers=4, path="process", limits=limits
+        )
+        assert r0.rows == r1.rows and rep1.matches == 5
+        assert r1.diagnostics.limits_hit == r0.diagnostics.limits_hit
+        assert r1.diagnostics.limits_hit == ["max_matches (5) reached"]
+
     def test_limits_unhit_stay_fully_identical(self):
         catalog = make_catalog(seed=13, partitions=4, rows=30)
         limits = ResourceLimits(max_matches=10_000, max_rows_scanned=10**9)
         assert_equivalent(
-            catalog, FLAT_QUERY, workers=2, mode="thread", limits=limits
+            catalog, FLAT_QUERY, workers=2, path="inline", limits=limits
         )
+
+
+class SubclassedOps(OpsStarMatcher):
+    """A matcher outside the registry: workers cannot construct it."""
+
+
+class TestCustomMatcherFallback:
+    """A custom matcher runs serially, with the caller's settings."""
+
+    def executor(self, workers):
+        return Executor(
+            Catalog([quote_table()]),
+            domains=AttributeDomains.prices(),
+            matcher=SubclassedOps(),
+            workers=workers,
+        )
+
+    def test_limits_are_kept(self):
+        limits = ResourceLimits(wall_clock_deadline=0.0)
+        serial = self.executor(1).execute(STAR_QUERY, limits=limits)
+        parallel = self.executor(2).execute(STAR_QUERY, limits=limits)
+        assert serial.rows == parallel.rows == ()
+        assert serial.diagnostics.limits_hit
+        assert parallel.diagnostics.limits_hit == serial.diagnostics.limits_hit
+        assert any("ran serially" in w for w in parallel.diagnostics.warnings)
+
+    def test_cancel_hook_and_trace_are_kept(self):
+        calls = []
+
+        def cancel():
+            calls.append(1)
+
+        trace = Trace()
+        result = self.executor(2).execute(STAR_QUERY, cancel=cancel, trace=trace)
+        assert calls
+        assert trace.root.attrs["mode"] == "serial"
+        assert trace.find("scan") is not None
+        assert result.profile is not None
+        assert result.rows == self.executor(1).execute(STAR_QUERY).rows
 
 
 class TestPlanCacheInterplay:

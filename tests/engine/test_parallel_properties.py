@@ -10,6 +10,7 @@ or out-of-order partition indices instead of silently reordering rows.
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -23,10 +24,13 @@ from repro.engine.parallel import (
     index_outcomes,
     ordered_partition_outcomes,
     split_partitions,
+    usable_cpus,
 )
 from repro.engine.table import Schema, Table
 from repro.errors import ExecutionError
+from repro.obs import Trace
 from repro.pattern.predicates import AttributeDomains
+from tests.conftest import parallel_path
 
 
 class TestSplitter:
@@ -42,16 +46,6 @@ class TestSplitter:
         assert all(unit.partitions for unit in units)
         assert [unit.index for unit in units] == list(range(len(units)))
 
-    @given(
-        total=st.integers(min_value=1, max_value=500),
-        workers=st.integers(min_value=1, max_value=16),
-        unit_size=st.integers(min_value=1, max_value=64),
-    )
-    def test_explicit_unit_size_is_respected(self, total, workers, unit_size):
-        units = split_partitions(list(range(total)), workers, unit_size)
-        assert all(len(unit.partitions) <= unit_size for unit in units)
-        assert sum(len(unit.partitions) for unit in units) == total
-
     @given(workers=st.integers(min_value=1, max_value=16))
     def test_empty_input_yields_no_units(self, workers):
         assert split_partitions([], workers) == []
@@ -63,8 +57,6 @@ class TestSplitter:
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ExecutionError):
             split_partitions([1, 2], 0)
-        with pytest.raises(ExecutionError):
-            split_partitions([1, 2], 2, unit_size=0)
 
 
 def fake_outcomes(partition_indices, unit_size=3):
@@ -160,12 +152,10 @@ class TestEndToEndProperty:
 
         def run(workers):
             executor = Executor(
-                catalog,
-                domains=AttributeDomains.prices(),
-                workers=workers,
-                parallel_mode="thread",
+                catalog, domains=AttributeDomains.prices(), workers=workers
             )
-            return executor.execute_with_report(QUERY)
+            with parallel_path("inline"):
+                return executor.execute_with_report(QUERY)
 
         r0, rep0 = run(1)
         r1, rep1 = run(workers)
@@ -182,3 +172,57 @@ class TestEndToEndProperty:
         units = split_partitions(partitions, 3)
         seen = [p.index for unit in units for p in unit.partitions]
         assert seen == list(range(10))
+
+
+def pin_to_one_cpu(monkeypatch):
+    """What ``taskset -c 0`` does to a process on an eight-CPU host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+
+class TestUsableCpus:
+    def test_affinity_set_is_counted(self, monkeypatch):
+        pin_to_one_cpu(monkeypatch)
+        assert usable_cpus() == 1
+
+    def test_cpu_count_where_affinity_is_missing(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert usable_cpus() == 3
+
+    def test_one_usable_cpu_runs_the_units_inline(self, monkeypatch):
+        pin_to_one_cpu(monkeypatch)
+        table = Table(
+            "quote",
+            Schema([("name", "str"), ("date", "int"), ("price", "float")]),
+        )
+        for key in range(6):
+            for date in range(20):
+                table.insert(
+                    {"name": f"K{key}", "date": date, "price": 100.0 + date % 7}
+                )
+        executor = Executor(
+            Catalog([table]), domains=AttributeDomains.prices(), workers=2
+        )
+        trace = Trace()
+        executor.execute(QUERY, trace=trace)
+        pool = trace.find("parallel")
+        assert pool.attrs["mode"] == "inline" and pool.attrs["units"] > 1
+
+    def test_pr5_skips_scaling_with_one_usable_cpu(self, monkeypatch, capsys):
+        from repro.bench import pr5
+
+        pin_to_one_cpu(monkeypatch)
+        monkeypatch.setattr(
+            pr5,
+            "_bench_workload",
+            lambda *args: {
+                "serial_s": 1.0,
+                "matches": 1,
+                "workers": {"4": {"speedup": 0.5}},
+            },
+        )
+        current = pr5.run_bench("smoke")
+        assert current["cpu_count"] == 1
+        assert pr5.check_scaling(current) == []
+        assert "SCALING CHECK SKIPPED" in capsys.readouterr().out

@@ -113,13 +113,6 @@ class TestCheckpointStore:
         store.save("state")
         assert not os.path.exists(store.path + ".tmp")
 
-    def test_keep_previous_false(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ck", keep_previous=False)
-        store.save("first")
-        store.save("second")
-        assert not os.path.exists(store.previous_path)
-        assert store.load() == "second"
-
 
 class TestCrashConsistency:
     """Failpoint-driven 'kill -9 at the worst moment' races, made

@@ -25,7 +25,7 @@ import pytest
 from repro import failpoints
 from repro.engine.catalog import Catalog
 from repro.pattern.predicates import AttributeDomains
-from repro.recovery import ReplicatedCheckpointStore
+from repro.recovery import CheckpointStore
 from repro.serve import (
     FailoverPolicy,
     QueryServer,
@@ -289,8 +289,8 @@ class TestFailpointsOff:
         assert query_rows == [values for _, values in baseline]
 
     def test_replicated_store_with_failpoints_off_round_trips(self, tmp_path):
-        store = ReplicatedCheckpointStore(
-            [str(tmp_path / f"r{i}" / "ck") for i in range(3)]
+        store = CheckpointStore(
+            *(str(tmp_path / f"r{i}" / "ck") for i in range(3))
         )
         store.save({"offset": 1})
         assert store.load() == {"offset": 1}

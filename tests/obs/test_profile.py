@@ -9,6 +9,7 @@ from repro.engine.catalog import Catalog
 from repro.engine.executor import Executor
 from repro.obs import MetricsRegistry, Trace
 from repro.pattern.predicates import AttributeDomains
+from tests.conftest import parallel_path
 
 CLUSTER_QUERY = (
     "SELECT X.name FROM quote CLUSTER BY name SEQUENCE BY date AS (X, Y, Z) "
@@ -35,9 +36,10 @@ class TestTracedIdentity:
         assert traced.profile is not None
 
     def test_parallel_traced_rows_byte_identical(self):
-        executor = _executor(workers=2, parallel_mode="thread")
-        untraced = executor.execute(CLUSTER_QUERY)
-        traced = executor.execute(CLUSTER_QUERY, trace=Trace())
+        executor = _executor(workers=2)
+        with parallel_path("inline"):
+            untraced = executor.execute(CLUSTER_QUERY)
+            traced = executor.execute(CLUSTER_QUERY, trace=Trace())
         assert traced.rows == untraced.rows
         assert untraced.profile is None
         assert traced.profile is not None
@@ -92,9 +94,10 @@ class TestSerialSpanTree:
 
 class TestParallelSpanTree:
     def test_worker_unit_spans_are_grafted(self):
-        executor = _executor(workers=2, parallel_mode="thread")
+        executor = _executor(workers=2)
         trace = Trace()
-        executor.execute(CLUSTER_QUERY, trace=trace)
+        with parallel_path("inline"):
+            executor.execute(CLUSTER_QUERY, trace=trace)
         root = trace.root
         assert root.attrs["mode"] == "parallel"
         pool = trace.find("parallel")
@@ -107,10 +110,13 @@ class TestParallelSpanTree:
 
     def test_parallel_profile_matches_serial_counters(self):
         serial = _executor()
-        parallel = _executor(workers=2, parallel_mode="thread")
+        parallel = _executor(workers=2)
         serial_trace, parallel_trace = Trace(), Trace()
         serial_result = serial.execute(CLUSTER_QUERY, trace=serial_trace)
-        parallel_result = parallel.execute(CLUSTER_QUERY, trace=parallel_trace)
+        with parallel_path("inline"):
+            parallel_result = parallel.execute(
+                CLUSTER_QUERY, trace=parallel_trace
+            )
         assert parallel_result.rows == serial_result.rows
         assert (
             parallel_result.profile.matches == serial_result.profile.matches

@@ -18,11 +18,7 @@ import pytest
 from repro.data.djia import djia_table
 from repro.data.workloads import EXAMPLE_10
 from repro.engine.catalog import Catalog
-from repro.engine.columnar import (
-    first_element_candidates,
-    materialize_kernels,
-    numpy_backend,
-)
+from repro.engine.columnar import materialize_kernels, numpy_backend
 from repro.engine.executor import Executor
 from repro.match.naive import NaiveMatcher
 from repro.match.ops_star import OpsStarMatcher
@@ -229,14 +225,6 @@ def test_example_10_repeated_shapes_share_truth():
     assert kernels.truth[2] is kernels.truth[4] is kernels.truth[6]
     assert kernels.truth[1] is kernels.truth[5]
     assert kernels.truth[3] is kernels.truth[7]
-
-
-def test_first_element_candidates():
-    compiled = prepare(DOWN_UP)
-    rows = price_rows([50.0, 45.0, 44.0, 46.0])
-    count = first_element_candidates(compiled, rows)
-    # X is unconstrained: every position is a candidate.
-    assert count == len(rows)
 
 
 # ----------------------------------------------------------------------

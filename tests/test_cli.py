@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.cli import main
+from tests.conftest import parallel_path
 
 
 QUERY = (
@@ -501,9 +502,8 @@ class TestWorkers:
             QUERY,
         ]
         _, serial_out = run_cli(*argv)
-        code, parallel_out = run_cli(
-            *argv, "--workers", "2", "--parallel-mode", "process"
-        )
+        with parallel_path("process"):
+            code, parallel_out = run_cli(*argv, "--workers", "2")
         assert code == 0 and parallel_out == serial_out
 
     def test_invalid_workers_is_clean_error(self, quotes_csv, capsys):
