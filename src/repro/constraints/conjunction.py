@@ -13,32 +13,49 @@ needs exactly four queries, all provided here:
 ``negation_implies`` is where conjunctions stop being closed under
 negation: ``NOT p`` is a disjunction of negated atoms, and a disjunction
 implies ``q`` iff every disjunct does.  Each disjunct is a single GSW atom,
-so the test reduces to GSW satisfiability checks — no general theorem
+so the test reduces to GSW implication checks — no general theorem
 prover needed.
+
+Each conjunction closes its atoms once, on first use, and keeps the
+:class:`~repro.constraints.gsw.PremiseClosure`: every later
+satisfiability or implication query on it is a lookup.  Within one plan
+theta, phi and the equivalent-pair refinement ask about the same element
+predicates many times, and a cached plan carries its closures with it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from repro.constraints.atoms import AnyAtom, Atom, CategoricalAtom
-from repro.constraints.gsw import GswSolver
+from repro.constraints.gsw import GswSolver, PremiseClosure
 from repro.constraints.terms import Variable
 
 
 class Conjunction:
     """An immutable conjunction of numeric and categorical atoms.
 
-    The empty conjunction is the constant TRUE.
+    The empty conjunction is the constant TRUE.  The closure is computed
+    lazily and never changes once set; two threads that both compute it
+    first build equal closures, and either may stay.
     """
 
-    __slots__ = ("_atoms",)
+    __slots__ = ("_atoms", "_closure")
 
     def __init__(self, atoms: Iterable[AnyAtom] = ()):
         self._atoms: tuple[AnyAtom, ...] = tuple(atoms)
         for a in self._atoms:
             if not isinstance(a, (Atom, CategoricalAtom)):
                 raise TypeError(f"not a constraint atom: {a!r}")
+        self._closure: Optional[PremiseClosure] = None
+
+    @property
+    def closure(self) -> PremiseClosure:
+        """The atoms closed once (see :class:`PremiseClosure`)."""
+        closure = self._closure
+        if closure is None:
+            closure = self._closure = PremiseClosure(self._atoms)
+        return closure
 
     @property
     def atoms(self) -> tuple[AnyAtom, ...]:
@@ -68,7 +85,7 @@ class Conjunction:
 
     def satisfiable(self) -> bool:
         """Is this conjunction consistent over the reals?"""
-        return GswSolver.satisfiable(self._atoms)
+        return self.closure.satisfiable
 
     def is_tautology(self) -> bool:
         """Does this conjunction hold for every assignment?
@@ -85,10 +102,18 @@ class Conjunction:
         theta/phi builders apply the paper's ``p !== F`` / ``p !== T``
         guards on top of this primitive.
         """
-        return GswSolver.implies_all(self._atoms, other._atoms)
+        return self.closure.implies_all(other._atoms)
 
     def conjunction_satisfiable_with(self, other: "Conjunction") -> bool:
-        """Is self AND other consistent?  (theta = 0 test, negated.)"""
+        """Is self AND other consistent?  (theta = 0 test, negated.)
+
+        When one side is a single atom ``a``, the other side's closure
+        decides it: ``p AND a`` is unsatisfiable iff ``p => NOT a``.
+        """
+        if len(other._atoms) == 1:
+            return not self.closure.implies(other._atoms[0].negate())
+        if len(self._atoms) == 1:
+            return not other.closure.implies(self._atoms[0].negate())
         return GswSolver.satisfiable(self._atoms + other._atoms)
 
     def negation_implies(self, other: "Conjunction") -> bool:
@@ -100,7 +125,8 @@ class Conjunction:
         vacuously implies everything.
         """
         return all(
-            GswSolver.implies_all([a.negate()], other._atoms) for a in self._atoms
+            PremiseClosure([a.negate()]).implies_all(other._atoms)
+            for a in self._atoms
         )
 
     def equivalent(self, other: "Conjunction") -> bool:

@@ -14,25 +14,35 @@ normal form (DNF):
   witness rule is sound but incomplete (a conjunction can imply a
   disjunction "collectively"), so callers treat a negative answer as
   *unknown*, exactly the conservatism the U truth value exists for.
+
+A disjunction computes its negation and its tautology verdict once, on
+first use, and keeps both; each disjunct keeps its own closure (see
+:class:`~repro.constraints.conjunction.Conjunction`).
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from repro.constraints.conjunction import Conjunction
 
 
 class Disjunction:
-    """A predicate in disjunctive normal form: OR of conjunctions."""
+    """A predicate in disjunctive normal form: OR of conjunctions.
 
-    __slots__ = ("_disjuncts",)
+    Immutable; the cached negation and tautology verdict never change
+    once set, so threads racing to compute them first do no harm.
+    """
+
+    __slots__ = ("_disjuncts", "_negation", "_tautology")
 
     def __init__(self, disjuncts: Iterable[Conjunction]):
         self._disjuncts: tuple[Conjunction, ...] = tuple(disjuncts)
         if not self._disjuncts:
             raise ValueError("a Disjunction needs at least one disjunct")
+        self._negation: Optional[Disjunction] = None
+        self._tautology: Optional[bool] = None
 
     @classmethod
     def of(cls, conjunction: Conjunction) -> "Disjunction":
@@ -63,6 +73,12 @@ class Disjunction:
         the AND over the ORs gives the product of per-disjunct atom choices.
         Exponential in the worst case, but pattern predicates are tiny.
         """
+        negation = self._negation
+        if negation is None:
+            negation = self._negation = self._expand_negation()
+        return negation
+
+    def _expand_negation(self) -> "Disjunction":
         per_disjunct = []
         for conj in self._disjuncts:
             if len(conj) == 0:
@@ -86,7 +102,10 @@ class Disjunction:
 
     def is_tautology(self) -> bool:
         """Sound tautology test: the negation must be unsatisfiable."""
-        return not self.negate().satisfiable()
+        tautology = self._tautology
+        if tautology is None:
+            tautology = self._tautology = not self.negate().satisfiable()
+        return tautology
 
     def implies_conjunction(self, q: Conjunction) -> bool:
         """D => q: every satisfiable disjunct must imply q."""

@@ -16,9 +16,14 @@ real domain with the classic constraint-graph formulation:
 - the conjunction is **unsatisfiable** iff some closure self-bound is
   negative (``x - x <= c`` with ``c < 0``, or ``c = 0`` strict), or some
   ``!=`` atom's equality is forced by the closure;
-- the conjunction **implies** an atom iff conjoining the atom's negation is
-  unsatisfiable (the negation of a GSW atom is again a GSW atom, so one
-  primitive suffices).
+- the conjunction **implies** an atom iff the closure's tightest bound on
+  each of the atom's difference bounds is at least as tight
+  (:class:`PremiseClosure`): GSW's own test, which closes the premises
+  once and reads every conclusion off that closure.  Refutation —
+  conjoin the atom's negation and test satisfiability — stays as the
+  reference (:meth:`GswSolver.implies`) and as the path for what a
+  lookup cannot decide alone: ``!=`` conclusions, premises containing
+  ``!=`` (``x <= 0 AND x != 0`` implies ``x < 0``) and categorical atoms.
 
 Categorical equality atoms (``name = 'IBM'``) are decided by a separate
 elementary procedure and do not interact with the numeric graph.
@@ -30,23 +35,23 @@ are quite reasonable".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from repro.constraints.atoms import AnyAtom, Atom, CategoricalAtom, Op
 from repro.constraints.terms import Variable, ZERO
 from repro.errors import ConstraintError
 
 
-@dataclass(frozen=True, order=True)
-class Weight:
+class Weight(NamedTuple):
     """A difference bound ``x - y <= c`` (strict: ``x - y < c``).
 
     Ordering: smaller is *tighter*.  At equal ``c`` a strict bound is
     tighter than a non-strict one, which the ``tightness`` field encodes
-    (``-1`` for strict, ``0`` for non-strict) so dataclass ordering gives
-    the right lexicographic comparison.
+    (``-1`` for strict, ``0`` for non-strict) so tuple ordering gives the
+    right lexicographic comparison.  The closure itself works on bare
+    ``(c, tightness)`` tuples, compared and combined at C level; this
+    class names the fields for callers of :meth:`BoundClosure.bound`.
     """
 
     c: float
@@ -61,107 +66,131 @@ class Weight:
         return Weight(self.c + other.c, min(self.tightness, other.tightness))
 
     def entails(self, target: "Weight") -> bool:
-        """Does ``x - y <= self`` guarantee ``x - y <= target``?"""
-        if self.c < target.c:
-            return True
-        if self.c > target.c:
-            return False
-        # Equal constants: a strict derived bound entails both forms; a
-        # non-strict derived bound entails only the non-strict target.
-        return self.strict or not target.strict
+        """Does ``x - y <= self`` guarantee ``x - y <= target``?
+
+        Exactly when ``self`` is at least as tight: at equal constants a
+        strict derived bound entails both forms, a non-strict one only the
+        non-strict target.
+        """
+        return self <= target
 
     def is_negative_cycle(self) -> bool:
         """Would this self-bound (``x - x <= self``) be contradictory?"""
-        return self.c < 0 or (self.c == 0 and self.strict)
+        return self < _NO_OFFSET
 
 
-def _bounds_of(a: Atom) -> list[tuple[Variable, Variable, Weight]]:
-    """Decompose a numeric atom into difference bounds ``(x, y, weight)``.
+#: The bound ``x - x <= 0`` every closure starts each variable with.
+_NO_OFFSET = (0.0, 0)
 
-    Each triple means ``x - y <= weight``.  Equality yields two bounds;
-    ``!=`` yields none (handled separately).
+#: ``(x name, y name, (c, tightness))``: the difference bound ``x - y <= c``.
+Bound = tuple[str, str, tuple[float, int]]
+
+
+def _bounds_of(a: Atom) -> tuple[Bound, ...]:
+    """Decompose a numeric atom into difference bounds.
+
+    Equality yields two bounds; ``!=`` yields none (handled separately).
+    Variables go by name: the atoms of one closure are all numeric, so
+    the name identifies the variable, and a ``str`` hashes at C speed.
     """
-    if a.op is Op.NE:
-        return []
-    if a.op is Op.LE:
-        return [(a.x, a.y, Weight(a.c, 0))]
-    if a.op is Op.LT:
-        return [(a.x, a.y, Weight(a.c, -1))]
-    if a.op is Op.GE:
-        return [(a.y, a.x, Weight(-a.c, 0))]
-    if a.op is Op.GT:
-        return [(a.y, a.x, Weight(-a.c, -1))]
-    if a.op is Op.EQ:
-        return [(a.x, a.y, Weight(a.c, 0)), (a.y, a.x, Weight(-a.c, 0))]
+    op, x, y, c = a.op, a.x.name, a.y.name, a.c
+    if op is Op.LE:
+        return ((x, y, (c, 0)),)
+    if op is Op.LT:
+        return ((x, y, (c, -1)),)
+    if op is Op.GE:
+        return ((y, x, (-c, 0)),)
+    if op is Op.GT:
+        return ((y, x, (-c, -1)),)
+    if op is Op.EQ:
+        return ((x, y, (c, 0)), (y, x, (-c, 0)))
+    if op is Op.NE:
+        return ()
     raise ConstraintError(f"unsupported operator: {a.op}")
 
 
 class BoundClosure:
-    """Min-plus closure of the difference-bound graph of a set of atoms."""
+    """Min-plus closure of the difference-bound graph of a set of atoms.
+
+    Entries are ``(c, tightness)`` tuples or None (unbounded).  Adding two
+    bounds adds the constants and ORs the tightness flags: for flags in
+    ``{-1, 0}``, ``|`` is ``min``, so a chain is strict as soon as one link
+    is.  Variables are ordered by name, which fixes the order in which
+    Floyd–Warshall sums the constants.  The closure never changes once
+    built.
+    """
+
+    __slots__ = ("_names", "_dist")
 
     def __init__(self, atoms: Iterable[Atom]):
-        atoms = list(atoms)
-        variables: set[Variable] = {ZERO}
-        for a in atoms:
-            variables.add(a.x)
-            variables.add(a.y)
-        self._vars: list[Variable] = sorted(variables, key=lambda v: v.name)
-        index = {v: i for i, v in enumerate(self._vars)}
-        n = len(self._vars)
-        dist: list[list[Optional[Weight]]] = [[None] * n for _ in range(n)]
+        edges = [bound for a in atoms for bound in _bounds_of(a)]
+        names = {ZERO.name}
+        for x, y, _ in edges:
+            names.add(x)
+            names.add(y)
+        index = {name: i for i, name in enumerate(sorted(names))}
+        n = len(index)
+        dist: list[list[Optional[tuple[float, int]]]] = [[None] * n for _ in range(n)]
         for i in range(n):
-            dist[i][i] = Weight(0.0, 0)
-        for a in atoms:
-            for x, y, w in _bounds_of(a):
-                i, j = index[x], index[y]
-                current = dist[i][j]
-                if current is None or w < current:
-                    dist[i][j] = w
-        for k in range(n):
-            for i in range(n):
-                d_ik = dist[i][k]
+            dist[i][i] = _NO_OFFSET
+        for x, y, w in edges:
+            row, j = dist[index[x]], index[y]
+            current = row[j]
+            if current is None or w < current:
+                row[j] = w
+        for k, row_k in enumerate(dist):
+            for row_i in dist:
+                d_ik = row_i[k]
                 if d_ik is None:
                     continue
-                for j in range(n):
-                    d_kj = dist[k][j]
+                c_ik, t_ik = d_ik
+                for j, d_kj in enumerate(row_k):
                     if d_kj is None:
                         continue
-                    via = d_ik + d_kj
-                    current = dist[i][j]
+                    via = (c_ik + d_kj[0], t_ik | d_kj[1])
+                    current = row_i[j]
                     if current is None or via < current:
-                        dist[i][j] = via
-        self._index = index
-        self._dist = dist
+                        row_i[j] = via
+        # Kept compact, since cached plans hold their closures: the names
+        # in index order and the matrix as one flat tuple.
+        self._names = tuple(index)
+        self._dist = tuple(chain.from_iterable(dist))
 
     @property
     def feasible(self) -> bool:
         """False when the closure contains a negative self-cycle."""
-        for i in range(len(self._vars)):
-            d = self._dist[i][i]
-            if d is not None and d.is_negative_cycle():
-                return False
-        return True
+        n = len(self._names)
+        return not any(d < _NO_OFFSET for d in self._dist[:: n + 1])
+
+    def _lookup(self, x: str, y: str) -> Optional[tuple[float, int]]:
+        names = self._names
+        if x in names and y in names:
+            return self._dist[names.index(x) * len(names) + names.index(y)]
+        return _NO_OFFSET if x == y else None
 
     def bound(self, x: Variable, y: Variable) -> Optional[Weight]:
         """The tightest derivable bound ``x - y <= w``, or None if unbounded."""
-        i = self._index.get(x)
-        j = self._index.get(y)
-        if i is None or j is None:
-            return Weight(0.0, 0) if x == y else None
-        return self._dist[i][j]
+        found = self._lookup(x.name, y.name)
+        return None if found is None else Weight(*found)
+
+    def entails(self, a: Atom) -> bool:
+        """GSW implication by lookup: does every model of the closed
+        (feasible) system satisfy the ``!=``-free atom ``a``?
+
+        It does exactly when, for each of ``a``'s difference bounds, the
+        tightest derived bound is at least as tight.
+        """
+        for x, y, w in _bounds_of(a):
+            derived = self._lookup(x, y)
+            if derived is None or not derived <= w:
+                return False
+        return True
 
     def forces_equality(self, x: Variable, y: Variable, c: float) -> bool:
         """Does the closure force ``x - y == c`` exactly?"""
-        down = self.bound(x, y)
-        up = self.bound(y, x)
-        return (
-            down is not None
-            and up is not None
-            and not down.strict
-            and not up.strict
-            and down.c == c
-            and up.c == -c
-        )
+        return self._lookup(x.name, y.name) == (c, 0) and self._lookup(
+            y.name, x.name
+        ) == (-c, 0)
 
 
 def _categorical_satisfiable(atoms: Sequence[CategoricalAtom]) -> bool:
@@ -181,29 +210,39 @@ def _categorical_satisfiable(atoms: Sequence[CategoricalAtom]) -> bool:
     return True
 
 
-class GswSolver:
-    """Stateless facade exposing the two GSW decision procedures."""
+class PremiseClosure:
+    """A conjunction of premises, closed once and then queried many times.
 
-    @staticmethod
-    def satisfiable(atoms: Iterable[AnyAtom]) -> bool:
-        """Is the conjunction of ``atoms`` satisfiable over the reals?"""
+    ``satisfiable`` is the full GSW verdict on the premises.
+    :meth:`implies` reads a conclusion off the closure (see the module
+    docstring for what falls back to refutation).  An instance never
+    changes once built, so a shared, cached plan can hold it.
+    """
+
+    __slots__ = ("atoms", "satisfiable", "_closure", "_categorical", "_disequalities")
+
+    def __init__(self, atoms: Iterable[AnyAtom]):
+        self.atoms: tuple[AnyAtom, ...] = tuple(atoms)
+        self._closure: Optional[BoundClosure] = None
+        self._categorical: tuple[CategoricalAtom, ...] = ()
+        self._disequalities: tuple[Atom, ...] = ()
+        self.satisfiable = self._close()
+
+    def _close(self) -> bool:
         numeric: list[Atom] = []
         categorical: list[CategoricalAtom] = []
         disequalities: list[Atom] = []
-        for a in atoms:
+        for a in self.atoms:
             if isinstance(a, CategoricalAtom):
                 categorical.append(a)
+            elif a.x == a.y:
+                # x op x + c is a ground fact about c: a contradiction
+                # (x < x, x != x) or a tautology the closure can skip.
+                if not a.op.holds(0.0, a.c):
+                    return False
             elif a.op is Op.NE:
-                if a.x == a.y:
-                    if a.c == 0:
-                        return False  # x != x
-                    continue  # x != x + c with c != 0: trivially true
                 disequalities.append(a)
             else:
-                if a.is_contradiction():
-                    return False
-                if a.is_tautology():
-                    continue
                 numeric.append(a)
         if not _categorical_satisfiable(categorical):
             return False
@@ -216,16 +255,53 @@ class GswSolver:
         for d in disequalities:
             if closure.forces_equality(d.x, d.y, d.c):
                 return False
+        self._closure = closure
+        self._categorical = tuple(categorical)
+        self._disequalities = tuple(disequalities)
         return True
+
+    def implies(self, conclusion: AnyAtom) -> bool:
+        """Do the premises imply ``conclusion``?  Classical: unsatisfiable
+        premises imply everything."""
+        if not self.satisfiable:
+            return True
+        if isinstance(conclusion, CategoricalAtom):
+            # Categorical atoms never meet the numeric graph, so refuting
+            # on the categorical premises alone decides it.
+            return not _categorical_satisfiable(
+                (*self._categorical, conclusion.negate())
+            )
+        if conclusion.op is Op.NE:
+            return GswSolver.implies(self.atoms, conclusion)
+        if self._closure.entails(conclusion):
+            return True
+        # A disequality premise can cut a bound's endpoint off
+        # (x <= 0 AND x != 0 implies x < 0), which no lookup sees.
+        return bool(self._disequalities) and GswSolver.implies(self.atoms, conclusion)
+
+    def implies_all(self, conclusions: Iterable[AnyAtom]) -> bool:
+        """Do the premises imply every conclusion atom?"""
+        return all(self.implies(c) for c in conclusions)
+
+
+class GswSolver:
+    """Stateless facade exposing the two GSW decision procedures."""
+
+    @staticmethod
+    def satisfiable(atoms: Iterable[AnyAtom]) -> bool:
+        """Is the conjunction of ``atoms`` satisfiable over the reals?"""
+        return PremiseClosure(atoms).satisfiable
 
     @staticmethod
     def implies(premises: Iterable[AnyAtom], conclusion: AnyAtom) -> bool:
         """Does the conjunction of ``premises`` imply ``conclusion``?
 
         Decided by refutation: ``premises AND NOT conclusion`` must be
-        unsatisfiable.  Note this is classical implication — an
-        unsatisfiable premise implies everything; callers guarding theta
-        and phi entries handle that case explicitly per the paper.
+        unsatisfiable.  This is the reference procedure; a
+        :class:`PremiseClosure` answers the same question by lookup.  Note
+        this is classical implication — an unsatisfiable premise implies
+        everything; callers guarding theta and phi entries handle that
+        case explicitly per the paper.
         """
         return not GswSolver.satisfiable(chain(premises, [conclusion.negate()]))
 

@@ -5,7 +5,9 @@ ordered), and data in each group are sorted by their SEQUENCE BY
 attribute(s)."  Clusters are yielded in first-appearance order of their
 key; with no CLUSTER BY the whole table is a single cluster.  Keys are
 C-level ``itemgetter`` lookups, so no Python callable runs per row, and
-a cluster is sorted only when the scan reaches it.
+a cluster is sorted only when the scan reaches it.  A ``keep`` test (the
+query's hoisted cluster filter) runs before that sort, so a cluster it
+rejects is not sorted unless the lenient audit below sorts it.
 
 The stable re-sort is part of the language semantics.  Under a lenient
 :class:`~repro.resilience.ErrorPolicy` the grouping additionally audits
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from operator import itemgetter
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from repro.engine.table import Table
 from repro.errors import ExecutionError
@@ -34,11 +36,16 @@ def clusters_of(
     *,
     policy: Union[ErrorPolicy, str] = ErrorPolicy.RAISE,
     diagnostics: Optional[Diagnostics] = None,
-) -> Iterator[tuple[tuple[object, ...], list[dict[str, object]]]]:
+    keep: Optional[Callable[[list[dict[str, object]]], bool]] = None,
+) -> Iterator[tuple[tuple[object, ...], Optional[list[dict[str, object]]]]]:
     """Yield ``(key, sorted_rows)`` per cluster.
 
     ``key`` is the tuple of CLUSTER BY values (empty tuple when there is
     no CLUSTER BY clause).  A cluster is sorted only when it is reached.
+    ``keep`` is tested on each cluster's rows; a cluster it rejects is
+    yielded as ``(key, None)`` without being sorted.  Under a lenient
+    policy every cluster is still audited first, so the diagnostics do
+    not depend on ``keep``.
     """
     policy = ErrorPolicy.coerce(policy)
     _require_columns(table, (*cluster_by, *sequence_by))
@@ -58,7 +65,10 @@ def clusters_of(
             rows = _audit_sequence(
                 table.name, key, rows, sequence_by, policy, diagnostics
             )
-        elif cluster_by and sequence_by:
+        if keep is not None and not keep(rows):
+            yield key, None
+            continue
+        if cluster_by and sequence_by and not audit:
             rows.sort(key=itemgetter(*sequence_by))
         yield key, rows
 

@@ -29,6 +29,7 @@ import time
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator, Mapping, Optional, Tuple, Union
 
 from repro.engine.aggregates import PatternSearchAggregate, apply_aggregate
@@ -353,11 +354,12 @@ class Executor:
                 analyzed.sequence_by,
                 policy=self._policy,
                 diagnostics=diagnostics,
+                keep=partial(_cluster_passes, analyzed),
             ):
                 clusters += 1
                 if budget is not None and budget.check_deadline():
                     break
-                if not _cluster_passes(analyzed, rows):
+                if rows is None:
                     continue
                 if budget is not None and budget.add_rows(len(rows)):
                     break
@@ -885,9 +887,9 @@ def _cluster_kernels(
 def _cluster_passes(analyzed: AnalyzedQuery, rows: list[dict[str, object]]) -> bool:
     """Evaluate the hoisted cluster-invariant conditions on this cluster.
 
-    The conditions only reference CLUSTER BY attributes, which are
+    The conditions only reference bare CLUSTER BY attributes, which are
     constant within the cluster, so binding every pattern variable to the
-    first row is exact.
+    first row is exact whether or not the rows are sorted yet.
     """
     if not analyzed.cluster_filter:
         return True

@@ -57,6 +57,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures import as_completed
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Optional, Sequence, Union
 
 from repro import failpoints
@@ -619,11 +620,12 @@ def _parallel_pass(
             analyzed.sequence_by,
             policy=executor._policy,
             diagnostics=diagnostics,
+            keep=partial(_cluster_passes, analyzed),
         ):
             clusters += 1
             if budget is not None and budget.check_deadline():
                 break
-            if not _cluster_passes(analyzed, rows):
+            if rows is None:
                 continue
             if budget is not None and budget.add_rows(len(rows)):
                 break

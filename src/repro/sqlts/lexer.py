@@ -1,135 +1,106 @@
-"""Hand-written lexer for SQL-TS.
+"""Lexer for SQL-TS: one compiled master pattern.
 
 Produces a flat token list for the recursive-descent parser.  SQL
 conventions apply: keywords are case-insensitive, strings use single
 quotes with ``''`` as the escape for a literal quote, and both ``<>`` and
-``!=`` spell inequality.
+``!=`` spell inequality.  Number literals take the ASCII digits ``0-9``
+only; any other digit where a number would be read is a syntax error at
+that digit.
+
+One regular expression, with a named group per token kind, consumes the
+whole text: its last alternative takes any single character, so every
+character that starts no token is reported where it stands.  Letters,
+identifier characters and whitespace follow ``str.isalpha``,
+``str.isalnum`` and ``str.isspace``, which the ``\\w``, ``\\d`` and ``\\s``
+classes of a ``str`` pattern match exactly.
 """
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import SqlTsSyntaxError
 from repro.sqlts.tokens import KEYWORDS, Token, TokenType
 
-_TWO_CHAR_OPERATORS = ("<=", ">=", "<>", "!=")
-_ONE_CHAR_OPERATORS = "<>=+-/"
-_PUNCT = "(),."
+_MASTER = re.compile(
+    r"""
+      (?P<skip>(?:\s+|--[^\n]*)++)      # whitespace and line comments
+    | (?P<word>[^\W\d]\w*)              # keyword or identifier
+    | (?P<number>(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+    | (?P<string>'(?:[^']|'')*+')       # '' is an escaped quote
+    | (?P<operator><=|>=|<>|!=|[<>=+\-/])
+    | (?P<star>\*)
+    | (?P<punct>[(),.])
+    | (?P<other>.)                      # an unterminated string or a stray
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
-
-class Lexer:
-    """Tokenizes one SQL-TS statement."""
-
-    def __init__(self, text: str):
-        self._text = text
-        self._pos = 0
-        self._line = 1
-        self._column = 1
-
-    def tokenize(self) -> list[Token]:
-        tokens: list[Token] = []
-        while True:
-            self._skip_whitespace_and_comments()
-            if self._pos >= len(self._text):
-                tokens.append(Token(TokenType.EOF, "", self._line, self._column))
-                return tokens
-            tokens.append(self._next_token())
-
-    # ------------------------------------------------------------------
-
-    def _peek(self, ahead: int = 0) -> str:
-        index = self._pos + ahead
-        return self._text[index] if index < len(self._text) else ""
-
-    def _advance(self, count: int = 1) -> str:
-        chunk = self._text[self._pos : self._pos + count]
-        for ch in chunk:
-            if ch == "\n":
-                self._line += 1
-                self._column = 1
-            else:
-                self._column += 1
-        self._pos += count
-        return chunk
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self._pos < len(self._text):
-            ch = self._peek()
-            if ch.isspace():
-                self._advance()
-            elif ch == "-" and self._peek(1) == "-":
-                while self._pos < len(self._text) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        line, column = self._line, self._column
-        ch = self._peek()
-        if ch.isalpha() or ch == "_":
-            word = self._read_while(lambda c: c.isalnum() or c == "_")
-            upper = word.upper()
-            if upper in KEYWORDS:
-                return Token(TokenType.KEYWORD, upper, line, column)
-            return Token(TokenType.IDENT, word, line, column)
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return Token(TokenType.NUMBER, self._read_number(), line, column)
-        if ch == "'":
-            return Token(TokenType.STRING, self._read_string(), line, column)
-        two = self._text[self._pos : self._pos + 2]
-        if two in _TWO_CHAR_OPERATORS:
-            self._advance(2)
-            return Token(TokenType.OPERATOR, "!=" if two == "<>" else two, line, column)
-        if ch == "*":
-            self._advance()
-            return Token(TokenType.STAR, "*", line, column)
-        if ch in _ONE_CHAR_OPERATORS:
-            self._advance()
-            return Token(TokenType.OPERATOR, ch, line, column)
-        if ch in _PUNCT:
-            self._advance()
-            return Token(TokenType.PUNCT, ch, line, column)
-        raise SqlTsSyntaxError(f"unexpected character {ch!r}", line, column)
-
-    def _read_while(self, keep) -> str:
-        start = self._pos
-        while self._pos < len(self._text) and keep(self._peek()):
-            self._advance()
-        return self._text[start : self._pos]
-
-    def _read_number(self) -> str:
-        start = self._pos
-        self._read_while(str.isdigit)
-        if self._peek() == "." and self._peek(1).isdigit():
-            self._advance()
-            self._read_while(str.isdigit)
-        if self._peek() in ("e", "E") and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in "+-" and self._peek(2).isdigit())
-        ):
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            self._read_while(str.isdigit)
-        return self._text[start : self._pos]
-
-    def _read_string(self) -> str:
-        line, column = self._line, self._column
-        self._advance()  # opening quote
-        pieces: list[str] = []
-        while True:
-            if self._pos >= len(self._text):
-                raise SqlTsSyntaxError("unterminated string literal", line, column)
-            ch = self._advance()
-            if ch == "'":
-                if self._peek() == "'":  # escaped quote
-                    self._advance()
-                    pieces.append("'")
-                else:
-                    return "".join(pieces)
-            else:
-                pieces.append(ch)
+_KEYWORD = TokenType.KEYWORD
+_IDENT = TokenType.IDENT
+_NUMBER = TokenType.NUMBER
+_STRING = TokenType.STRING
+_OPERATOR = TokenType.OPERATOR
+_STAR = TokenType.STAR
+_PUNCT = TokenType.PUNCT
 
 
 def tokenize(text: str) -> list[Token]:
-    """Convenience wrapper: tokenize one SQL-TS statement."""
-    return Lexer(text).tokenize()
+    """Tokenize one SQL-TS statement; the list ends with an EOF token."""
+    tokens: list[Token] = []
+    append = tokens.append
+    line = 1
+    line_start = 0  # offset of the first character of the current line
+    for match in _MASTER.finditer(text):
+        kind = match.lastgroup
+        value = match.group()
+        start = match.start()
+        column = start - line_start + 1
+        if kind == "skip" or kind == "string":
+            if kind == "string":
+                append(Token(_STRING, value[1:-1].replace("''", "'"), line, column))
+            # Only whitespace and strings span lines.
+            newlines = value.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + value.rindex("\n") + 1
+        elif kind == "word":
+            first = value[0]
+            if not (first.isalpha() or first == "_"):
+                raise _unexpected(first, line, column)
+            upper = value.upper()
+            if upper in KEYWORDS:
+                append(Token(_KEYWORD, upper, line, column))
+            else:
+                append(Token(_IDENT, value, line, column))
+        elif kind == "punct":
+            append(Token(_PUNCT, value, line, column))
+        elif kind == "operator":
+            append(Token(_OPERATOR, "!=" if value == "<>" else value, line, column))
+        elif kind == "number":
+            end = match.end()
+            if (
+                text[end : end + 1] in ("e", "E")
+                and text[end + 1 : end + 2].isdigit()
+                and "e" not in value.lower()
+            ):
+                # An exponent whose first digit is not ASCII: the digit
+                # is the error, not the start of an identifier "e...".
+                raise _unexpected(text[end + 1], line, column + len(value) + 1)
+            append(Token(_NUMBER, value, line, column))
+        elif kind == "star":
+            append(Token(_STAR, value, line, column))
+        elif value == "'":
+            raise SqlTsSyntaxError("unterminated string literal", line, column)
+        else:
+            raise _unexpected(value, line, column)
+    append(Token(TokenType.EOF, "", line, len(text) - line_start + 1))
+    return tokens
+
+
+def _unexpected(ch: str, line: int, column: int) -> SqlTsSyntaxError:
+    if ch.isdigit():
+        return SqlTsSyntaxError(
+            f"non-ASCII digit {ch!r}: number literals take 0-9 only", line, column
+        )
+    return SqlTsSyntaxError(f"unexpected character {ch!r}", line, column)

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.catalog import Catalog
 from repro.engine.cluster import clusters_of, sequenced
 from repro.engine.columnar import load_columnar, write_columnar
+from repro.engine.executor import Executor
 from repro.engine.table import Table
 from repro.errors import ExecutionError
 from repro.resilience import Diagnostics, ErrorPolicy
@@ -102,6 +104,53 @@ class TestClustering:
         assert [row.date_reads for row in first] == [1, 1, 1]
         ibm = [row for row in table.rows if row["name"] == "IBM"]
         assert [row.date_reads for row in ibm] == [0, 0, 0]
+
+    def test_rejected_cluster_is_never_sorted(self):
+        table = quote_table(ROWS)
+        table.rows[:] = [CountingRow(row) for row in table.rows]
+        clusters = list(
+            clusters_of(
+                table, ["name"], ["date"], keep=lambda rows: rows[0]["name"] == "IBM"
+            )
+        )
+        assert [(key, rows is None) for key, rows in clusters] == [
+            (("INTC",), True),
+            (("IBM",), False),
+        ]
+        assert [r["date"].day for r in clusters[1][1]] == [25, 26, 27]
+        intc = [row for row in table.rows if row["name"] == "INTC"]
+        assert [row.date_reads for row in intc] == [0, 0, 0]
+
+
+class TestHoistedClusterFilter:
+    """The query's hoisted ``X.name = ...`` filter runs before the sort."""
+
+    QUERY = (
+        "SELECT X.date FROM quote CLUSTER BY name SEQUENCE BY date AS (X, Y) "
+        "WHERE X.name = 'IBM' AND Y.price > X.price"
+    )
+
+    def run(self, policy, workers=1):
+        table = quote_table(ROWS)
+        table.rows[:] = [CountingRow(row) for row in table.rows]
+        executor = Executor(Catalog([table]), policy=policy, workers=workers)
+        result, report = executor.execute_with_report(self.QUERY)
+        intc = [row for row in table.rows if row["name"] == "INTC"]
+        return result, report, [row.date_reads for row in intc]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rejected_cluster_is_never_sorted(self, workers):
+        result, report, intc_reads = self.run("raise", workers)
+        assert intc_reads == [0, 0, 0]
+        assert list(result.rows) == [(d(26),)]
+        assert (report.clusters, report.clusters_searched) == (2, 1)
+
+    def test_lenient_policy_still_audits_every_cluster(self):
+        result, report, intc_reads = self.run("collect")
+        assert all(reads > 0 for reads in intc_reads)
+        assert report.diagnostics.warnings  # INTC arrived out of order
+        assert list(result.rows) == [(d(26),)]
+        assert (report.clusters, report.clusters_searched) == (2, 1)
 
 
 class CountingRow(dict):

@@ -109,3 +109,41 @@ class TestInvariants:
             # next may be one smaller (the graph walk stops at j - shift
             # where the S = 1 case reaches j - shift + 1), never bigger.
             assert section5.next_[j] <= section4.next(j)
+
+
+class TestSharedPlans:
+    """Conjunctions cache their closures lazily; a plan is shared by
+    every thread that runs it, so threads may race to fill those caches."""
+
+    QUERY = (
+        "SELECT X.date FROM quote CLUSTER BY name SEQUENCE BY date "
+        "AS (X, Y, Z, *T) WHERE X.price > 1.02 * X.previous.price "
+        "AND 0.98 * Y.previous.price < Y.price AND Y.price < 1.01 * Y.previous.price "
+        "AND Z.price < Z.previous.price AND Z.price > 0.9 * X.price "
+        "AND T.price = 50 AND T.name != 'IBM'"
+    )
+
+    def fresh_spec(self):
+        from repro.pattern.predicates import AttributeDomains
+        from repro.sqlts.parser import parse_query
+        from repro.sqlts.semantic import analyze
+
+        return analyze(parse_query(self.QUERY), AttributeDomains.prices()).spec
+
+    def test_racing_threads_build_the_serial_plan(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        expected = compile_pattern(self.fresh_spec()).describe()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                for _ in range(10):
+                    spec = self.fresh_spec()
+                    plans = pool.map(
+                        lambda _: compile_pattern(spec).describe(), range(16)
+                    )
+                    assert list(plans) == [expected] * 16
+        finally:
+            sys.setswitchinterval(interval)

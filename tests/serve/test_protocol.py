@@ -24,6 +24,7 @@ from repro.serve.protocol import (
     error_for_exception,
     error_payload,
 )
+from repro.sqlts.parser import parse_query
 
 
 class TestFraming:
@@ -84,6 +85,12 @@ class TestErrorMapping:
     )
     def test_stable_codes(self, error, code):
         assert error_code_for(error) == code
+
+    @pytest.mark.parametrize("digit", ["²", "٣"])
+    def test_non_ascii_digit_is_a_syntax_error(self, digit):
+        with pytest.raises(Exception) as caught:
+            parse_query(f"SELECT X.a FROM t AS (X) WHERE X.a > {digit}")
+        assert error_code_for(caught.value) == "syntax"
 
     def test_library_errors_keep_their_message(self):
         payload = error_for_exception(SqlTsSyntaxError("expected SELECT"), 3)

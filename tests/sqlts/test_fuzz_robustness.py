@@ -43,6 +43,9 @@ _FRAGMENTS = [
     "SELECT", "FROM", "WHERE", "CLUSTER BY", "SEQUENCE BY", "AS", "AND",
     "OR", "NOT", "FIRST", "LAST", "(", ")", ",", ".", "*", "X", "Y",
     "price", "date", "quote", "1.5", "'IBM'", "<", ">", "=", "+", "previous",
+    # Non-ASCII digits where a number may stand (arbitrary text seldom
+    # puts one there): they must fail as syntax errors, never crash.
+    "²", "٣", "1e٣",
 ]
 
 

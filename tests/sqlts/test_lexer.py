@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SqlTsSyntaxError
 from repro.sqlts.lexer import tokenize
-from repro.sqlts.tokens import TokenType
+from repro.sqlts.tokens import Token, TokenType
 
 
 def kinds(text):
@@ -35,6 +35,16 @@ class TestBasics:
 
     def test_star_is_distinct_token(self):
         assert kinds("*")[0][0] is TokenType.STAR
+
+    def test_tokens_are_equal_by_fields_and_type(self):
+        first, second = tokenize("X X")[:2]
+        same = Token(TokenType.IDENT, "X", 1, 1)
+        assert first == same and hash(first) == hash(same)
+        assert first != second  # the columns differ
+        assert first != (TokenType.IDENT, "X", 1, 1)
+        assert (TokenType.IDENT, "X", 1, 1) != first
+        assert first.is_keyword("x") is False
+        assert tokenize("select")[0].is_keyword("Select")
 
 
 class TestNumbers:

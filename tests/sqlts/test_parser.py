@@ -159,6 +159,19 @@ class TestErrors:
             parse_query("SELECT X.a FROM t AS (X) WHERE X.a >")
         assert exc.value.line is not None
 
+    # '²' crashed float(); '٣' was read as 3.  Number literals take 0-9 only.
+    @pytest.mark.parametrize("digit", ["²", "٣"])
+    @pytest.mark.parametrize(
+        "literal, offset", [("{}", 0), ("1{}", 1), ("1.{}", 2), ("1e{}", 2)]
+    )
+    def test_non_ascii_digit_is_a_syntax_error_at_the_digit(
+        self, digit, literal, offset
+    ):
+        prefix = "SELECT X.a FROM t AS (X)\nWHERE X.a > "
+        with pytest.raises(SqlTsSyntaxError, match="non-ASCII digit") as exc:
+            parse_query(prefix + literal.format(digit))
+        assert (exc.value.line, exc.value.column) == (2, 13 + offset)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", sorted(workloads.ALL_EXAMPLES))

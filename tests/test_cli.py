@@ -99,6 +99,18 @@ class TestQuery:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_ascii_digit_is_clean_error(self, capsys):
+        code, _ = run_cli(
+            "query",
+            "--demo-data",
+            "SELECT X.price FROM djia SEQUENCE BY date AS (X) WHERE X.price > ²",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-ASCII digit '²'")
+        assert "line 1, column 66" in err
+        assert "Traceback" not in err
+
 
 class TestResilienceFlags:
     TABLE_FLAGS = ("--positive", "price")
