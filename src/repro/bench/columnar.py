@@ -4,19 +4,18 @@ Times the row evaluator (compiled closures, the pre-columnar path)
 against the columnar path — truth-array materialization *included* in
 every timed columnar run, so the number is end-to-end honest — on the
 paper's DJIA Example 10 double-bottom and, in the full profile, the
-planted and random-walk series.  Before any timing, instrumented runs
-assert both paths produce bit-identical matches and identical
-predicate-test counts; the timing runs are uninstrumented, so besides
-the counted C-level runs every scan takes, they also hop over
-candidate-start bitsets, which instrumented scans never do.
+planted and random-walk series.  Every timed call is instrumented, as
+every executor call is, so the gate times the path the system runs,
+and its headline is the executor's default matcher, ``ops``.  Before
+any timing, both paths must produce bit-identical matches and identical
+predicate-test counts, and an uninstrumented call must return the
+instrumented matches.
 
 ``python -m repro.bench.columnar``            regenerate BENCH_columnar.json
 ``python -m repro.bench.columnar --check``    compare against the committed
                                               baseline; non-zero exit when
                                               the DJIA speedup falls below
                                               the floor (CI smoke gate)
-``--require-vector``                          fail instead of noting when
-                                              the NumPy backend is absent
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from repro.data.planted import TEMPLATE_LENGTH, plant_double_bottoms
 from repro.data.random_walk import geometric_walk
 from repro.data.workloads import EXAMPLE_10
 from repro.engine.catalog import Catalog
-from repro.engine.columnar import materialize_kernels, vector_backend_active
+from repro.engine.columnar import materialize_kernels
 from repro.engine.executor import Executor
 from repro.match.base import Instrumentation, Matcher
 from repro.match.naive import NaiveMatcher
@@ -57,6 +56,10 @@ BENCH_MATCHERS: tuple[tuple[str, type], ...] = (
     ("ops", OpsStarMatcher),
 )
 
+#: The matcher whose DJIA speedup the floor applies to: the executor's
+#: default.
+HEADLINE_MATCHER = "ops"
+
 
 def _best_row_time(
     matcher: Matcher,
@@ -67,7 +70,7 @@ def _best_row_time(
     best = float("inf")
     for _ in range(repetitions):
         started = time.perf_counter()
-        matcher.find_matches(rows, pattern, None)
+        matcher.find_matches(rows, pattern, Instrumentation())
         best = min(best, time.perf_counter() - started)
     return best
 
@@ -83,7 +86,7 @@ def _best_columnar_time(
     for _ in range(repetitions):
         started = time.perf_counter()
         kernels = materialize_kernels(pattern, rows)
-        matcher.find_matches(rows, pattern, None, kernels=kernels)
+        matcher.find_matches(rows, pattern, Instrumentation(), kernels=kernels)
         best = min(best, time.perf_counter() - started)
     return best
 
@@ -113,10 +116,9 @@ def _bench_workload(
                 f"{name}: instrumented predicate-test count diverged "
                 f"(columnar {col_inst.tests}, row {row_inst.tests})"
             )
-        # ...and the uninstrumented fast scans must return those same
-        # matches (candidate-bitset skipping, C-level run advancement).
+        # ...and an uninstrumented call must return those same matches.
         if matcher.find_matches(rows, pattern, None, kernels=kernels) != row_matches:
-            raise AssertionError(f"{name}: uninstrumented fast path diverged")
+            raise AssertionError(f"{name}: uninstrumented call diverged")
         row_s = _best_row_time(matcher, rows, pattern, repetitions)
         columnar_s = _best_columnar_time(matcher, rows, pattern, repetitions)
         matchers[name] = {
@@ -171,16 +173,15 @@ def run_bench(profile: str = "full") -> dict:
             _price_rows(walk), pattern, repetitions
         )
 
-    headline = workloads["djia_double_bottom"]["matchers"]["naive"]
+    headline = workloads["djia_double_bottom"]["matchers"][HEADLINE_MATCHER]
     return {
         "bench": "columnar-vectorized-kernels",
         "profile": profile,
-        "vector_backend": vector_backend_active(),
         "meta": bench_metadata(),
         "workloads": workloads,
         "headline": {
             "workload": "djia_double_bottom",
-            "matcher": "naive",
+            "matcher": HEADLINE_MATCHER,
             "speedup": headline["speedup"],
             "matches": headline["matches"],
         },
@@ -256,25 +257,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="minimum DJIA wall-clock speedup in --check mode",
     )
     parser.add_argument(
-        "--require-vector", action="store_true",
-        help="fail when the NumPy backend is unavailable (CI runners "
-        "install it; without this flag a missing backend is only noted)",
-    )
-    parser.add_argument(
         "--output", type=Path, default=DEFAULT_OUTPUT,
         help="baseline JSON path (written without --check, read with it)",
     )
     args = parser.parse_args(argv)
-
-    if not vector_backend_active():
-        message = (
-            "NumPy vector backend unavailable; pure-Python kernels only "
-            "— the wall-clock floor is calibrated for the vector backend"
-        )
-        if args.require_vector:
-            print(f"error: {message}")
-            return 2
-        print(f"note: {message}")
 
     current = run_bench(args.profile)
     for workload, recorded in current["workloads"].items():

@@ -131,6 +131,29 @@ def _parse_table_spec(spec: str) -> tuple[str, str, Schema]:
         raise argparse.ArgumentTypeError(str(error)) from None
 
 
+def _number(kind: type, *, minimum=None, above=None, maximum=None):
+    """An argparse ``type=`` for a number within bounds.
+
+    An out-of-range value exits 2 with a usage line at parse time,
+    instead of a traceback from the policy object or ``time.sleep`` that
+    would receive it.  NaN fails every bound.
+    """
+
+    def parse(text: str):
+        value = kind(text)
+        if minimum is not None and not value >= minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text}")
+        if above is not None and not value > above:
+            raise argparse.ArgumentTypeError(f"must be > {above}, got {text}")
+        if maximum is not None and not value <= maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {text}")
+        return value
+
+    # argparse names the type in its "invalid int value" message.
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _build_catalog(
     args: argparse.Namespace, diagnostics: Optional[Diagnostics] = None
 ) -> Catalog:
@@ -427,7 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
         "operator tree (wall time, rows, predicate tests per cluster)",
     )
     query.add_argument(
-        "--max-rows", type=int, default=20, help="rows to display (default 20)"
+        "--max-rows",
+        type=_number(int, minimum=0),
+        default=20,
+        help="rows to display (default 20)",
     )
     query.add_argument(
         "--on-error",
@@ -463,12 +489,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--evaluator",
-        choices=["auto", "columnar", "row"],
-        default="auto",
-        help="predicate path: columnar materializes vectorized truth "
-        "arrays per cluster, row keeps the per-row closures; auto "
-        "(default) goes columnar when NumPy is available — matches are "
-        "byte-identical in every mode (see docs/performance.md)",
+        choices=["columnar", "row"],
+        default="columnar",
+        help="predicate path: columnar (default) materializes vectorized "
+        "truth arrays per cluster, row keeps the per-row closures; "
+        "matches are byte-identical in both modes (see "
+        "docs/performance.md)",
     )
     query.add_argument(
         "--diagnostics-json",
@@ -510,21 +536,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=_number(int, minimum=1),
         default=500,
         metavar="N",
         help="checkpoint every N source rows (default 500)",
     )
     stream.add_argument(
         "--checkpoint-interval",
-        type=float,
+        type=_number(float, above=0),
         default=None,
         metavar="SECONDS",
         help="additionally checkpoint every SECONDS of wall-clock time",
     )
     stream.add_argument(
         "--retry",
-        type=int,
+        type=_number(int, minimum=0),
         default=0,
         metavar="N",
         help="retry a failing source up to N consecutive times "
@@ -532,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--backoff",
-        type=float,
+        type=_number(float, minimum=0),
         default=0.1,
         metavar="SECONDS",
         help="initial retry backoff, doubled per consecutive failure "
@@ -540,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--retry-jitter",
-        type=float,
+        type=_number(float, minimum=0, maximum=1),
         default=0.0,
         metavar="FRACTION",
         help="randomize each retry delay: 0 keeps the exact geometric "
@@ -599,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--throttle",
-        type=float,
+        type=_number(float, minimum=0),
         default=None,
         metavar="SECONDS",
         help="sleep SECONDS after each emitted row (pacing for demos "
@@ -674,14 +700,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-concurrent",
-        type=int,
+        type=_number(int, minimum=1),
         default=4,
         metavar="N",
         help="default per-tenant concurrent-query cap (default 4)",
     )
     serve.add_argument(
         "--max-queued",
-        type=int,
+        type=_number(int, minimum=0),
         default=16,
         metavar="N",
         help="default per-tenant queued-request cap beyond the "
@@ -689,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--rows-per-second",
-        type=float,
+        type=_number(float, above=0),
         default=None,
         metavar="RATE",
         help="default per-tenant scanned-row budget (token bucket); "

@@ -15,15 +15,20 @@ the row path; the differential suites
 (``tests/engine/test_columnar_equivalence.py``,
 ``tests/match/test_counted_runs.py``) hold both paths byte-identical.
 
-Two interchangeable backends build the truth bytes:
+Each comparison's truth bytes come from one of two kernels:
 
-- ``python`` (always available): evaluates the *identical* expression
-  the row closure evaluates (``op(a * value + b, c)``) on the identical
-  cell objects, so parity is automatic for every value type;
-- ``numpy`` (optional, auto-detected, ``REPRO_COLUMNAR_NUMPY=0``
-  disables): whole-column float64 arithmetic, used only for columns
-  whose every cell is a ``float`` — Python floats are IEEE doubles, so
-  the results are bit-identical to the scalar computation.
+- NumPy: whole-column float64 arithmetic, used only for columns whose
+  every cell is a ``float`` — Python floats are IEEE doubles, so the
+  results are bit-identical to the scalar computation;
+- scalar Python, for every other column (ints, dates, strings, missing
+  cells): it evaluates the *identical* expression the row closure
+  evaluates (``op(a * value + b, c)``) on the identical cell objects,
+  so parity is automatic for every value type.  ``backend="python"``
+  forces it everywhere: the reference the bit-parity test holds the
+  NumPy kernels to.
+
+NumPy is a declared dependency, imported on the first materialization
+(the stream path never materializes, so it never loads it).
 
 Materialization is conservative: any exception while building one
 element's truth (a non-numeric cell, an overflow, a pathological
@@ -88,38 +93,6 @@ _OP_FUNCS = {
 #: evaluators turn a missing column into False (KeyError caught); the
 #: kernels do the same by leaving the truth byte 0.
 _MISSING = object()
-
-
-# ----------------------------------------------------------------------
-# Vector backend selection
-# ----------------------------------------------------------------------
-
-_NUMPY_IMPORT: object = _MISSING  # _MISSING = not yet attempted
-
-
-def numpy_backend():
-    """The numpy module, or None when unavailable or disabled.
-
-    ``REPRO_COLUMNAR_NUMPY=0`` disables the vector backend (the
-    pure-Python kernels remain); any other value — or the variable being
-    unset — auto-detects.  The env var is consulted on every call so
-    tests can flip it; the import attempt itself is cached.
-    """
-    if os.environ.get("REPRO_COLUMNAR_NUMPY", "").strip() == "0":
-        return None
-    global _NUMPY_IMPORT
-    if _NUMPY_IMPORT is _MISSING:
-        try:
-            import numpy
-        except ImportError:
-            numpy = None
-        _NUMPY_IMPORT = numpy
-    return _NUMPY_IMPORT
-
-
-def vector_backend_active() -> bool:
-    """True when the numpy kernels are importable and not disabled."""
-    return numpy_backend() is not None
 
 
 # ----------------------------------------------------------------------
@@ -194,97 +167,44 @@ class ColumnStore:
 class ClusterKernels:
     """Per-element truth arrays for one cluster.
 
-    ``truth[j - 1]`` is a ``bytes`` of length ``n`` (1 where element j's
-    predicate holds at that position) or None where the element fell
+    ``truth[j - 1]`` is a ``bytes`` with one byte per row (1 where element
+    j's predicate holds at that position) or None where the element fell
     back to the row evaluator.  Identical element kernels share one
     truth object (Example 10's repeated shapes deduplicate).
     """
 
-    __slots__ = ("truth", "n", "backend", "lowered", "_starts")
+    __slots__ = ("truth", "backend", "lowered")
 
-    def __init__(self, truth: tuple, n: int, backend: str):
+    def __init__(self, truth: tuple, backend: str):
         self.truth = truth
-        self.n = n
         self.backend = backend
         self.lowered = sum(1 for t in truth if t is not None)
-        self._starts: dict = {}
-
-    def start_candidates(self, stars: tuple) -> Optional[bytes]:
-        """Candidate *attempt-start* bitset for a pattern shaped ``stars``.
-
-        Position ``i`` is 1 only if every element of the pattern's
-        leading prefix — the run of non-star elements plus the first
-        element after it (star or not: both must hold at least once) —
-        holds at its fixed offset from ``i``.  A zero byte proves an
-        attempt at ``i`` fails inside that prefix, so uninstrumented
-        scans may skip it outright; a one byte promises nothing beyond
-        the prefix.  Returns None when the first element didn't lower.
-
-        The conjunction runs at C speed on shifted byte strings: truth
-        bytes are 0x00/0x01, so a big-int AND of the shifted slices is
-        exactly the positionwise AND.
-        """
-        cached = self._starts.get(stars)
-        if cached is not None:
-            return cached
-        prefix: list[tuple[int, bytes]] = []
-        offset = 0
-        for truth, star in zip(self.truth, stars):
-            if truth is None:
-                break
-            prefix.append((offset, truth))
-            if star:
-                break
-            offset += 1
-        if not prefix:
-            return None
-        n = self.n
-        max_offset = prefix[-1][0]
-        length = n - max_offset
-        if length <= 0:
-            result = b"\x00" * n
-        else:
-            acc = int.from_bytes(prefix[0][1][:length], "big")
-            for offset, truth in prefix[1:]:
-                acc &= int.from_bytes(truth[offset : offset + length], "big")
-            result = acc.to_bytes(length, "big") + b"\x00" * max_offset
-        self._starts[stars] = result
-        return result
-
-    def candidates(self, j: int) -> Optional[int]:
-        """How many positions satisfy element ``j`` (1-based), if lowered."""
-        t = self.truth[j - 1]
-        return None if t is None else t.count(1)
-
-    def indices(self, j: int) -> Optional[list[int]]:
-        """Sorted candidate positions for element ``j`` (1-based)."""
-        t = self.truth[j - 1]
-        if t is None:
-            return None
-        out = []
-        pos = t.find(1)
-        while pos != -1:
-            out.append(pos)
-            pos = t.find(1, pos + 1)
-        return out
 
 
 def materialize_kernels(
-    compiled, rows: Sequence, backend: str = "auto"
+    compiled, rows: Sequence, backend: str = "numpy"
 ) -> Optional[ClusterKernels]:
     """Build truth arrays for ``rows`` from a compiled pattern's plan.
 
     Returns None when nothing lowered (interpreted oracle plans, fully
     residual patterns, or every element failing materialization) — the
-    caller then runs the plain row path.  ``backend`` is ``"auto"``
-    (numpy when available), ``"numpy"`` (numpy where eligible, Python
-    otherwise), or ``"python"`` (scalar kernels only — the backend the
-    differential suite forces to cover both).
+    caller then runs the plain row path.  ``backend`` is ``"numpy"``
+    (whole-column float64 where exact, scalar Python otherwise) or
+    ``"python"`` (scalar kernels only — the reference the bit-parity
+    test holds the NumPy kernels to).
     """
+    if backend not in ("numpy", "python"):
+        raise ValueError(f"backend must be 'numpy' or 'python', got {backend!r}")
     plan = compiled.kernel_plan
     if plan.lowered == 0:
         return None
-    np = numpy_backend() if backend in ("auto", "numpy") else None
+    # Imported here, not per element inside the ``except`` below: NumPy
+    # is a declared dependency, so a missing one must fail loudly, and a
+    # module-level import would load it on the stream path, which never
+    # materializes kernels.
+    import numpy
+
+    np = numpy if backend == "numpy" else None
     store = ColumnStore(rows)
     n = store.n
     memo: dict[ElementKernel, Optional[bytes]] = {}
@@ -311,7 +231,7 @@ def materialize_kernels(
     if all(t is None for t in truth):
         return None
     return ClusterKernels(
-        tuple(truth), n=n, backend="numpy" if used_numpy else "python"
+        tuple(truth), backend="numpy" if used_numpy else "python"
     )
 
 

@@ -68,13 +68,11 @@ MATCHERS: dict[str, type] = {
 #: plans (restart-based scans).
 _RESTART_MATCHERS = ("naive", "backtracking")
 
-#: Predicate evaluation modes accepted by ``evaluator``: ``"row"`` pins
-#: the per-row closures (the differential oracle for the columnar path),
-#: ``"columnar"`` always materializes truth arrays for the lowered
-#: elements, and ``"auto"`` does so only when the NumPy batch backend is
-#: active (the pure-Python batch backend can cost more than the sparse
-#: row path it replaces).  Matches are byte-identical in every mode.
-EVALUATOR_MODES = ("auto", "columnar", "row")
+#: Predicate evaluation modes accepted by ``evaluator``: ``"columnar"``
+#: materializes truth arrays for the lowered elements of each cluster,
+#: ``"row"`` pins the per-row evaluators (the differential oracle for
+#: the columnar path).  Matches are byte-identical in both modes.
+EVALUATOR_MODES = ("columnar", "row")
 
 
 @dataclass
@@ -130,7 +128,7 @@ class Executor:
         plan_cache_size: int = 128,
         workers: int = 1,
         metrics: Optional[MetricsRegistry] = None,
-        evaluator: str = "auto",
+        evaluator: str = "columnar",
     ):
         self._catalog = catalog
         self._domains = domains if domains is not None else AttributeDomains.none()
@@ -767,7 +765,7 @@ def _annotate_plan_span(
     fused = sum(
         1
         for evaluator in compiled.evaluators
-        if evaluator is not None and getattr(evaluator, "band_fused", False)
+        if getattr(evaluator, "band_fused", False)
     )
     if fused:
         plan_span.annotate(band_fused_elements=fused)
@@ -852,9 +850,8 @@ def _cluster_kernels(
     """Materialize columnar truth arrays for one cluster, or None.
 
     Engagement policy (see :data:`EVALUATOR_MODES`): never for
-    ``"row"``; for ``"auto"`` only when the NumPy batch backend is
-    active; ``"columnar"`` always attempts.  The matcher must opt in via
-    ``supports_kernels`` and the plan must have compiled closures —
+    ``"row"``; ``"columnar"`` always attempts.  The matcher must opt in
+    via ``supports_kernels`` and the plan must have compiled closures —
     ``use_codegen=False`` is the interpreted differential oracle and
     stays kernel-free end to end.
     """
@@ -864,10 +861,8 @@ def _cluster_kernels(
         return None
     if not getattr(matcher, "supports_kernels", False):
         return None
-    from repro.engine.columnar import materialize_kernels, vector_backend_active
+    from repro.engine.columnar import materialize_kernels
 
-    if evaluator == "auto" and not vector_backend_active():
-        return None
     if trace is None:
         return materialize_kernels(compiled, rows)
     with trace.span("kernels") as span:
@@ -923,7 +918,7 @@ def execute(
     fallback: Optional[str] = "naive",
     codegen: bool = True,
     workers: int = 1,
-    evaluator: str = "auto",
+    evaluator: str = "columnar",
 ) -> Result:
     """One-shot convenience wrapper around :class:`Executor`."""
     return Executor(

@@ -444,9 +444,7 @@ def _run_units_pooled(
     if payload["evaluator"] != "row" and payload["codegen"]:
         # Forked workers inherit the parent's modules: import NumPy for
         # the columnar kernels once here, not once per worker per query.
-        from repro.engine.columnar import vector_backend_active
-
-        vector_backend_active()
+        import numpy  # noqa: F401
     pool = ProcessPoolExecutor(
         max_workers=min(workers, len(units)),
         initializer=_process_initializer,

@@ -100,9 +100,7 @@ class BacktrackingMatcher:
         n = len(rows)
         if i >= n:
             return None
-        if not test_element(
-            element.predicate, rows, i, bindings, j, instrumentation, evaluator
-        ):
+        if not test_element(rows, i, bindings, j, instrumentation, evaluator):
             return None
         if not element.star:
             extended = dict(bindings)
@@ -116,7 +114,7 @@ class BacktrackingMatcher:
         # boundary from longest to shortest, re-searching downstream.
         end = i
         while end + 1 < n and test_element(
-            element.predicate, rows, end + 1, bindings, j, instrumentation, evaluator
+            rows, end + 1, bindings, j, instrumentation, evaluator
         ):
             end += 1
         for last in range(end, i - 1, -1):

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Protocol, Sequence
 
 from repro.pattern.compiler import CompiledPattern
-from repro.pattern.predicates import ElementPredicate, EvalContext
 from repro.resilience import Budget
 
 
@@ -147,24 +146,20 @@ class Matcher(Protocol):
 
 
 def test_element(
-    predicate: ElementPredicate,
     rows: Sequence[Mapping[str, object]],
     index: int,
     bindings: Mapping[str, tuple[int, int]],
     pattern_position: int,
     instrumentation: Optional[Instrumentation],
-    evaluator: Optional[Callable] = None,
+    evaluator: Callable,
 ) -> bool:
     """Evaluate one element predicate on one input tuple, instrumented.
 
-    ``evaluator`` is the element's compiled fast path (an entry of
-    :attr:`~repro.pattern.compiler.CompiledPattern.evaluators`); when it
-    is None the interpreted ``predicate.test`` runs instead.  Both paths
-    are observationally identical, and the instrumentation count is
-    recorded before dispatch so the paper's metric is path-independent.
+    ``evaluator`` is the element's entry of
+    :attr:`~repro.pattern.compiler.CompiledPattern.evaluators`.  The
+    instrumentation count is recorded before the call, so the paper's
+    metric does not depend on how the test is implemented.
     """
     if instrumentation is not None:
         instrumentation.record(index, pattern_position)
-    if evaluator is not None:
-        return evaluator(rows, index, bindings)
-    return predicate.test(EvalContext(rows, index, bindings))
+    return evaluator(rows, index, bindings)

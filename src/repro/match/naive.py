@@ -20,7 +20,6 @@ from typing import Mapping, Optional, Sequence
 
 from repro.match.base import Instrumentation, Match, Span
 from repro.pattern.compiler import CompiledPattern
-from repro.pattern.predicates import EvalContext
 from repro.resilience import Budget
 
 
@@ -49,27 +48,10 @@ class NaiveMatcher:
         matches: list[Match] = []
         n = len(rows)
         truths = kernels.truth if kernels is not None else None
-        fast = instrumentation is None and budget is None
-        if fast and truths is not None and kernels.lowered == len(truths):
-            # Every element lowered: the scan never needs a row, a
-            # binding, or an evaluator — run it entirely on the truth
-            # arrays and the candidate-start bitset.
-            return self._find_matches_columnar(pattern, kernels, n)
-        # A zero truth byte for the first element proves no attempt can
-        # start there, so the uninstrumented scan jumps straight to the
-        # next candidate start with one C-level find.  Instrumented or
-        # budgeted scans take the stepwise path: each rejected start
-        # must be charged exactly as the row path charges it.
-        first_truth = truths[0] if truths is not None else None
         start = 0
         while start < n:
             if budget is not None and budget.step():
                 break
-            if fast and first_truth is not None and not first_truth[start]:
-                next_start = first_truth.find(1, start + 1)
-                if next_start < 0:
-                    break
-                start = next_start
             match = self._attempt(
                 rows, pattern, start, instrumentation, budget, truths
             )
@@ -80,56 +62,6 @@ class NaiveMatcher:
                 start = start + 1 if self._overlapping else match.end + 1
                 if budget is not None and budget.add_match():
                     break
-        return matches
-
-    def _find_matches_columnar(
-        self, pattern: CompiledPattern, kernels, n: int
-    ) -> list[Match]:
-        """Uninstrumented scan over fully-lowered truth arrays.
-
-        Byte-identical to the stepwise scan: the candidate bitset only
-        skips starts whose attempt provably fails inside the pattern's
-        leading prefix, and each surviving attempt replays the exact
-        greedy/maximal-run semantics of :meth:`_attempt` on truth bytes.
-        Failed attempts allocate nothing.
-        """
-        spec = pattern.spec
-        stars = tuple(element.star for element in spec)
-        steps = tuple(zip(kernels.truth, stars))
-        candidates = kernels.start_candidates(stars)
-        names = spec.names
-        overlapping = self._overlapping
-        matches: list[Match] = []
-        start = 0
-        while start < n:
-            if not candidates[start]:
-                start = candidates.find(1, start + 1)
-                if start < 0:
-                    break
-            i = start
-            bounds = []
-            for truth, star in steps:
-                if i >= n or not truth[i]:
-                    bounds = None
-                    break
-                first = i
-                i += 1
-                if star:
-                    stop = truth.find(0, i)
-                    i = n if stop < 0 else stop
-                bounds.append((first, i - 1))
-            if bounds is None:
-                start += 1
-            else:
-                matches.append(
-                    Match(
-                        start,
-                        i - 1,
-                        tuple(Span(a, b) for a, b in bounds),
-                        names,
-                    )
-                )
-                start = start + 1 if overlapping else i
         return matches
 
     def _attempt(
@@ -152,19 +84,12 @@ class NaiveMatcher:
             truth = truths[j - 1] if truths is not None else None
             if i >= n:
                 return None
-            # Inlined test_element: record, then truth-array lookup,
-            # compiled closure, or interpreted — in that order.  The
-            # truth byte equals what the evaluator would return at this
-            # position, so control flow is unchanged.
+            # Inlined test_element: record, then the truth byte or the
+            # evaluator.  The truth byte equals what the evaluator would
+            # return at this position, so control flow is unchanged.
             if record is not None:
                 record(i, j)
-            if truth is not None:
-                satisfied = truth[i]
-            elif evaluator is not None:
-                satisfied = evaluator(rows, i, bindings)
-            else:
-                satisfied = element.predicate.test(EvalContext(rows, i, bindings))
-            if not satisfied:
+            if not (truth[i] if truth is not None else evaluator(rows, i, bindings)):
                 return None
             first = i
             i += 1
@@ -172,34 +97,17 @@ class NaiveMatcher:
                 # Greedy: extend the run while tuples keep satisfying the
                 # predicate.  The failing test is charged here; the tuple
                 # that ends the run is re-tested by the next element.
-                if record is None and budget is None and truth is not None:
-                    # Vectorized run scan: the run ends at the first zero
-                    # truth byte (or end of input) — identical to
-                    # stepping, minus the per-tuple dispatch.
-                    stop = truth.find(0, i)
-                    i = n if stop < 0 else stop
-                elif record is None and budget is None and evaluator is not None:
-                    # Specialized uninstrumented compiled run — the
-                    # tightest loop the fast path allows.
-                    while i < n and evaluator(rows, i, bindings):
-                        i += 1
-                else:
-                    while i < n:
-                        if record is not None:
-                            record(i, j)
-                        if truth is not None:
-                            satisfied = truth[i]
-                        elif evaluator is not None:
-                            satisfied = evaluator(rows, i, bindings)
-                        else:
-                            satisfied = element.predicate.test(
-                                EvalContext(rows, i, bindings)
-                            )
-                        if not satisfied:
-                            break
-                        i += 1
-                        if budget is not None and budget.step():
-                            return None
+                while i < n:
+                    if record is not None:
+                        record(i, j)
+                    if not (
+                        truth[i] if truth is not None
+                        else evaluator(rows, i, bindings)
+                    ):
+                        break
+                    i += 1
+                    if budget is not None and budget.step():
+                        return None
             span = Span(first, i - 1)
             spans.append(span)
             bindings[element.name] = (span.start, span.end)

@@ -28,7 +28,6 @@ from typing import Mapping, Optional, Sequence
 from repro.errors import PlanningError
 from repro.match.base import Instrumentation, Match, Span
 from repro.pattern.compiler import CompiledPattern
-from repro.pattern.predicates import EvalContext
 from repro.resilience import Budget
 
 
@@ -48,7 +47,6 @@ class OpsMatcher:
     ) -> list[Match]:
         if pattern.has_star:
             raise PlanningError("OpsMatcher handles star-free patterns only")
-        predicates = [element.predicate for element in pattern.spec]
         evaluators = pattern.evaluators
         names = pattern.spec.names
         shift = pattern.shift_next.shift
@@ -70,24 +68,20 @@ class OpsMatcher:
             if budget is not None and budget.step():
                 break
             while j > 0:
-                # Inlined test_element: record, then truth-array lookup,
-                # compiled closure, or interpreted — in that order.  The
-                # truth byte equals the evaluator's verdict at (i-1, j),
-                # so the shift/next control flow is untouched (and the
-                # per-test bindings dict is never needed on that path).
+                # Inlined test_element: record, then the truth byte or the
+                # evaluator.  The truth byte equals the evaluator's verdict
+                # at (i-1, j), so the shift/next control flow is untouched
+                # (and the per-test bindings dict is never needed on that
+                # path).
                 if record is not None:
                     record(i - 1, j)
                 truth = truths[j - 1] if truths is not None else None
                 if truth is not None:
                     satisfied = truth[i - 1]
                 else:
-                    evaluator = evaluators[j - 1]
-                    if evaluator is not None:
-                        satisfied = evaluator(rows, i - 1, _bindings(names, i, j))
-                    else:
-                        satisfied = predicates[j - 1].test(
-                            EvalContext(rows, i - 1, _bindings(names, i, j))
-                        )
+                    satisfied = evaluators[j - 1](
+                        rows, i - 1, _bindings(names, i, j)
+                    )
                 if satisfied:
                     break
                 if record_skip is not None:

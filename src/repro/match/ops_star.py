@@ -50,7 +50,6 @@ from typing import Mapping, Optional, Sequence
 
 from repro.match.base import Instrumentation, Match, Span
 from repro.pattern.compiler import CompiledPattern
-from repro.pattern.predicates import EvalContext
 from repro.resilience import Budget
 
 
@@ -87,7 +86,7 @@ class _Run:
         self.pattern = pattern
         self.instrumentation = instrumentation
         # Hot-path accessors hoisted once per scan: the bound record
-        # method (or None) and the per-element compiled evaluators.
+        # method (or None) and the per-element evaluators.
         self.record = instrumentation.record if instrumentation is not None else None
         self.budget = budget
         self.elements = pattern.spec.elements
@@ -95,7 +94,6 @@ class _Run:
         # Per-element truth arrays from the columnar backend; entry
         # ``j - 1`` replaces the evaluator call when present (see
         # :mod:`repro.engine.columnar`).
-        self.kernels = kernels
         self.truths = kernels.truth if kernels is not None else None
         self.names = pattern.spec.names
         self.shift = pattern.shift_next.shift
@@ -207,18 +205,7 @@ class _Run:
         # Truth-array runs (star runs and mismatch self-loops, below)
         # advance with one C-level find and charge their tests as one sum;
         # they need a finished scan, since a streaming one must suspend
-        # tuple-by-tuple at the window edge.  The candidate attempt-start
-        # bitset (prefix conjunction of truth arrays: a zero byte proves a
-        # fresh attempt there dies inside the leading prefix) skips tests
-        # outright, so only uncounted scans hop over it.
-        candidates = (
-            self.kernels.start_candidates(tuple(e.star for e in elements))
-            if finished
-            and self.kernels is not None
-            and record is None
-            and budget is None
-            else None
-        )
+        # tuple-by-tuple at the window edge.
         m = self.m
         available = len(rows)
         while True:
@@ -230,22 +217,6 @@ class _Run:
                 continue
             element = elements[j - 1]
             i = self.i
-            if (
-                candidates is not None
-                and j == 1
-                and self.current_consumed == 0
-                and i < available
-                and not candidates[i]
-            ):
-                # A fresh attempt here fails inside the prefix; a fail
-                # at element 1 restarts one position later (shift(1)=1),
-                # so hopping to the next candidate start replays exactly
-                # that restart chain, minus the per-position dispatch.
-                next_start = candidates.find(1, i + 1)
-                self._reset_attempt(
-                    available if next_start < 0 else next_start
-                )
-                continue
             if i >= available or (not finished and i + lookahead >= available):
                 if finished and i >= available:
                     # End of input: only a pending final star run can
@@ -264,22 +235,15 @@ class _Run:
                         self._restart_one_in()
                         continue
                 return
-            # Inlined test_element: record, then dispatch to the truth
-            # array (columnar), the compiled evaluator, or the
-            # interpreted predicate.
+            # Inlined test_element: record, then the truth byte
+            # (columnar) or the evaluator.
             if record is not None:
                 record(i, j)
             truth = truths[j - 1] if truths is not None else None
             if truth is not None:
                 satisfied = truth[i]
             else:
-                evaluator = evaluators[j - 1]
-                if evaluator is not None:
-                    satisfied = evaluator(rows, i, self.bindings)
-                else:
-                    satisfied = element.predicate.test(
-                        EvalContext(rows, i, self.bindings)
-                    )
+                satisfied = evaluators[j - 1](rows, i, self.bindings)
             if satisfied:
                 self.i = i + 1
                 self.current_consumed += 1

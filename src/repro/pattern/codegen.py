@@ -32,8 +32,9 @@ disjunctions always lower.  A residual condition lowers only when its
 builder attached a pre-lowered fast form (the SQL-TS analyzer does this
 for every WHERE residual via :mod:`repro.sqlts.codegen`); an opaque
 residual — e.g. a hand-written lambda — makes :func:`lower_predicate`
-return ``None`` and the matcher falls back to the interpreted path for
-that element.  Fallback is per-element, never per-query.
+return ``None``, and :class:`~repro.pattern.compiler.CompiledPattern`
+gives that element a wrapper around the interpreted ``predicate.test``
+instead.  Fallback is per-element, never per-query.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ from repro.pattern.predicates import (
     StringEqualityCondition,
 )
 
-#: The compiled evaluator signature shared with the interpreted
-#: ``test_element`` call sites: (rows, index, bindings) -> bool.
+#: The evaluator signature every matcher calls:
+#: (rows, index, bindings) -> bool.
 CompiledEvaluator = Callable[
     [Sequence[Mapping[str, object]], int, Mapping[str, tuple[int, int]]], bool
 ]
@@ -65,24 +66,6 @@ _OP_FUNCS = {
     Op.GT: operator.gt,
     Op.GE: operator.ge,
 }
-
-
-def lower_predicate_batch(predicate: ElementPredicate):
-    """Lower an element predicate to a batch-kernel program, or None.
-
-    The columnar counterpart of :func:`lower_predicate`: instead of a
-    per-(tuple, element) closure, the result is a data-only
-    :class:`~repro.pattern.kernels.ElementKernel` the columnar backend
-    (:mod:`repro.engine.columnar`) evaluates over whole column slices,
-    emitting a per-position truth array.  Coverage is the closure
-    coverage minus residuals — a residual reads per-attempt bindings and
-    can never be evaluated positionally — and fallback stays per-element:
-    ``None`` here simply means the matchers keep calling the closure (or
-    the interpreted predicate) for this element.
-    """
-    from repro.pattern.kernels import plan_element
-
-    return plan_element(predicate)
 
 
 def lower_predicate(predicate: ElementPredicate) -> Optional[CompiledEvaluator]:

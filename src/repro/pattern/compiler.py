@@ -17,6 +17,7 @@ from typing import Callable, Optional
 
 from repro.logic.matrix import TriangularMatrix
 from repro.pattern.analysis import build_phi, build_theta
+from repro.pattern.predicates import ElementPredicate, EvalContext
 from repro.pattern.shift_next import ShiftNext, compute_shift_next
 from repro.pattern.spec import PatternSpec
 from repro.pattern.star_graph import ImplicationGraph
@@ -50,19 +51,24 @@ class CompiledPattern:
         return len(self.spec)
 
     @cached_property
-    def evaluators(self) -> tuple[Optional[Callable], ...]:
-        """Per-element compiled evaluators, lazily lowered and cached.
+    def evaluators(self) -> tuple[Callable, ...]:
+        """Per-element ``(rows, index, bindings) -> bool`` evaluators,
+        lazily lowered and cached.
 
-        Entry ``j - 1`` is either a ``(rows, index, bindings) -> bool``
-        closure (see :mod:`repro.pattern.codegen`) or ``None``, in which
-        case matchers fall back to the interpreted ``predicate.test`` for
-        that element.  With ``use_codegen=False`` every entry is None.
+        Entry ``j - 1`` is the element's compiled closure (see
+        :mod:`repro.pattern.codegen`).  With ``use_codegen=False``, or for
+        a predicate codegen cannot lower (an opaque residual), it wraps
+        the interpreted ``predicate.test`` instead.
         """
-        if not self.use_codegen:
-            return (None,) * self.m
         from repro.pattern.codegen import lower_predicate
 
-        return tuple(lower_predicate(e.predicate) for e in self.spec)
+        evaluators = []
+        for element in self.spec:
+            lowered = lower_predicate(element.predicate) if self.use_codegen else None
+            evaluators.append(
+                lowered if lowered is not None else _interpreted(element.predicate)
+            )
+        return tuple(evaluators)
 
     @cached_property
     def kernel_plan(self):
@@ -75,13 +81,12 @@ class CompiledPattern:
         ``use_codegen=False`` — the interpreted differential oracle —
         nothing lowers, keeping the oracle path entirely kernel-free.
         """
-        from repro.pattern.codegen import lower_predicate_batch
-        from repro.pattern.kernels import KernelPlan
+        from repro.pattern.kernels import KernelPlan, plan_element
 
         if not self.use_codegen:
             return KernelPlan(elements=(None,) * self.m)
         return KernelPlan(
-            elements=tuple(lower_predicate_batch(e.predicate) for e in self.spec)
+            elements=tuple(plan_element(e.predicate) for e in self.spec)
         )
 
     @property
@@ -178,6 +183,16 @@ def degraded_pattern(spec: PatternSpec, codegen: bool = True) -> CompiledPattern
         degraded=True,
         use_codegen=codegen,
     )
+
+
+def _interpreted(predicate: ElementPredicate) -> Callable:
+    """An evaluator that runs the interpreted ``predicate.test``."""
+    test = predicate.test
+
+    def evaluate(rows, index, bindings):
+        return test(EvalContext(rows, index, bindings))
+
+    return evaluate
 
 
 def _equivalent_pairs(spec: PatternSpec, theta) -> frozenset[tuple[int, int]]:

@@ -125,7 +125,6 @@ class QueryServer:
         domains: Optional[AttributeDomains] = None,
         matcher: str = "ops",
         policy: str = "raise",
-        evaluator: str = "auto",
         quotas: Optional[Mapping[str, TenantQuota]] = None,
         default_quota: Optional[TenantQuota] = None,
         pool_workers: int = 4,
@@ -161,7 +160,6 @@ class QueryServer:
             matcher=matcher,
             policy=policy,
             metrics=self.metrics,
-            evaluator=evaluator,
         )
         self._query_workers = query_workers
         self._admission = AdmissionController(

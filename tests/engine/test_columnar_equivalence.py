@@ -164,11 +164,10 @@ def assert_equivalent(table, sql, matchers=MATCHERS):
             mapped_catalog = Catalog([mapped])
             for matcher in matchers:
                 oracle = fingerprint(*run(catalog, sql, matcher=matcher))
-                for evaluator in ("columnar", "auto"):
-                    got = fingerprint(
-                        *run(catalog, sql, matcher=matcher, evaluator=evaluator)
-                    )
-                    assert got == oracle, (matcher, evaluator)
+                got = fingerprint(
+                    *run(catalog, sql, matcher=matcher, evaluator="columnar")
+                )
+                assert got == oracle, (matcher, "columnar")
                 mmapped = fingerprint(
                     *run(mapped_catalog, sql, matcher=matcher, evaluator="columnar")
                 )
@@ -262,5 +261,6 @@ def test_interpreted_oracle_stays_kernel_free():
 
 
 def test_invalid_evaluator_mode_rejected():
-    with pytest.raises(ExecutionError):
-        Executor(Catalog([build_table({"AAA": []})]), evaluator="vector")
+    for mode in ("vector", "auto"):
+        with pytest.raises(ExecutionError):
+            Executor(Catalog([build_table({"AAA": []})]), evaluator=mode)

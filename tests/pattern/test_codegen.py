@@ -4,7 +4,8 @@ The contract under test: for every covered condition form, the lowered
 closure is observationally identical to the interpreted ``evaluate`` —
 same booleans, same False on off-end navigation and missing columns,
 same ``TypeError`` on non-numeric arithmetic — and uncovered forms make
-``lower_predicate`` return None (per-element interpreted fallback).
+``lower_predicate`` return None (the compiled pattern then interprets
+that element).
 """
 
 import pytest
@@ -14,6 +15,7 @@ from repro.pattern.codegen import lower_condition, lower_predicate
 from repro.pattern.compiler import compile_pattern
 from repro.pattern.predicates import (
     Attr,
+    ElementPredicate,
     EvalContext,
     OrCondition,
     ResidualCondition,
@@ -172,27 +174,55 @@ class TestFallback:
 
 class TestCompiledPatternEvaluators:
     def spec(self):
+        # The opaque residual reads a cell through the context, so its
+        # verdict varies by row and codegen cannot lower it.
+        opaque = ResidualCondition(
+            lambda ctx: ctx.attr_value(PRICE) > 48, "opaque"
+        )
         return PatternSpec(
             [
                 PatternElement("A", price_predicate(comparison(PRICE, ">", PREV))),
-                PatternElement(
-                    "B",
-                    predicate(
-                        ResidualCondition(lambda ctx: True, "opaque"),
-                        domains=DOMAINS,
-                    ),
-                ),
+                PatternElement("B", predicate(opaque, domains=DOMAINS)),
             ]
         )
 
-    def test_evaluators_align_with_elements(self):
-        compiled = compile_pattern(self.spec())
-        assert compiled.evaluators[0] is not None  # comparison lowers
-        assert compiled.evaluators[1] is None  # opaque residual falls back
+    def assert_evaluators_agree_with_predicates(self, compiled):
+        """Every element has an evaluator, and each agrees with the
+        interpreted ``predicate.test`` on every row."""
+        assert len(compiled.evaluators) == compiled.m
+        for element, evaluator in zip(compiled.spec, compiled.evaluators):
+            for index in range(len(ROWS)):
+                expected = element.predicate.test(EvalContext(ROWS, index, {}))
+                assert evaluator(ROWS, index, {}) == expected, (element, index)
 
-    def test_codegen_off_disables_every_evaluator(self):
+    def interpreted_elements(self, compiled, monkeypatch):
+        """The elements whose evaluator runs ``ElementPredicate.test``."""
+        calls = []
+        original = ElementPredicate.test
+
+        def counting(predicate, ctx):
+            calls.append(predicate)
+            return original(predicate, ctx)
+
+        monkeypatch.setattr(ElementPredicate, "test", counting)
+        for evaluator in compiled.evaluators:
+            evaluator(ROWS, 1, {})
+        return [
+            j
+            for j, element in enumerate(compiled.spec, start=1)
+            if element.predicate in calls
+        ]
+
+    def test_evaluators_align_with_elements(self, monkeypatch):
+        compiled = compile_pattern(self.spec())
+        # The comparison lowers; the opaque residual runs interpreted.
+        assert self.interpreted_elements(compiled, monkeypatch) == [2]
+        self.assert_evaluators_agree_with_predicates(compiled)
+
+    def test_codegen_off_interprets_every_element(self, monkeypatch):
         compiled = compile_pattern(self.spec(), codegen=False)
-        assert compiled.evaluators == (None, None)
+        assert self.interpreted_elements(compiled, monkeypatch) == [1, 2]
+        self.assert_evaluators_agree_with_predicates(compiled)
 
 
 class TestSemanticResidualFastForms:

@@ -4,8 +4,8 @@ Stage 1 (:mod:`repro.pattern.kernels`) turns element predicates into
 frozen symbolic programs; stage 2 (:mod:`repro.engine.columnar`) binds
 them to column data and emits truth bytes.  These tests pin the edges:
 empty inputs, NaN and non-numeric cells, band-fused conjunctions, the
-PR 8 residual-on-star-binding class (must decline to lower), bitset vs
-index-list agreement, kernel deduplication across Example 10's repeated
+residual-on-star-binding class (must decline to lower), truth bytes vs
+the row evaluators, kernel deduplication across Example 10's repeated
 shapes, and Python vs NumPy backend bit-parity.
 """
 
@@ -18,7 +18,7 @@ import pytest
 from repro.data.djia import djia_table
 from repro.data.workloads import EXAMPLE_10
 from repro.engine.catalog import Catalog
-from repro.engine.columnar import materialize_kernels, numpy_backend
+from repro.engine.columnar import materialize_kernels
 from repro.engine.executor import Executor
 from repro.match.naive import NaiveMatcher
 from repro.match.ops_star import OpsStarMatcher
@@ -52,7 +52,6 @@ def truth_matches_evaluators(compiled, rows, kernels):
         if truth is None:
             continue
         evaluator = compiled.evaluators[j - 1]
-        assert evaluator is not None
         for index in range(len(rows)):
             assert truth[index] == int(evaluator(rows, index, {})), (j, index)
 
@@ -66,11 +65,8 @@ def test_empty_rows_materialize_empty_truth():
     compiled = prepare(DOWN_UP)
     kernels = materialize_kernels(compiled, [])
     assert kernels is not None
-    assert kernels.n == 0
     for j in (2, 3):
         assert kernels.truth[j - 1] == b""
-        assert kernels.candidates(j) == 0
-        assert kernels.indices(j) == []
     assert OpsStarMatcher().find_matches([], compiled, kernels=kernels) == []
 
 
@@ -193,19 +189,12 @@ def test_opaque_predicate_declines(example4_predicates):
 # ----------------------------------------------------------------------
 
 
-def test_bitset_and_index_list_agree():
+def test_truth_bytes_match_row_evaluators():
     compiled = prepare(DOWN_UP)
     rows = price_rows([50.0, 45.0, 44.0, 46.0, 48.0, 47.0, 49.0])
     kernels = materialize_kernels(compiled, rows)
-    for j in range(1, compiled.m + 1):
-        truth = kernels.truth[j - 1]
-        if truth is None:
-            assert kernels.indices(j) is None
-            assert kernels.candidates(j) is None
-            continue
-        expected = [index for index in range(len(rows)) if truth[index]]
-        assert kernels.indices(j) == expected
-        assert kernels.candidates(j) == len(expected)
+    assert kernels.lowered == compiled.m
+    truth_matches_evaluators(compiled, rows, kernels)
 
 
 def test_example_10_repeated_shapes_share_truth():
@@ -233,8 +222,6 @@ def test_example_10_repeated_shapes_share_truth():
 
 
 def test_python_and_numpy_backends_agree_bitwise():
-    if numpy_backend() is None:
-        pytest.skip("numpy unavailable")
     compiled = prepare(EXAMPLE_10)
     prices = [50.0 + math.sin(i / 3.0) * 5.0 + (i % 7) * 0.3 for i in range(200)]
     rows = price_rows(prices)
@@ -245,13 +232,9 @@ def test_python_and_numpy_backends_agree_bitwise():
     assert python.truth == vector.truth
 
 
-def test_numpy_env_switch(monkeypatch):
-    if numpy_backend() is None:
-        pytest.skip("numpy unavailable")
-    monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", "0")
-    assert numpy_backend() is None
-    monkeypatch.delenv("REPRO_COLUMNAR_NUMPY")
-    assert numpy_backend() is not None
+def test_unknown_backend_rejected():
+    with pytest.raises(ValueError):
+        materialize_kernels(prepare(DOWN_UP), price_rows([50.0]), backend="auto")
 
 
 def test_int_cells_use_python_backend_exactly():

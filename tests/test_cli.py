@@ -112,6 +112,58 @@ class TestQuery:
         assert "Traceback" not in err
 
 
+RISING = (
+    "SELECT X.date FROM djia SEQUENCE BY date AS (X, Y) "
+    "WHERE Y.price > X.price"
+)
+
+
+class TestNumericFlagBounds:
+    """Out-of-range numbers fail at parse time with a usage line (exit 2),
+    never with a traceback from the object or call that receives them."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("stream", "--checkpoint-every", "0"),
+            ("stream", "--checkpoint-interval", "-1"),
+            ("stream", "--retry", "-1"),
+            ("stream", "--backoff", "-1"),
+            ("stream", "--retry-jitter", "5"),
+            ("stream", "--throttle", "-1"),
+            ("serve", "--max-concurrent", "0"),
+            ("serve", "--max-queued", "-1"),
+            ("serve", "--rows-per-second", "-5"),
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}",
+    )
+    def test_out_of_range_value_is_a_usage_error(self, argv, capsys):
+        command, *flag = argv
+        query = (RISING,) if command == "stream" else ()
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--demo-data", "--positive", "price", *flag, *query])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and flag[0] in err
+        assert "Traceback" not in err
+
+    def test_negative_max_rows_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["query", "--demo-data", "--max-rows", "-2", RISING])
+        assert exit_info.value.code == 2
+        assert "--max-rows" in capsys.readouterr().err
+
+    def test_zero_max_rows_prints_only_the_header(self):
+        code, output = run_cli(
+            "query", "--demo-data", "--positive", "price", "--max-rows", "0",
+            RISING,
+        )
+        assert code == 0
+        header, *rest = output.splitlines()
+        assert header.split() == ["X.date"]
+        assert not any(line[:1].isdigit() for line in rest)
+
+
 class TestResilienceFlags:
     TABLE_FLAGS = ("--positive", "price")
 
