@@ -11,7 +11,8 @@ conjunctions of atoms of the form ``X op C``, ``X op Y`` and ``X op Y + C``
 (with ``op`` in ``=, !=, <, <=, >, >=``), extended to ``X op C*Y`` through a
 ratio-variable rewrite for positive domains.  This subpackage implements all
 of that, plus the Section 8 extensions (interval-based reasoning and
-disjunctive predicates).
+disjunctive predicates); the rewrite itself is applied where conditions are
+symbolized, in :mod:`repro.pattern.predicates`.
 """
 
 from repro.constraints.terms import ZERO, Variable

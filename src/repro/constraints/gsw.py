@@ -28,6 +28,13 @@ real domain with the classic constraint-graph formulation:
 Categorical equality atoms (``name = 'IBM'``) are decided by a separate
 elementary procedure and do not interact with the numeric graph.
 
+The closure sums its constants exactly.  A float constant is a binary
+fraction, so each closure counts in units of its finest constant's
+denominator and adds Python integers.  Summed as floats, a chain such as
+``-2 + (2 - 1/1.02)`` rounds one ulp below ``-1/1.02`` and fakes a
+negative cycle, so a satisfiable conjunction would read as a
+contradiction.
+
 The closure is cubic in the number of variables; pattern predicates mention
 a handful of variables, so — as the paper notes — "these compilation costs
 are quite reasonable".
@@ -35,8 +42,10 @@ are quite reasonable".
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from itertools import chain
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from repro.constraints.atoms import AnyAtom, Atom, CategoricalAtom, Op
 from repro.constraints.terms import Variable, ZERO
@@ -80,7 +89,7 @@ class Weight(NamedTuple):
 
 
 #: The bound ``x - x <= 0`` every closure starts each variable with.
-_NO_OFFSET = (0.0, 0)
+_NO_OFFSET = (0, 0)
 
 #: ``(x name, y name, (c, tightness))``: the difference bound ``x - y <= c``.
 Bound = tuple[str, str, tuple[float, int]]
@@ -112,28 +121,44 @@ def _bounds_of(a: Atom) -> tuple[Bound, ...]:
 class BoundClosure:
     """Min-plus closure of the difference-bound graph of a set of atoms.
 
-    Entries are ``(c, tightness)`` tuples or None (unbounded).  Adding two
-    bounds adds the constants and ORs the tightness flags: for flags in
-    ``{-1, 0}``, ``|`` is ``min``, so a chain is strict as soon as one link
-    is.  Variables are ordered by name, which fixes the order in which
-    Floyd–Warshall sums the constants.  The closure never changes once
-    built.
+    Entries are ``(c, tightness)`` tuples or None (unbounded), with ``c``
+    an integer count of ``1 / scale`` units, where ``scale`` is the largest
+    denominator of the atoms' constants (see the module docstring).
+    Adding two bounds adds the constants and ORs the tightness flags: for
+    flags in ``{-1, 0}``, ``|`` is ``min``, so a chain is strict as soon as
+    one link is.  A bound ``x - y <= inf`` bounds nothing and is dropped;
+    one that no real difference meets (``-inf``, NaN) makes the closure
+    infeasible.  The closure never changes once built.
     """
 
-    __slots__ = ("_names", "_dist")
+    __slots__ = ("feasible", "_names", "_dist", "_scale")
 
     def __init__(self, atoms: Iterable[Atom]):
-        edges = [bound for a in atoms for bound in _bounds_of(a)]
+        edges = []
+        scale = 1
+        feasible = True
+        for x, y, (c, tightness) in chain.from_iterable(map(_bounds_of, atoms)):
+            if c == math.inf:
+                continue
+            if not c > -math.inf:
+                feasible = False
+                continue
+            p, q = c.as_integer_ratio()
+            # Every q is a power of two, so the largest is a multiple of all.
+            if q > scale:
+                scale = q
+            edges.append((x, y, p, q, tightness))
         names = {ZERO.name}
-        for x, y, _ in edges:
+        for x, y, *_ in edges:
             names.add(x)
             names.add(y)
         index = {name: i for i, name in enumerate(sorted(names))}
         n = len(index)
-        dist: list[list[Optional[tuple[float, int]]]] = [[None] * n for _ in range(n)]
+        dist: list[list[Optional[tuple[int, int]]]] = [[None] * n for _ in range(n)]
         for i in range(n):
             dist[i][i] = _NO_OFFSET
-        for x, y, w in edges:
+        for x, y, p, q, tightness in edges:
+            w = (p * (scale // q), tightness)
             row, j = dist[index[x]], index[y]
             current = row[j]
             if current is None or w < current:
@@ -155,23 +180,31 @@ class BoundClosure:
         # in index order and the matrix as one flat tuple.
         self._names = tuple(index)
         self._dist = tuple(chain.from_iterable(dist))
+        self._scale = scale
+        #: False when some bound is unmeetable or a self-cycle is negative.
+        self.feasible = feasible and not any(
+            d < _NO_OFFSET for d in self._dist[:: n + 1]
+        )
 
-    @property
-    def feasible(self) -> bool:
-        """False when the closure contains a negative self-cycle."""
-        n = len(self._names)
-        return not any(d < _NO_OFFSET for d in self._dist[:: n + 1])
-
-    def _lookup(self, x: str, y: str) -> Optional[tuple[float, int]]:
+    def _lookup(self, x: str, y: str) -> Optional[tuple[int, int]]:
         names = self._names
         if x in names and y in names:
             return self._dist[names.index(x) * len(names) + names.index(y)]
         return _NO_OFFSET if x == y else None
 
+    def _units(self, c: float) -> Union[int, Fraction, float]:
+        """``c`` counted in this closure's units, exactly.  A non-finite
+        ``c`` stays a float, which Python compares exactly with an int."""
+        if not math.isfinite(c):
+            return c
+        p, q = c.as_integer_ratio()
+        p *= self._scale
+        return p // q if p % q == 0 else Fraction(p, q)
+
     def bound(self, x: Variable, y: Variable) -> Optional[Weight]:
         """The tightest derivable bound ``x - y <= w``, or None if unbounded."""
         found = self._lookup(x.name, y.name)
-        return None if found is None else Weight(*found)
+        return None if found is None else Weight(found[0] / self._scale, found[1])
 
     def entails(self, a: Atom) -> bool:
         """GSW implication by lookup: does every model of the closed
@@ -180,14 +213,15 @@ class BoundClosure:
         It does exactly when, for each of ``a``'s difference bounds, the
         tightest derived bound is at least as tight.
         """
-        for x, y, w in _bounds_of(a):
+        for x, y, (c, tightness) in _bounds_of(a):
             derived = self._lookup(x, y)
-            if derived is None or not derived <= w:
+            if derived is None or not derived <= (self._units(c), tightness):
                 return False
         return True
 
     def forces_equality(self, x: Variable, y: Variable, c: float) -> bool:
         """Does the closure force ``x - y == c`` exactly?"""
+        c = self._units(c)
         return self._lookup(x.name, y.name) == (c, 0) and self._lookup(
             y.name, x.name
         ) == (-c, 0)

@@ -171,20 +171,9 @@ class PatternSearchAggregate(UserDefinedAggregate):
         return ()
 
     def terminate(self) -> Iterable[Match]:
-        if self._kernels is not None:
-            return self._matcher.find_matches(
-                self._buffer, self._pattern, self._instrumentation,
-                budget=self._budget, kernels=self._kernels,
-            )
-        if self._budget is None:
-            # Positional call keeps compatibility with third-party
-            # matchers written against the pre-budget interface.
-            return self._matcher.find_matches(
-                self._buffer, self._pattern, self._instrumentation
-            )
         return self._matcher.find_matches(
             self._buffer, self._pattern, self._instrumentation,
-            budget=self._budget,
+            budget=self._budget, kernels=self._kernels,
         )
 
     @property

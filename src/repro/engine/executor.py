@@ -28,7 +28,7 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Iterator, Mapping, Optional, Tuple, Union
 
@@ -89,6 +89,23 @@ class _CachedPlan:
     compiled: CompiledPattern
     planning_error: Optional[PlanningError] = None
     degrade_reason: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class SearchPlan:
+    """What searching one cluster needs, in the serial loop or a work unit.
+
+    ``matcher`` is the executor's own instance, or a fallback once a
+    search has degraded; ``matcher_name`` names it in reports.
+    """
+
+    analyzed: AnalyzedQuery
+    compiled: CompiledPattern
+    matcher_name: str
+    matcher: Matcher
+    policy: ErrorPolicy
+    fallback: Optional[str]
+    evaluator: str
 
 
 @dataclass
@@ -229,11 +246,13 @@ class Executor:
         """Execute ``query``, serially or partition-parallel.
 
         ``workers`` overrides the executor-level worker count for this
-        call.  ``workers=1`` (the default) is exactly the seed's serial
-        path; ``workers>1`` hands the admitted partitions to
-        :func:`repro.engine.parallel.execute_parallel`, whose merge is
-        deterministic and — absent resource limits — byte-identical to
-        serial execution (see ``docs/performance.md``).
+        call.  Both modes plan, admit clusters and report through the
+        same code: ``workers=1`` (the default) searches each cluster as
+        it is admitted; ``workers>1`` hands the admitted clusters to
+        :func:`repro.engine.parallel.execute_parallel`, whose work units
+        run the same per-cluster search and whose merge is deterministic
+        and — absent resource limits — byte-identical to serial
+        execution (see ``docs/performance.md``).
 
         ``limits`` overrides the executor-level :class:`ResourceLimits`
         for this call only — the serving layer uses it to apply
@@ -246,152 +265,103 @@ class Executor:
 
         ``trace`` (a :class:`~repro.obs.Trace`) turns on the flight
         recorder for this call: spans cover planning, the cluster scan
-        (or the parallel pool), and the result carries an
+        (and the parallel pool), and the result carries an
         EXPLAIN ANALYZE-style :class:`~repro.obs.QueryProfile` on
         ``result.profile``.  With ``trace=None`` (the default) the
         traced code paths are never entered — output is byte-identical
         either way (asserted by ``repro.bench.obs_overhead``).
         """
-        effective_workers = self._workers if workers is None else workers
-        if not isinstance(effective_workers, int) or effective_workers < 1:
+        workers = self._workers if workers is None else workers
+        if not isinstance(workers, int) or workers < 1:
             raise ExecutionError(
-                f"workers must be a positive int, got {effective_workers!r}"
+                f"workers must be a positive int, got {workers!r}"
             )
         started = time.perf_counter()
-        if effective_workers > 1:
-            from repro.engine.parallel import execute_parallel
-
-            result, report = execute_parallel(
-                self,
-                query,
-                instrumentation,
-                workers=effective_workers,
-                limits=limits,
-                cancel=cancel,
-                trace=trace,
+        if trace is None:
+            result, report = self._run(
+                query, instrumentation, workers, limits, cancel, None
             )
         else:
-            result, report = self._execute_serial(
-                query, instrumentation, limits=limits, cancel=cancel, trace=trace
+            mode = "serial" if workers == 1 else "parallel"
+            with trace.span("execute", mode=mode) as root:
+                result, report = self._run(
+                    query, instrumentation, workers, limits, cancel, trace
+                )
+            root.annotate(
+                matcher=report.matcher,
+                matches=report.matches,
+                rows_scanned=report.rows_scanned,
+                tests=report.predicate_tests,
             )
+            result.profile = QueryProfile(trace, report)
         self._queries_counter.inc()
         self._query_seconds.observe(time.perf_counter() - started)
         return result, report
 
-    def _execute_serial(
+    def _run(
         self,
         query: Union[str, ast.Query],
-        instrumentation: Optional[Instrumentation] = None,
-        *,
-        limits: Optional[ResourceLimits] = None,
-        cancel: Optional[Callable[[], Optional[str]]] = None,
-        trace: Optional[Trace] = None,
+        instrumentation: Optional[Instrumentation],
+        workers: int,
+        limits: Optional[ResourceLimits],
+        cancel: Optional[Callable[[], Optional[str]]],
+        trace: Optional[Trace],
     ) -> tuple[Result, ExecutionReport]:
-        if trace is None:
-            return self._serial_pass(
-                query, instrumentation, limits=limits, cancel=cancel, trace=None
-            )
-        with trace.span("execute", mode="serial") as root:
-            result, report = self._serial_pass(
-                query, instrumentation, limits=limits, cancel=cancel, trace=trace
-            )
-        root.annotate(
-            matcher=report.matcher,
-            matches=report.matches,
-            rows_scanned=report.rows_scanned,
-            tests=report.predicate_tests,
-        )
-        result.profile = QueryProfile(trace, report)
-        return result, report
-
-    def _serial_pass(
-        self,
-        query: Union[str, ast.Query],
-        instrumentation: Optional[Instrumentation] = None,
-        *,
-        limits: Optional[ResourceLimits] = None,
-        cancel: Optional[Callable[[], Optional[str]]] = None,
-        trace: Optional[Trace] = None,
-    ) -> tuple[Result, ExecutionReport]:
+        """One execution: plan, admit and search the clusters, report."""
         diagnostics = Diagnostics()
-        if trace is not None:
-            with trace.span("plan") as plan_span:
-                analyzed, compiled, matcher_name, matcher = self._plan(
-                    query, diagnostics
-                )
-            _annotate_plan_span(
-                plan_span, diagnostics, matcher_name, compiled
-            )
-        else:
-            analyzed, compiled, matcher_name, matcher = self._plan(query, diagnostics)
+        plan = self._plan(query, diagnostics, trace)
         instrumentation = instrumentation or Instrumentation()
         if trace is not None:
             instrumentation.enable_detail()
-        effective_limits = limits if limits is not None else self._limits
+        limits = limits if limits is not None else self._limits
         budget = (
-            Budget(effective_limits, diagnostics, cancel=cancel)
-            if effective_limits.bounded or cancel is not None
+            Budget(limits, diagnostics, cancel=cancel)
+            if limits.bounded or cancel is not None
             else None
         )
-        table = self._catalog.table(analyzed.table)
-        columns = [
-            item.output_name(position)
-            for position, item in enumerate(analyzed.select, start=1)
-        ]
+        admission = _Admission(
+            self._catalog.table(plan.analyzed.table),
+            plan.analyzed,
+            self._policy,
+            diagnostics,
+            budget,
+        )
         output_rows: list[tuple] = []
-        clusters = 0
-        searched = 0
-        scanned = 0
-        match_count = 0
         with (
             trace.span("scan") if trace is not None else nullcontext()
         ) as scan_span:
-            for key, rows in clusters_of(
-                table,
-                analyzed.cluster_by,
-                analyzed.sequence_by,
-                policy=self._policy,
+            if workers == 1:
+                for key, rows in admission:
+                    projected, plan = search_cluster(
+                        plan, key, rows, instrumentation, budget,
+                        diagnostics, trace,
+                    )
+                    output_rows += projected
+                    if budget is not None and budget.tripped is not None:
+                        break
+            else:
+                admitted = list(admission)
+        if workers == 1:
+            matcher_name = plan.matcher_name
+        else:
+            from repro.engine import parallel
+
+            output_rows, matcher_name = parallel.execute_parallel(
+                plan,
+                admitted,
+                workers=workers,
+                query=query,
+                domains=self._domains,
+                instrumentation=instrumentation,
+                budget=budget,
                 diagnostics=diagnostics,
-                keep=partial(_cluster_passes, analyzed),
-            ):
-                clusters += 1
-                if budget is not None and budget.check_deadline():
-                    break
-                if rows is None:
-                    continue
-                if budget is not None and budget.add_rows(len(rows)):
-                    break
-                searched += 1
-                scanned += len(rows)
-                if trace is not None:
-                    tests_before = instrumentation.tests
-                    with trace.span("cluster") as cluster_span:
-                        matches, matcher_name, matcher = self._search_cluster(
-                            rows, compiled, matcher_name, matcher,
-                            instrumentation, budget, diagnostics, trace=trace,
-                        )
-                    cluster_span.annotate(
-                        partition=_cluster_label(key),
-                        rows=len(rows),
-                        tests=instrumentation.tests - tests_before,
-                        matches=len(matches),
-                        matcher=matcher_name,
-                    )
-                else:
-                    matches, matcher_name, matcher = self._search_cluster(
-                        rows, compiled, matcher_name, matcher, instrumentation,
-                        budget, diagnostics,
-                    )
-                for match in matches:
-                    match_count += 1
-                    output_rows.append(_project(analyzed, rows, match))
-                if budget is not None and budget.tripped is not None:
-                    break
+                trace=trace,
+            )
         if scan_span is not None:
             scan_span.annotate(
-                clusters=clusters,
-                clusters_searched=searched,
-                rows_scanned=scanned,
+                clusters=admission.clusters,
+                clusters_searched=admission.searched,
+                rows_scanned=admission.scanned,
                 skips=instrumentation.skips,
                 skip_distance=instrumentation.skip_distance,
             )
@@ -399,14 +369,18 @@ class Executor:
                 scan_span.annotate(tripped=budget.tripped)
         report = ExecutionReport(
             matcher=matcher_name,
-            clusters=clusters,
-            clusters_searched=searched,
-            rows_scanned=scanned,
+            clusters=admission.clusters,
+            clusters_searched=admission.searched,
+            rows_scanned=admission.scanned,
             predicate_tests=instrumentation.tests,
-            matches=match_count,
-            pattern=compiled,
+            matches=len(output_rows),
+            pattern=plan.compiled,
             diagnostics=diagnostics,
         )
+        columns = [
+            item.output_name(position)
+            for position, item in enumerate(plan.analyzed.select, start=1)
+        ]
         return Result(columns, output_rows, diagnostics), report
 
     def stream(
@@ -549,8 +523,11 @@ class Executor:
         return entry
 
     def _plan(
-        self, query: Union[str, ast.Query], diagnostics: Diagnostics
-    ) -> tuple[AnalyzedQuery, CompiledPattern, str, Matcher]:
+        self,
+        query: Union[str, ast.Query],
+        diagnostics: Diagnostics,
+        trace: Optional[Trace] = None,
+    ) -> SearchPlan:
         """Produce the plan for one execution, degrading if allowed.
 
         Syntax and semantic errors always raise — there is nothing to
@@ -559,38 +536,93 @@ class Executor:
         placeholder plan and the restart-based fallback matcher, which
         produces identical matches without shift/next.  The downgrade
         diagnostic is re-recorded on every execution, including plan-cache
-        hits — diagnostics belong to the execution, not the plan.
+        hits — diagnostics belong to the execution, not the plan.  With
+        ``trace``, planning is the ``plan`` span.
         """
-        entry = self._analyze_and_compile(query, diagnostics)
-        if entry.planning_error is not None:
-            if not self._policy.lenient or self._fallback is None:
+        with (
+            trace.span("plan") if trace is not None else nullcontext()
+        ) as span:
+            entry = self._analyze_and_compile(query, diagnostics)
+            if entry.planning_error is None:
+                name, matcher = self._matcher_name, self._matcher
+            elif self._policy.lenient and self._fallback is not None:
+                name = self._fallback
+                matcher = MATCHERS[name]()
+                diagnostics.record_downgrade(entry.degrade_reason)
+            else:
                 raise entry.planning_error
-            name = self._fallback
-            diagnostics.record_downgrade(entry.degrade_reason)
-            return entry.analyzed, entry.compiled, name, MATCHERS[name]()
-        return entry.analyzed, entry.compiled, self._matcher_name, self._matcher
-
-    def _search_cluster(
-        self,
-        rows: list[dict[str, object]],
-        compiled: CompiledPattern,
-        matcher_name: str,
-        matcher: Matcher,
-        instrumentation: Instrumentation,
-        budget: Optional[Budget],
-        diagnostics: Diagnostics,
-        trace: Optional[Trace] = None,
-    ) -> tuple[list[Match], str, Matcher]:
-        """Run one cluster, downgrading the matcher on PlanningError.
-
-        Returns the (possibly replaced) matcher so subsequent clusters
-        skip the failing attempt instead of re-raising per cluster.
-        """
-        return search_rows(
-            rows, compiled, matcher_name, matcher, instrumentation,
-            budget, diagnostics, self._policy, self._fallback,
-            evaluator=self._evaluator, trace=trace,
+        if span is not None:
+            if diagnostics.plan_cache_hits:
+                cache = "hit"
+            elif diagnostics.plan_cache_misses:
+                cache = "miss"
+            else:
+                cache = "bypass"
+            span.annotate(
+                cache=cache, matcher=name, degraded=diagnostics.degraded
+            )
+            fused = sum(
+                1
+                for evaluator in entry.compiled.evaluators
+                if getattr(evaluator, "band_fused", False)
+            )
+            if fused:
+                span.annotate(band_fused_elements=fused)
+        return SearchPlan(
+            entry.analyzed,
+            entry.compiled,
+            name,
+            matcher,
+            self._policy,
+            self._fallback,
+            self._evaluator,
         )
+
+
+class _Admission:
+    """The clusters one execution searches, in first-appearance order.
+
+    Iterating yields ``(key, rows)`` for every cluster that passes the
+    hoisted cluster filter, checks the deadline before each cluster,
+    charges its rows check-then-charge, and counts as it goes.  The
+    serial loop and the parallel split both admit through it, so they
+    search the same clusters and report the same counts.
+    """
+
+    def __init__(
+        self,
+        table,
+        analyzed: AnalyzedQuery,
+        policy: ErrorPolicy,
+        diagnostics: Diagnostics,
+        budget: Optional[Budget],
+    ):
+        self._clusters = clusters_of(
+            table,
+            analyzed.cluster_by,
+            analyzed.sequence_by,
+            policy=policy,
+            diagnostics=diagnostics,
+            keep=partial(_cluster_passes, analyzed),
+        )
+        self._budget = budget
+        self.clusters = 0
+        self.searched = 0
+        self.scanned = 0
+
+    def __iter__(self) -> Iterator[tuple[tuple, list[dict[str, object]]]]:
+        budget = self._budget
+        for key, rows in self._clusters:
+            self.clusters += 1
+            if budget is not None and budget.check_deadline():
+                return
+            if rows is None:
+                continue
+            if budget is not None and budget.add_rows(len(rows)):
+                return
+            self.searched += 1
+            self.scanned += len(rows)
+            yield key, rows
 
 
 @dataclass
@@ -746,31 +778,6 @@ def _cluster_label(key) -> str:
     return str(key)
 
 
-def _annotate_plan_span(
-    plan_span, diagnostics: Diagnostics, matcher_name: str,
-    compiled: CompiledPattern,
-) -> None:
-    """Fold the planning outcome into the plan span's attributes."""
-    if diagnostics.plan_cache_hits:
-        cache = "hit"
-    elif diagnostics.plan_cache_misses:
-        cache = "miss"
-    else:
-        cache = "bypass"
-    plan_span.annotate(
-        cache=cache,
-        matcher=matcher_name,
-        degraded=diagnostics.degraded,
-    )
-    fused = sum(
-        1
-        for evaluator in compiled.evaluators
-        if getattr(evaluator, "band_fused", False)
-    )
-    if fused:
-        plan_span.annotate(band_fused_elements=fused)
-
-
 def _resolve_matcher(matcher: Union[str, Matcher]) -> tuple[str, Matcher]:
     if isinstance(matcher, str):
         try:
@@ -789,77 +796,81 @@ def _resolve_matcher(matcher: Union[str, Matcher]) -> tuple[str, Matcher]:
     return type(matcher).__name__, matcher
 
 
-def search_rows(
+def search_cluster(
+    plan: SearchPlan,
+    key: tuple,
     rows: list[dict[str, object]],
-    compiled: CompiledPattern,
-    matcher_name: str,
-    matcher: Matcher,
     instrumentation: Instrumentation,
     budget: Optional[Budget],
     diagnostics: Diagnostics,
-    policy: ErrorPolicy,
-    fallback: Optional[str],
-    *,
-    evaluator: str = "row",
     trace: Optional[Trace] = None,
-) -> tuple[list[Match], str, Matcher]:
-    """Search one cluster's rows, degrading the matcher on PlanningError.
+) -> tuple[list[tuple], SearchPlan]:
+    """Search one admitted cluster and project its matches.
 
-    The single source of truth for per-cluster matching: the serial
-    executor loop and every parallel worker
-    (:mod:`repro.engine.parallel`) call this, so the two paths cannot
-    drift apart.  Returns the (possibly replaced by ``fallback``)
-    matcher so callers carry the downgrade forward across clusters.
-
-    ``evaluator`` selects the predicate path per :data:`EVALUATOR_MODES`;
-    anything but ``"row"`` may materialize columnar truth arrays for
-    this cluster and hand them to a kernel-aware matcher.  The default
-    is ``"row"`` so existing callers keep the seed behaviour.
+    The one per-cluster path: the serial loop and every parallel work
+    unit (:mod:`repro.engine.parallel`) call it, so the two cannot drift
+    apart.  The cluster's kernels are materialized once.  A
+    PlanningError from the matcher degrades to the fallback under a
+    lenient policy, and the returned plan carries the fallback so later
+    clusters skip the failing attempt.  With ``trace``, the search is
+    one ``cluster`` span labelled with the cluster's key.
     """
-    kernels = _cluster_kernels(rows, compiled, matcher, evaluator, trace)
-    aggregate = PatternSearchAggregate(
-        compiled, matcher, instrumentation, budget, kernels=kernels
-    )
-    try:
-        return apply_aggregate(aggregate, rows), matcher_name, matcher
-    except PlanningError as error:
-        if not policy.lenient or fallback is None:
-            raise
-        replacement = MATCHERS[fallback]()
-        diagnostics.record_downgrade(
-            f"matcher {matcher_name!r} cannot execute this pattern "
-            f"({error}); falling back to {fallback!r}"
-        )
-        if kernels is None:
-            kernels = _cluster_kernels(
-                rows, compiled, replacement, evaluator, trace
+    tests_before = instrumentation.tests
+    with (
+        trace.span("cluster") if trace is not None else nullcontext()
+    ) as span:
+        kernels = _cluster_kernels(rows, plan, trace)
+        try:
+            matches = apply_aggregate(
+                PatternSearchAggregate(
+                    plan.compiled, plan.matcher, instrumentation, budget,
+                    kernels=kernels,
+                ),
+                rows,
             )
-        aggregate = PatternSearchAggregate(
-            compiled, replacement, instrumentation, budget, kernels=kernels
+        except PlanningError as error:
+            if not plan.policy.lenient or plan.fallback is None:
+                raise
+            diagnostics.record_downgrade(
+                f"matcher {plan.matcher_name!r} cannot execute this pattern "
+                f"({error}); falling back to {plan.fallback!r}"
+            )
+            plan = replace(
+                plan,
+                matcher_name=plan.fallback,
+                matcher=MATCHERS[plan.fallback](),
+            )
+            matches = apply_aggregate(
+                PatternSearchAggregate(
+                    plan.compiled, plan.matcher, instrumentation, budget,
+                    kernels=kernels,
+                ),
+                rows,
+            )
+        projected = [_project(plan.analyzed, rows, match) for match in matches]
+    if span is not None:
+        span.annotate(
+            partition=_cluster_label(key),
+            rows=len(rows),
+            tests=instrumentation.tests - tests_before,
+            matches=len(projected),
+            matcher=plan.matcher_name,
         )
-        return apply_aggregate(aggregate, rows), fallback, replacement
+    return projected, plan
 
 
 def _cluster_kernels(
-    rows: list[dict[str, object]],
-    compiled: CompiledPattern,
-    matcher: Matcher,
-    evaluator: str,
-    trace: Optional[Trace],
+    rows: list[dict[str, object]], plan: SearchPlan, trace: Optional[Trace]
 ):
     """Materialize columnar truth arrays for one cluster, or None.
 
     Engagement policy (see :data:`EVALUATOR_MODES`): never for
-    ``"row"``; ``"columnar"`` always attempts.  The matcher must opt in
-    via ``supports_kernels`` and the plan must have compiled closures —
-    ``use_codegen=False`` is the interpreted differential oracle and
-    stays kernel-free end to end.
+    ``"row"``; ``"columnar"`` always attempts.  The plan must have
+    compiled closures — ``use_codegen=False`` is the interpreted
+    differential oracle and stays kernel-free end to end.
     """
-    if evaluator == "row" or not rows:
-        return None
-    if not compiled.use_codegen:
-        return None
-    if not getattr(matcher, "supports_kernels", False):
+    compiled = plan.compiled
+    if plan.evaluator == "row" or not rows or not compiled.use_codegen:
         return None
     from repro.engine.columnar import materialize_kernels
 

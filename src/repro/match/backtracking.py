@@ -38,9 +38,6 @@ from repro.resilience import Budget
 class BacktrackingMatcher:
     """Depth-first search over star-run boundaries, maximal-first."""
 
-    #: Accepts per-cluster truth arrays (see :mod:`repro.engine.columnar`).
-    supports_kernels = True
-
     def find_matches(
         self,
         rows: Sequence[Mapping[str, object]],

@@ -118,6 +118,20 @@ class Instrumentation:
         self.skips += times
         self.skip_distance += distance * times
 
+    def merge(self, other: "Instrumentation") -> None:
+        """Add another run's counts to this one's; ``other``'s path curve
+        follows this one's, so merge runs in input order."""
+        self.tests += other.tests
+        self.skips += other.skips
+        self.skip_distance += other.skip_distance
+        if self.trace is not None and other.trace:
+            self.trace.extend(other.trace)
+        if self.tests_by_element is not None and other.tests_by_element:
+            for position, count in other.tests_by_element.items():
+                self.tests_by_element[position] = (
+                    self.tests_by_element.get(position, 0) + count
+                )
+
     def __repr__(self) -> str:
         traced = f", trace[{len(self.trace)}]" if self.trace is not None else ""
         skipped = f", skips={self.skips}" if self.skips else ""
@@ -132,6 +146,11 @@ class Matcher(Protocol):
     periodically inside their scan loops and, once it trips, stop and
     return the matches found so far (partial results — the trip reason is
     recorded on the budget's diagnostics, never raised from here).
+
+    ``kernels`` is the cluster's columnar truth arrays
+    (:mod:`repro.engine.columnar`) when the executor materialized them,
+    else None; a matcher may use them in place of its per-row
+    evaluators, or ignore them.
     """
 
     def find_matches(
@@ -140,6 +159,7 @@ class Matcher(Protocol):
         pattern: CompiledPattern,
         instrumentation: Optional[Instrumentation] = None,
         budget: Optional[Budget] = None,
+        kernels=None,
     ) -> list[Match]:
         """All left-maximal, non-overlapping matches, in input order."""
         ...

@@ -31,9 +31,6 @@ class NaiveMatcher:
     reproduces the paper's left-maximal non-overlapping semantics.
     """
 
-    #: Accepts per-cluster truth arrays (see :mod:`repro.engine.columnar`).
-    supports_kernels = True
-
     def __init__(self, overlapping: bool = False):
         self._overlapping = overlapping
 

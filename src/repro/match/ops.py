@@ -34,9 +34,6 @@ from repro.resilience import Budget
 class OpsMatcher:
     """Optimized Pattern Search, star-free form (paper Section 4.2.1)."""
 
-    #: Accepts per-cluster truth arrays (see :mod:`repro.engine.columnar`).
-    supports_kernels = True
-
     def find_matches(
         self,
         rows: Sequence[Mapping[str, object]],

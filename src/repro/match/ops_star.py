@@ -56,9 +56,6 @@ from repro.resilience import Budget
 class OpsStarMatcher:
     """Optimized Pattern Search with the Section 5 count bookkeeping."""
 
-    #: Accepts per-cluster truth arrays (see :mod:`repro.engine.columnar`).
-    supports_kernels = True
-
     def find_matches(
         self,
         rows: Sequence[Mapping[str, object]],

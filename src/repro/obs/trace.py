@@ -117,9 +117,9 @@ class Trace:
 
     Single-threaded by contract: one trace belongs to one query, and the
     serial executor, the parallel *parent*, and the recovery runner all
-    mutate it from the thread driving the query.  Worker threads and
-    processes never touch the trace — they report span dicts that the
-    parent grafts in via :meth:`attach`.
+    mutate it from the thread driving the query.  Work units never touch
+    it — each records into a private trace and reports its span dicts,
+    which the parent grafts in via :meth:`attach`.
     """
 
     __slots__ = ("roots", "dropped", "_stack", "_clock", "_max_spans", "_count")

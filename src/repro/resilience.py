@@ -84,28 +84,15 @@ class ResourceLimits:
     max_stream_buffer: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for name in ("max_matches", "max_rows_scanned", "max_stream_buffer"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
+        for name, value in vars(self).items():
+            # ``not value >= 0`` also rejects NaN, which no clock exceeds.
+            if value is not None and not value >= 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")
-        if self.wall_clock_deadline is not None and self.wall_clock_deadline < 0:
-            raise ValueError(
-                f"wall_clock_deadline must be non-negative, "
-                f"got {self.wall_clock_deadline}"
-            )
 
     @property
     def bounded(self) -> bool:
         """True when at least one limit is set."""
-        return any(
-            getattr(self, name) is not None
-            for name in (
-                "max_matches",
-                "max_rows_scanned",
-                "wall_clock_deadline",
-                "max_stream_buffer",
-            )
-        )
+        return any(value is not None for value in vars(self).values())
 
     @classmethod
     def unlimited(cls) -> "ResourceLimits":
@@ -550,6 +537,12 @@ class Budget:
         if self._deadline is not None and self._clock() > self._deadline:
             return self.expire()
         return False
+
+    def remaining(self) -> Optional[float]:
+        """Seconds left before the wall-clock deadline; None without one."""
+        if self._deadline is None:
+            return None
+        return self._deadline - self._clock()
 
     def expire(self) -> bool:
         """Trip on the wall-clock deadline, naming the configured limit."""

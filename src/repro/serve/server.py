@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import math
 import os
 import re
 import threading
@@ -619,7 +620,9 @@ class QueryServer:
             await self._send(writer, self._bad(rid, "'sql' must be a query string"))
             return
         timeout = request.get("timeout")
-        if timeout is not None and not isinstance(timeout, (int, float)):
+        if timeout is not None and (
+            not isinstance(timeout, (int, float)) or math.isnan(timeout)
+        ):
             await self._send(writer, self._bad(rid, "'timeout' must be a number"))
             return
         if timeout is not None and timeout <= 0:
@@ -673,10 +676,13 @@ class QueryServer:
                 await self._send(writer, response)
                 return
 
+        # Built before admission: a request whose limits cannot be built
+        # must fail before it holds a run slot.
+        limits = self._admission.quota_for(tenant).merge_limits(
+            timeout=timeout, max_matches=max_matches
+        )
         if not await self._admit(tenant, rid, writer):
             return
-        quota = self._admission.quota_for(tenant)
-        limits = quota.merge_limits(timeout=timeout, max_matches=max_matches)
         token = CancelToken()
         self._active_tokens.add(token)
         self._inflight += 1

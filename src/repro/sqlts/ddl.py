@@ -28,7 +28,8 @@ from typing import Optional, Union
 
 from repro.errors import SqlTsSyntaxError
 from repro.sqlts.lexer import tokenize
-from repro.sqlts.tokens import Token, TokenType
+from repro.sqlts.parser import TokenParser
+from repro.sqlts.tokens import TokenType
 
 #: SQL type name (upper-cased) -> engine storage type.
 TYPE_MAP = {
@@ -69,27 +70,7 @@ class Insert:
 Statement = Union[CreateTable, Insert]
 
 
-class _DdlParser:
-    def __init__(self, text: str):
-        self._tokens = tokenize(text)
-        self._index = 0
-
-    def _peek(self, ahead: int = 0) -> Token:
-        index = min(self._index + ahead, len(self._tokens) - 1)
-        return self._tokens[index]
-
-    def _advance(self) -> Token:
-        token = self._tokens[self._index]
-        if token.type is not TokenType.EOF:
-            self._index += 1
-        return token
-
-    def _error(self, message: str) -> SqlTsSyntaxError:
-        token = self._peek()
-        return SqlTsSyntaxError(
-            f"{message} (found {token.value!r})", token.line, token.column
-        )
-
+class _DdlParser(TokenParser):
     def _expect_word(self, word: str) -> None:
         token = self._peek()
         if token.type not in (TokenType.IDENT, TokenType.KEYWORD) or (
@@ -97,25 +78,6 @@ class _DdlParser:
         ):
             raise self._error(f"expected {word}")
         self._advance()
-
-    def _expect_ident(self) -> str:
-        token = self._peek()
-        if token.type is not TokenType.IDENT:
-            raise self._error("expected an identifier")
-        return self._advance().value
-
-    def _expect_punct(self, symbol: str) -> None:
-        token = self._peek()
-        if token.type is not TokenType.PUNCT or token.value != symbol:
-            raise self._error(f"expected {symbol!r}")
-        self._advance()
-
-    def _accept_punct(self, symbol: str) -> bool:
-        token = self._peek()
-        if token.type is TokenType.PUNCT and token.value == symbol:
-            self._advance()
-            return True
-        return False
 
     def _expect_eof(self) -> None:
         if self._peek().type is not TokenType.EOF:

@@ -38,12 +38,12 @@ from repro.sqlts.tokens import NAVIGATION, Token, TokenType
 _COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
 
 
-class Parser:
+class TokenParser:
+    """Token plumbing shared by the query parser and the DDL parser."""
+
     def __init__(self, text: str):
         self._tokens = tokenize(text)
         self._index = 0
-
-    # -- token plumbing -------------------------------------------------
 
     def _peek(self, ahead: int = 0) -> Token:
         index = min(self._index + ahead, len(self._tokens) - 1)
@@ -58,12 +58,6 @@ class Parser:
     def _error(self, message: str) -> SqlTsSyntaxError:
         token = self._peek()
         return SqlTsSyntaxError(f"{message} (found {token.value!r})", token.line, token.column)
-
-    def _expect_keyword(self, word: str) -> Token:
-        token = self._peek()
-        if not token.is_keyword(word):
-            raise self._error(f"expected {word}")
-        return self._advance()
 
     def _expect_punct(self, symbol: str) -> Token:
         token = self._peek()
@@ -83,6 +77,14 @@ class Parser:
             self._advance()
             return True
         return False
+
+
+class Parser(TokenParser):
+    def _expect_keyword(self, word: str) -> Token:
+        token = self._peek()
+        if not token.is_keyword(word):
+            raise self._error(f"expected {word}")
+        return self._advance()
 
     # -- grammar --------------------------------------------------------
 

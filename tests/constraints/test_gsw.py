@@ -5,12 +5,13 @@ brute-force soundness check: whenever the solver says "unsatisfiable" or
 "implied", random sampling must never find a counterexample.
 """
 
+import math
 import random
 
 import pytest
 
 from repro.constraints.atoms import atom, cat_atom
-from repro.constraints.gsw import BoundClosure, GswSolver, Weight
+from repro.constraints.gsw import BoundClosure, GswSolver, PremiseClosure, Weight
 from repro.constraints.terms import Domain, Variable
 
 A = Variable("a")
@@ -187,6 +188,36 @@ class TestBoundClosure:
         closure = BoundClosure([atom(A, "<=", B, 2), atom(A, ">=", B, 2)])
         assert closure.forces_equality(A, B, 2)
         assert not closure.forces_equality(A, B, 1)
+
+
+class TestExactSums:
+    """The closure sums constants exactly, so float rounding along a path
+    fakes neither a contradiction nor an implication.  The atoms are the
+    ratio rewrites of ``0.5 * prev < price``, ``price = 2 * prev`` and
+    ``1.02 * price = vol`` (or ``1.02 * vol <= prev``)."""
+
+    def test_rounding_fakes_no_negative_cycle(self):
+        # In floats, -2 + (2 - 1/1.02) rounds one ulp below -1/1.02.
+        atoms = [atom(A, "<", 2.0), atom(B, "=", 2.0), atom(C, "=", 1 / 1.02)]
+        assert GswSolver.satisfiable(atoms)
+
+    def test_refutation_agrees_with_lookup_at_a_boundary(self):
+        premises = [atom(A, "<", 2.0), atom(B, "=", 2.0), atom(C, "<=", 1 / 1.02)]
+        conclusion = atom(C, "<", 1 / 1.02)
+        assert not GswSolver.implies(premises, conclusion)
+        assert not PremiseClosure(premises).implies(conclusion)
+        assert PremiseClosure(premises).implies(atom(C, "<=", 1 / 1.02))
+
+    def test_conclusion_finer_than_every_premise(self):
+        # Integer premises, a conclusion constant in 2**-53 units.
+        closure = PremiseClosure([atom(A, "<", B, 1), atom(B, "<=", 0)])
+        assert closure.implies(atom(A, "<", 1 / 1.02 + 0.1))
+        assert not closure.implies(atom(A, "<", 1 / 1.02))
+
+    def test_infinite_constants(self):
+        assert GswSolver.satisfiable([atom(A, "<=", math.inf), atom(A, ">", 3)])
+        assert not GswSolver.satisfiable([atom(A, ">=", math.inf)])
+        assert not GswSolver.satisfiable([atom(A, "<", math.nan)])
 
 
 class TestBruteForceSoundness:

@@ -9,7 +9,7 @@ for the original multiplicative conditions.
 
 import random
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constraints.atoms import atom, cat_atom
@@ -112,11 +112,21 @@ def test_negation_is_complementary(a, assignment):
     assert a.evaluate(assignment) != a.negate().evaluate(assignment)
 
 
+@st.composite
+def modelled_premises(draw):
+    """An assignment and premises it models: each drawn atom where it
+    holds, its negation (the complement) where it does not."""
+    assignment = draw(assignments)
+    premises = [a if a.evaluate(assignment) else a.negate() for a in draw(atom_lists)]
+    return premises, assignment
+
+
 @settings(max_examples=300, deadline=None)
-@given(atom_lists, assignments)
-def test_models_imply_sat_verdict(premises, assignment):
+@given(modelled_premises())
+def test_models_imply_sat_verdict(case):
     """A concrete model forces the solver to answer satisfiable."""
-    assume(all(a.evaluate(assignment) for a in premises))
+    premises, assignment = case
+    assert all(a.evaluate(assignment) for a in premises)
     assert GswSolver.satisfiable(premises)
 
 

@@ -1,66 +1,43 @@
-"""The Section 6 multiplicative rewrite X op C*Y -> X/Y op C."""
+"""The Section 6 multiplicative rewrite X op C*Y -> X/Y op C.
+
+Production rewrites in :meth:`ComparisonCondition.symbolic_atoms`;
+``tests/pattern/test_predicates.py`` pins when it applies and
+``test_gsw_properties.py`` brute-forces its claims on positive values.
+"""
 
 import pytest
 
 from repro.constraints.atoms import Op
 from repro.constraints.gsw import GswSolver
-from repro.constraints.rewrite import MultiplicativeAtom, ratio_value, rewrite_multiplicative
-from repro.constraints.terms import Variable, ZERO
-from repro.errors import ConstraintError
+from repro.constraints.terms import ZERO
+from repro.pattern.predicates import AttributeDomains, col, comparison
 
-X = Variable("price@0")
-Y = Variable("price@-1")
+PRICE = col("price")
+PREV = PRICE.previous
+
+
+def ratio_atom(op: str, factor: float):
+    (atom,) = comparison(PRICE, op, factor * PREV).symbolic_atoms(
+        AttributeDomains.prices()
+    )
+    return atom
 
 
 class TestRewrite:
     def test_produces_ratio_bound(self):
-        rewritten = rewrite_multiplicative(MultiplicativeAtom(X, Op.LT, 0.98, Y))
+        rewritten = ratio_atom("<", 0.98)
         assert rewritten.x.name == "price@0/price@-1"
         assert rewritten.y == ZERO
         assert rewritten.c == pytest.approx(0.98)
         assert rewritten.op is Op.LT
 
-    def test_nonpositive_coefficient_rejected(self):
-        with pytest.raises(ConstraintError):
-            rewrite_multiplicative(MultiplicativeAtom(X, Op.LT, 0.0, Y))
-        with pytest.raises(ConstraintError):
-            rewrite_multiplicative(MultiplicativeAtom(X, Op.LT, -1.5, Y))
-
     def test_rewritten_atoms_compose_in_gsw(self):
         """The paper's point: drop >2% contradicts rise >2% via the ratio."""
-        drop = rewrite_multiplicative(MultiplicativeAtom(X, Op.LT, 0.98, Y))
-        rise = rewrite_multiplicative(MultiplicativeAtom(X, Op.GT, 1.02, Y))
-        flat_low = rewrite_multiplicative(MultiplicativeAtom(X, Op.GT, 0.98, Y))
-        flat_high = rewrite_multiplicative(MultiplicativeAtom(X, Op.LT, 1.02, Y))
+        drop = ratio_atom("<", 0.98)
+        rise = ratio_atom(">", 1.02)
+        flat_low = ratio_atom(">", 0.98)
+        flat_high = ratio_atom("<", 1.02)
         assert not GswSolver.satisfiable([drop, rise])
         assert not GswSolver.satisfiable([drop, flat_low])
         assert GswSolver.satisfiable([flat_low, flat_high])
         assert GswSolver.implies([rise], flat_low)  # >1.02 implies >0.98
-
-    def test_semantics_preserved_on_positive_domain(self):
-        """x < c*y  iff  x/y < c whenever y > 0."""
-        import random
-
-        rng = random.Random(9)
-        rewritten = rewrite_multiplicative(MultiplicativeAtom(X, Op.LT, 0.98, Y))
-        for _ in range(500):
-            x = rng.uniform(0.1, 100)
-            y = rng.uniform(0.1, 100)
-            original = x < 0.98 * y
-            via_ratio = rewritten.evaluate(
-                {rewritten.x: ratio_value(x, y), ZERO: 0.0}
-            )
-            assert original == via_ratio
-
-
-class TestRatioValue:
-    def test_positive_denominator(self):
-        assert ratio_value(3.0, 2.0) == pytest.approx(1.5)
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ConstraintError):
-            ratio_value(3.0, 0.0)
-
-    def test_negative_denominator_rejected(self):
-        with pytest.raises(ConstraintError):
-            ratio_value(3.0, -1.0)

@@ -21,6 +21,7 @@ from repro.engine.catalog import Catalog
 from repro.engine.executor import Executor
 from repro.engine.table import Schema, Table
 from repro.match.base import Instrumentation
+from repro.match.naive import NaiveMatcher
 from repro.match.ops_star import OpsStarMatcher
 from repro.obs import Trace
 from repro.pattern.predicates import AttributeDomains
@@ -58,7 +59,9 @@ def make_catalog(seed: int, partitions: int = 8, rows: int = 80) -> Catalog:
     return Catalog([table])
 
 
-def run(catalog, query, *, workers=1, path="inline", trace=False, **kw):
+def run(
+    catalog, query, *, workers=1, path="inline", trace=False, profile=False, **kw
+):
     executor = Executor(
         catalog,
         domains=AttributeDomains.prices(),
@@ -67,7 +70,9 @@ def run(catalog, query, *, workers=1, path="inline", trace=False, **kw):
     )
     instrumentation = Instrumentation(record_trace=trace)
     with parallel_path(path):
-        result, report = executor.execute_with_report(query, instrumentation)
+        result, report = executor.execute_with_report(
+            query, instrumentation, trace=Trace() if profile else None
+        )
     return result, report, instrumentation
 
 
@@ -81,10 +86,13 @@ REPORT_FIELDS = (
 )
 
 
-def assert_equivalent(catalog, query, *, workers, path, trace=False, **kw):
-    r0, rep0, inst0 = run(catalog, query, trace=trace, **kw)
+def assert_equivalent(
+    catalog, query, *, workers, path, trace=False, profile=False, **kw
+):
+    r0, rep0, inst0 = run(catalog, query, trace=trace, profile=profile, **kw)
     r1, rep1, inst1 = run(
-        catalog, query, workers=workers, path=path, trace=trace, **kw
+        catalog, query, workers=workers, path=path, trace=trace,
+        profile=profile, **kw
     )
     assert r0.columns == r1.columns
     assert r0.rows == r1.rows
@@ -92,8 +100,13 @@ def assert_equivalent(catalog, query, *, workers, path, trace=False, **kw):
         assert getattr(rep0, field) == getattr(rep1, field), field
     assert r0.diagnostics.to_dict() == r1.diagnostics.to_dict()
     assert inst0.tests == inst1.tests
+    assert inst0.skips == inst1.skips
+    assert inst0.skip_distance == inst1.skip_distance
     if trace:
         assert inst0.trace == inst1.trace
+    if profile:
+        assert inst0.tests_by_element
+        assert inst0.tests_by_element == inst1.tests_by_element
     return r0, rep0
 
 
@@ -135,6 +148,13 @@ class TestDifferential:
         catalog = make_catalog(seed=3, partitions=5, rows=40)
         assert_equivalent(
             catalog, FLAT_QUERY, workers=3, path="inline", trace=True
+        )
+
+    @pytest.mark.parametrize("path", ["inline", "process"])
+    def test_traced_runs_merge_per_element_counts(self, path):
+        catalog = make_catalog(seed=3, partitions=6, rows=60)
+        assert_equivalent(
+            catalog, STAR_QUERY, workers=2, path=path, profile=True
         )
 
     def test_workers_one_is_the_serial_path(self):
@@ -302,11 +322,12 @@ class TestLimits:
 
 
 class SubclassedOps(OpsStarMatcher):
-    """A matcher outside the registry: workers cannot construct it."""
+    """A matcher outside the registry.  Defined at module level, so an
+    instance also pickles for pool workers that are not forked."""
 
 
 class TestCustomMatcherFallback:
-    """A custom matcher runs serially, with the caller's settings."""
+    """A custom matcher runs on the workers, with the caller's settings."""
 
     def executor(self, workers):
         return Executor(
@@ -323,21 +344,74 @@ class TestCustomMatcherFallback:
         assert serial.rows == parallel.rows == ()
         assert serial.diagnostics.limits_hit
         assert parallel.diagnostics.limits_hit == serial.diagnostics.limits_hit
-        assert any("ran serially" in w for w in parallel.diagnostics.warnings)
 
     def test_cancel_hook_and_trace_are_kept(self):
-        calls = []
+        serial = self.executor(1).execute(STAR_QUERY)
+        for path in ("inline", "process"):
+            calls = []
 
-        def cancel():
-            calls.append(1)
+            def cancel():
+                calls.append(1)
 
-        trace = Trace()
-        result = self.executor(2).execute(STAR_QUERY, cancel=cancel, trace=trace)
-        assert calls
-        assert trace.root.attrs["mode"] == "serial"
-        assert trace.find("scan") is not None
-        assert result.profile is not None
-        assert result.rows == self.executor(1).execute(STAR_QUERY).rows
+            trace = Trace()
+            with parallel_path(path):
+                result = self.executor(2).execute(
+                    STAR_QUERY, cancel=cancel, trace=trace
+                )
+            assert calls
+            assert trace.root.attrs["mode"] == "parallel"
+            assert trace.find("parallel").attrs["mode"] == path
+            assert trace.find_all("unit")
+            assert result.profile is not None
+            assert result.rows == serial.rows
+            assert result.profile.matcher == "SubclassedOps"
+
+
+class TestConfiguredMatcher:
+    """The workers search with the executor's matcher instance, not a
+    fresh one built from its registry name."""
+
+    @pytest.mark.parametrize("path", ["inline", "process"])
+    def test_overlapping_naive_keeps_serial_rows(self, path):
+        def execute(workers):
+            executor = Executor(
+                Catalog([quote_table()]),
+                domains=AttributeDomains.prices(),
+                matcher=NaiveMatcher(overlapping=True),
+                workers=workers,
+            )
+            with parallel_path(path):
+                return executor.execute_with_report(STAR_QUERY)
+
+        serial, serial_report = execute(1)
+        parallel, report = execute(2)
+        assert parallel.rows == serial.rows
+        assert report.predicate_tests == serial_report.predicate_tests
+        # Overlapping search finds more than the left-maximal default.
+        default = Executor(
+            Catalog([quote_table()]), domains=AttributeDomains.prices(),
+            matcher="naive",
+        ).execute(STAR_QUERY)
+        assert len(serial.rows) > len(default.rows)
+
+
+class TestWorkerSpans:
+    @pytest.mark.parametrize("path", ["inline", "process"])
+    def test_cluster_spans_carry_cluster_labels(self, path):
+        catalog = Catalog([quote_table()])
+        labels = {}
+        for workers in (1, 2):
+            trace = Trace()
+            executor = Executor(
+                catalog, domains=AttributeDomains.prices(), workers=workers
+            )
+            with parallel_path(path):
+                executor.execute(STAR_QUERY, trace=trace)
+            labels[workers] = [
+                span.attrs["partition"] for span in trace.find_all("cluster")
+            ]
+        assert "IBM" in labels[1]
+        assert labels[2] == labels[1]
 
 
 class TestPlanCacheInterplay:

@@ -91,6 +91,17 @@ class TestResourceLimits:
         with pytest.raises(ValueError):
             ResourceLimits(wall_clock_deadline=-0.1)
 
+    @pytest.mark.parametrize(
+        "name",
+        ["max_matches", "max_rows_scanned", "wall_clock_deadline",
+         "max_stream_buffer"],
+    )
+    def test_nan_rejected(self, name):
+        # NaN passes a ``< 0`` check, and no clock ever exceeds a NaN
+        # deadline: it would silently mean "no limit".
+        with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+            ResourceLimits(**{name: float("nan")})
+
 
 class TestDiagnostics:
     def test_clean_by_default(self):

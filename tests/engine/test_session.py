@@ -41,6 +41,14 @@ class TestDdlParsing:
         with pytest.raises(SqlTsSyntaxError):
             parse_create_table("CREATE TABLE t (a Integer")
 
+    def test_error_names_the_token_and_its_position(self):
+        with pytest.raises(SqlTsSyntaxError) as info:
+            parse_create_table("CREATE TABLE t\n  (a Integer) extra")
+        assert str(info.value) == (
+            "unexpected trailing input (found 'extra') at line 2, column 15"
+        )
+        assert (info.value.line, info.value.column) == (2, 15)
+
     def test_case_insensitive_keywords(self):
         parsed = parse_create_table("create table T (x real)")
         assert parsed.name == "T"

@@ -107,6 +107,19 @@ class TestQueries:
 
 
 class TestLimitsAndDeadlines:
+    def test_nan_timeout_is_a_bad_request_and_frees_its_slot(self, run_server):
+        # json.loads accepts the NaN token; a NaN deadline would never
+        # trip, so the request must be refused, not run unbounded.
+        handle = run_server()
+        with ServeClient(*handle.address, tenant="acme") as client:
+            assert client.query(RISING_QUERY).rows
+            with pytest.raises(ServeError) as info:
+                client.request("query", sql=RISING_QUERY, timeout=float("nan"))
+            assert info.value.code == "bad_request"
+            tenant = client.stats()["admission"]["tenants"]["acme"]
+        assert tenant["running"] == 0
+        assert tenant["queries"] == 1
+
     def test_expired_deadline_refused_up_front(self, run_server):
         handle = run_server()
         with ServeClient(*handle.address) as client:

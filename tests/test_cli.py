@@ -235,6 +235,18 @@ class TestResilienceFlags:
         assert code == 0
         assert "(1 rows)" in output
 
+    @pytest.mark.parametrize("command", ["query", "stream"])
+    def test_nan_timeout_is_rejected(self, command, capsys):
+        # A NaN deadline never expires; it must be refused like -1.
+        code, output = run_cli(
+            command, "--demo-data", *self.TABLE_FLAGS, "--timeout", "nan",
+            RISING,
+        )
+        assert code == 1
+        assert output == ""
+        err = capsys.readouterr().err
+        assert "wall_clock_deadline must be non-negative, got nan" in err
+
     def test_bad_on_error_value_rejected(self, quotes_csv):
         with pytest.raises(SystemExit):
             main(
