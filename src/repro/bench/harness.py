@@ -13,24 +13,12 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 from repro.engine.catalog import Catalog
-from repro.engine.executor import Executor
+from repro.engine.executor import Executor, resolve_matcher
 from repro.engine.result import Result
 from repro.errors import ExecutionError
-from repro.match.backtracking import BacktrackingMatcher
 from repro.match.base import Instrumentation, Match, Matcher
-from repro.match.naive import NaiveMatcher
-from repro.match.ops import OpsMatcher
-from repro.match.ops_star import OpsStarMatcher
 from repro.pattern.compiler import CompiledPattern
 from repro.pattern.predicates import AttributeDomains
-
-#: Matchers the harness knows by name.
-NAMED_MATCHERS: dict[str, type] = {
-    "naive": NaiveMatcher,
-    "backtracking": BacktrackingMatcher,
-    "ops": OpsStarMatcher,
-    "ops-nonstar": OpsMatcher,
-}
 
 
 @dataclass(frozen=True)
@@ -49,17 +37,6 @@ class MatcherRun:
         return other.predicate_tests / self.predicate_tests
 
 
-def _resolve(matcher: Union[str, Matcher]) -> tuple[str, Matcher]:
-    if isinstance(matcher, str):
-        try:
-            return matcher, NAMED_MATCHERS[matcher]()
-        except KeyError:
-            raise ExecutionError(
-                f"unknown matcher {matcher!r} (choose from {sorted(NAMED_MATCHERS)})"
-            ) from None
-    return type(matcher).__name__, matcher
-
-
 def compare_matchers(
     catalog: Catalog,
     sql: str,
@@ -71,7 +48,7 @@ def compare_matchers(
     runs: dict[str, MatcherRun] = {}
     reference: Optional[Result] = None
     for entry in matchers:
-        name, matcher = _resolve(entry)
+        name, matcher = resolve_matcher(entry)
         instrumentation = Instrumentation()
         result = Executor(catalog, domains=domains, matcher=matcher).execute(
             sql, instrumentation
@@ -84,6 +61,8 @@ def compare_matchers(
                     f"matcher {name!r} produced different results "
                     f"({len(result)} vs {len(reference)} rows)"
                 )
+        if name in runs:
+            raise ExecutionError(f"matcher {name!r} listed twice")
         runs[name] = MatcherRun(
             name=name,
             predicate_tests=instrumentation.tests,
@@ -103,7 +82,7 @@ def compare_on_rows(
     runs: dict[str, MatcherRun] = {}
     reference: Optional[list[Match]] = None
     for entry in matchers:
-        name, matcher = _resolve(entry)
+        name, matcher = resolve_matcher(entry)
         instrumentation = Instrumentation()
         matches = matcher.find_matches(rows, pattern, instrumentation)
         if require_identical:
@@ -114,6 +93,8 @@ def compare_on_rows(
                     f"matcher {name!r} produced different matches "
                     f"({len(matches)} vs {len(reference)})"
                 )
+        if name in runs:
+            raise ExecutionError(f"matcher {name!r} listed twice")
         runs[name] = MatcherRun(
             name=name, predicate_tests=instrumentation.tests, matches=len(matches)
         )

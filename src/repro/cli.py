@@ -34,12 +34,11 @@ import threading
 import time
 from typing import Optional, Sequence
 
-from repro.bench.harness import NAMED_MATCHERS
 from repro.engine.catalog import Catalog
 from repro.engine.cluster import sequenced
 from repro.engine.columnar import load_table
 from repro.engine.csv_io import _render, iter_csv
-from repro.engine.executor import Executor
+from repro.engine.executor import MATCHERS, Executor
 from repro.engine.table import Schema
 from repro.errors import ExecutionError, ReproError
 from repro.match.base import Instrumentation
@@ -436,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_arguments(query)
     query.add_argument(
         "--matcher",
-        choices=sorted(NAMED_MATCHERS),
+        choices=sorted(MATCHERS),
         default="ops",
         help="evaluation strategy (default: ops)",
     )
@@ -646,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explain.add_argument(
         "--matcher",
-        choices=sorted(NAMED_MATCHERS),
+        choices=sorted(MATCHERS),
         default="ops",
         help="evaluation strategy for --analyze (default: ops)",
     )
@@ -882,7 +881,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     script.add_argument(
         "--matcher",
-        choices=sorted(NAMED_MATCHERS),
+        choices=sorted(MATCHERS),
         default="ops",
         help="evaluation strategy (default: ops)",
     )

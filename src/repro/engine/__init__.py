@@ -2,17 +2,19 @@
 
 The paper runs SQL-TS inside a conventional DBMS, implemented "via
 user-defined aggregates that are capable of applying arbitrary SQL
-statements on input streams" [17].  This subpackage is that substrate,
+statements on input streams" [17].  This subpackage is that host,
 built from scratch:
 
 - typed tables with schema validation (:mod:`repro.engine.table`);
 - a catalog of named tables (:mod:`repro.engine.catalog`);
 - CLUSTER BY grouping and SEQUENCE BY sorting (:mod:`repro.engine.cluster`);
-- a streaming user-defined-aggregate framework, including the SQL-TS
-  pattern matcher expressed as a UDA (:mod:`repro.engine.aggregates`);
 - the query executor tying parser, analyzer, OPS compiler, and matcher
-  together (:mod:`repro.engine.executor`);
+  together: it hands each sorted cluster to the matcher
+  (:mod:`repro.engine.executor`);
 - CSV import/export (:mod:`repro.engine.csv_io`).
+
+The stream deployment of [17], a UDA's iterate/terminate, is
+``OpsStreamMatcher.push``/``finish`` (:mod:`repro.match.streaming`).
 """
 
 from repro.engine.table import Column, Schema, Table

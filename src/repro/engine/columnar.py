@@ -103,25 +103,22 @@ _MISSING = object()
 class _Column:
     """One column's cells for a cluster, plus vectorization eligibility."""
 
-    __slots__ = ("values", "has_missing", "floats_only", "_f8")
+    __slots__ = ("values", "floats_only", "_f8")
 
     def __init__(self, rows: Sequence, name: str):
         values = []
-        has_missing = False
         floats_only = True
         for row in rows:
             try:
                 value = row[name]
             except KeyError:
                 value = _MISSING
-                has_missing = True
                 floats_only = False
             else:
                 if type(value) is not float:
                     floats_only = False
             values.append(value)
         self.values = values
-        self.has_missing = has_missing
         self.floats_only = floats_only
         self._f8 = _MISSING
 

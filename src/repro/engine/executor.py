@@ -1,8 +1,8 @@
 """The SQL-TS query executor.
 
 Ties the whole stack together: parse → analyze → compile the pattern with
-OPS → for every cluster, apply the hoisted cluster filter and run the
-configured matcher via the UDA substrate → evaluate the SELECT items on
+OPS → for every cluster, apply the hoisted cluster filter and hand the
+sorted cluster to the configured matcher → evaluate the SELECT items on
 each match.
 
 The matcher is pluggable (``"ops"`` — the default, star-capable OPS
@@ -32,7 +32,6 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Iterator, Mapping, Optional, Tuple, Union
 
-from repro.engine.aggregates import PatternSearchAggregate, apply_aggregate
 from repro.engine.catalog import Catalog
 from repro.engine.cluster import clusters_of
 from repro.engine.result import Result
@@ -149,7 +148,7 @@ class Executor:
     ):
         self._catalog = catalog
         self._domains = domains if domains is not None else AttributeDomains.none()
-        self._matcher_name, self._matcher = _resolve_matcher(matcher)
+        self._matcher_name, self._matcher = resolve_matcher(matcher)
         self._policy = ErrorPolicy.coerce(policy)
         self._limits = limits if limits is not None else ResourceLimits()
         if fallback is not None and fallback not in _RESTART_MATCHERS:
@@ -752,7 +751,7 @@ def _stream_rows(
         for item in analyzed.select:
             try:
                 values.append(
-                    evaluate_expr(item.expr, window, bindings, analyzed.stars)
+                    evaluate_expr(item.expr, window, bindings)
                 )
             except RuntimeError:
                 # The window position was trimmed — possible after an
@@ -778,7 +777,8 @@ def _cluster_label(key) -> str:
     return str(key)
 
 
-def _resolve_matcher(matcher: Union[str, Matcher]) -> tuple[str, Matcher]:
+def resolve_matcher(matcher: Union[str, Matcher]) -> tuple[str, Matcher]:
+    """A :data:`MATCHERS` key or a matcher instance -> (report name, matcher)."""
     if isinstance(matcher, str):
         try:
             return matcher, MATCHERS[matcher]()
@@ -794,6 +794,13 @@ def _resolve_matcher(matcher: Union[str, Matcher]) -> tuple[str, Matcher]:
         if type(matcher) is cls:
             return name, matcher
     return type(matcher).__name__, matcher
+
+
+# Nothing calls this: search_cluster hands each sorted cluster straight to
+# the matcher.  The name stays only because the benchmark's layer wrappers
+# (perf/layers.py) patch it; ROADMAP item 6 drops both together.
+def apply_aggregate(*args, **kwargs) -> None:
+    """Unused; a patch target for ``perf/layers.py`` only."""
 
 
 def search_cluster(
@@ -821,12 +828,8 @@ def search_cluster(
     ) as span:
         kernels = _cluster_kernels(rows, plan, trace)
         try:
-            matches = apply_aggregate(
-                PatternSearchAggregate(
-                    plan.compiled, plan.matcher, instrumentation, budget,
-                    kernels=kernels,
-                ),
-                rows,
+            matches = plan.matcher.find_matches(
+                rows, plan.compiled, instrumentation, budget, kernels=kernels
             )
         except PlanningError as error:
             if not plan.policy.lenient or plan.fallback is None:
@@ -840,12 +843,8 @@ def search_cluster(
                 matcher_name=plan.fallback,
                 matcher=MATCHERS[plan.fallback](),
             )
-            matches = apply_aggregate(
-                PatternSearchAggregate(
-                    plan.compiled, plan.matcher, instrumentation, budget,
-                    kernels=kernels,
-                ),
-                rows,
+            matches = plan.matcher.find_matches(
+                rows, plan.compiled, instrumentation, budget, kernels=kernels
             )
         projected = [_project(plan.analyzed, rows, match) for match in matches]
     if span is not None:
@@ -903,7 +902,7 @@ def _cluster_passes(analyzed: AnalyzedQuery, rows: list[dict[str, object]]) -> b
         return False
     bindings = {name: (0, 0) for name in analyzed.spec.names}
     return all(
-        evaluate_condition(condition, rows, bindings, analyzed.stars)
+        evaluate_condition(condition, rows, bindings)
         for condition in analyzed.cluster_filter
     )
 
@@ -913,7 +912,7 @@ def _project(
 ) -> tuple:
     bindings = {name: (span.start, span.end) for name, span in match.bindings().items()}
     return tuple(
-        evaluate_expr(item.expr, rows, bindings, analyzed.stars)
+        evaluate_expr(item.expr, rows, bindings)
         for item in analyzed.select
     )
 

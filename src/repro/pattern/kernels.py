@@ -47,7 +47,6 @@ from repro.pattern.predicates import (
     OrCondition,
     StringEqualityCondition,
 )
-from repro.pattern.spec import PatternSpec
 
 
 @dataclass(frozen=True)
@@ -157,13 +156,6 @@ def _collect_columns(steps, names: set[str]) -> None:
         elif isinstance(step, Disjunction):
             for branch in step.branches:
                 _collect_columns(branch, names)
-
-
-def plan_kernels(spec: PatternSpec) -> KernelPlan:
-    """Stage-1 lowering for a whole pattern: one entry per element."""
-    return KernelPlan(
-        elements=tuple(plan_element(e.predicate) for e in spec)
-    )
 
 
 def plan_element(predicate: ElementPredicate) -> Optional[ElementKernel]:

@@ -85,6 +85,9 @@ class ResourceLimits:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
+            # A bool is an int to Python but no limit a caller means.
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value}")
             # ``not value >= 0`` also rejects NaN, which no clock exceeds.
             if value is not None and not value >= 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")

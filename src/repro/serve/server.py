@@ -619,9 +619,10 @@ class QueryServer:
         if not isinstance(sql, str) or not sql.strip():
             await self._send(writer, self._bad(rid, "'sql' must be a query string"))
             return
+        # Exact types: JSON true/false decode to bool, which is an int.
         timeout = request.get("timeout")
         if timeout is not None and (
-            not isinstance(timeout, (int, float)) or math.isnan(timeout)
+            type(timeout) not in (int, float) or math.isnan(timeout)
         ):
             await self._send(writer, self._bad(rid, "'timeout' must be a number"))
             return
@@ -640,14 +641,14 @@ class QueryServer:
             return
         max_matches = request.get("max_matches")
         if max_matches is not None and (
-            not isinstance(max_matches, int) or max_matches < 0
+            type(max_matches) is not int or max_matches < 0
         ):
             await self._send(
                 writer, self._bad(rid, "'max_matches' must be a non-negative int")
             )
             return
         workers = request.get("workers")
-        if workers is not None and (not isinstance(workers, int) or workers < 1):
+        if workers is not None and (type(workers) is not int or workers < 1):
             await self._send(
                 writer, self._bad(rid, "'workers' must be a positive int")
             )
@@ -822,7 +823,7 @@ class QueryServer:
             )
             return
         after_seq = request.get("after_seq", -1)
-        if not isinstance(after_seq, int):
+        if type(after_seq) is not int:  # a JSON bool is an int subclass
             await self._send(writer, self._bad(rid, "'after_seq' must be an int"))
             return
         key = (tenant, subscription)

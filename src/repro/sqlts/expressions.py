@@ -37,11 +37,7 @@ class _OffEnd(Exception):
     """Internal: navigation walked off the cluster."""
 
 
-def _base_index(
-    path: ast.VarPath,
-    bindings: Mapping[str, tuple[int, int]],
-    stars: Mapping[str, bool],
-) -> int:
+def _base_index(path: ast.VarPath, bindings: Mapping[str, tuple[int, int]]) -> int:
     """The 0-based cluster index the path's variable resolves to."""
     try:
         span = bindings[path.var]
@@ -49,9 +45,7 @@ def _base_index(
         raise ExecutionError(f"pattern variable {path.var!r} is not bound") from None
     if path.accessor == "last":
         return span[1]
-    if path.accessor == "first":
-        return span[0]
-    # Bare variable: the single tuple, or the first of a starred run.
+    # FIRST(X), or a bare variable: the single tuple, or the first of a run.
     return span[0]
 
 
@@ -67,11 +61,10 @@ def evaluate_expr(
     expr: ast.Expr,
     rows: Sequence[Mapping[str, object]],
     bindings: Mapping[str, tuple[int, int]],
-    stars: Mapping[str, bool],
 ) -> Optional[object]:
     """Evaluate an expression; None signals an off-end navigation (NULL)."""
     try:
-        return _eval(expr, rows, bindings, stars)
+        return _eval(expr, rows, bindings)
     except _OffEnd:
         return None
 
@@ -80,26 +73,23 @@ def _eval(
     expr: ast.Expr,
     rows: Sequence[Mapping[str, object]],
     bindings: Mapping[str, tuple[int, int]],
-    stars: Mapping[str, bool],
 ) -> object:
     if isinstance(expr, ast.NumberLit):
         return expr.value
     if isinstance(expr, ast.StringLit):
         return expr.value
     if isinstance(expr, ast.VarPath):
-        index = _navigate(
-            _base_index(expr, bindings, stars), expr.navigation, len(rows)
-        )
+        index = _navigate(_base_index(expr, bindings), expr.navigation, len(rows))
         row = rows[index]
         if expr.attr not in row:
             raise ExecutionError(f"unknown attribute {expr.attr!r}")
         return row[expr.attr]
     if isinstance(expr, ast.Neg):
-        value = _eval(expr.operand, rows, bindings, stars)
+        value = _eval(expr.operand, rows, bindings)
         return -_require_number(value)
     if isinstance(expr, ast.BinOp):
-        left = _require_number(_eval(expr.left, rows, bindings, stars))
-        right = _require_number(_eval(expr.right, rows, bindings, stars))
+        left = _require_number(_eval(expr.left, rows, bindings))
+        right = _require_number(_eval(expr.right, rows, bindings))
         if expr.op == "+":
             return left + right
         if expr.op == "-":
@@ -124,26 +114,25 @@ def evaluate_condition(
     condition: ast.Cond,
     rows: Sequence[Mapping[str, object]],
     bindings: Mapping[str, tuple[int, int]],
-    stars: Mapping[str, bool],
 ) -> bool:
     """Three-valued-free boolean evaluation: off-end navigation is False."""
     if isinstance(condition, ast.Comparison):
         try:
-            left = _eval(condition.left, rows, bindings, stars)
-            right = _eval(condition.right, rows, bindings, stars)
+            left = _eval(condition.left, rows, bindings)
+            right = _eval(condition.right, rows, bindings)
         except _OffEnd:
             return False
         return _compare(condition.op, left, right)
     if isinstance(condition, ast.And):
-        return evaluate_condition(condition.left, rows, bindings, stars) and (
-            evaluate_condition(condition.right, rows, bindings, stars)
+        return evaluate_condition(condition.left, rows, bindings) and (
+            evaluate_condition(condition.right, rows, bindings)
         )
     if isinstance(condition, ast.Or):
-        return evaluate_condition(condition.left, rows, bindings, stars) or (
-            evaluate_condition(condition.right, rows, bindings, stars)
+        return evaluate_condition(condition.left, rows, bindings) or (
+            evaluate_condition(condition.right, rows, bindings)
         )
     if isinstance(condition, ast.Not):
-        return not evaluate_condition(condition.operand, rows, bindings, stars)
+        return not evaluate_condition(condition.operand, rows, bindings)
     raise ExecutionError(f"cannot evaluate condition node {condition!r}")
 
 

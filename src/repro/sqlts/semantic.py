@@ -62,7 +62,6 @@ class AnalyzedQuery:
     query: ast.Query
     spec: PatternSpec
     cluster_filter: tuple[ast.Cond, ...]
-    stars: dict[str, bool]
 
     @property
     def select(self) -> tuple[ast.SelectItem, ...]:
@@ -122,7 +121,6 @@ def analyze(query: ast.Query, domains: Optional[AttributeDomains] = None) -> Ana
         query=query,
         spec=spec,
         cluster_filter=tuple(cluster_filter),
-        stars=stars,
     )
 
 
@@ -400,7 +398,7 @@ def _residual(conjunct: ast.Cond, element_var: str) -> ResidualCondition:
     def evaluate(ctx: EvalContext) -> bool:
         bindings = dict(ctx.bindings)
         bindings[element_var] = (ctx.index, ctx.index)
-        return evaluate_condition(conjunct, ctx.rows, bindings, {})
+        return evaluate_condition(conjunct, ctx.rows, bindings)
 
     return ResidualCondition(
         evaluate,

@@ -34,6 +34,25 @@ class TestCompareOnRows:
         with pytest.raises(ExecutionError):
             compare_on_rows([], cp, ("warp",))
 
+    def test_instances_report_registry_keys(self):
+        from repro.match.backtracking import BacktrackingMatcher
+        from repro.match.ops_star import OpsStarMatcher
+
+        cp = compile_pattern(staircase_spec(2))
+        runs = compare_on_rows([], cp, (OpsStarMatcher(), BacktrackingMatcher()))
+        assert list(runs) == ["ops", "backtracking"]
+
+    def test_a_name_listed_twice_is_rejected(self):
+        # Runs are keyed by name: a second "naive" would overwrite the first.
+        from repro.match.naive import NaiveMatcher
+
+        cp = compile_pattern(staircase_spec(2))
+        with pytest.raises(ExecutionError, match="listed twice"):
+            compare_on_rows(
+                [], cp, ("naive", NaiveMatcher(overlapping=True)),
+                require_identical=False,
+            )
+
     def test_disagreement_detected(self):
         """A matcher with different semantics must trip the identity check."""
         from repro.match.naive import NaiveMatcher

@@ -102,6 +102,15 @@ class TestResourceLimits:
         with pytest.raises(ValueError, match=f"{name} must be non-negative"):
             ResourceLimits(**{name: float("nan")})
 
+    def test_bool_rejected(self):
+        # True passes ``>= 0`` and would mean 1: a JSON ``true`` in a
+        # request or --quota-json is no limit a caller means.
+        for name in ("max_matches", "max_rows_scanned", "wall_clock_deadline",
+                     "max_stream_buffer"):
+            for value in (True, False):
+                with pytest.raises(ValueError, match=f"{name} must be a number"):
+                    ResourceLimits(**{name: value})
+
 
 class TestDiagnostics:
     def test_clean_by_default(self):
@@ -564,11 +573,11 @@ class TestMatcherNameNormalization:
         assert report.matcher == "naive"
 
     def test_subclass_keeps_its_own_name(self):
-        from repro.engine.executor import _resolve_matcher
+        from repro.engine.executor import resolve_matcher
 
         class TracingMatcher(NaiveMatcher):
             pass
 
-        name, matcher = _resolve_matcher(TracingMatcher())
+        name, matcher = resolve_matcher(TracingMatcher())
         assert name == "TracingMatcher"
         assert isinstance(matcher, TracingMatcher)

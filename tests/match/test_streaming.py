@@ -129,6 +129,20 @@ class TestStreamingAgreement:
             streamed, _ = self._stream(rows, plan)
             assert streamed == OpsStarMatcher().find_matches(rows, plan)
 
+    def test_example4_short_stream(self, example4_compiled):
+        """One Example 4 match, pushed row by row, equals the batch result."""
+        rows = price_rows(55, 50, 45, 49, 51, 60)
+        streamed, _ = self._stream(rows, example4_compiled)
+        assert streamed
+        assert streamed == OpsStarMatcher().find_matches(rows, example4_compiled)
+
+    def test_example4_pattern(self, example4_compiled):
+        """The paper's Example 4 (range predicates) streams what batch finds."""
+        rows = price_rows(55, 50, 45, 49, 51, 60, 55, 48, 44, 49, 50)
+        streamed, _ = self._stream(rows, example4_compiled)
+        assert streamed
+        assert streamed == OpsStarMatcher().find_matches(rows, example4_compiled)
+
     def test_lookahead_pattern(self):
         """Predicates peeking at .next must defer until the row arrives."""
         peek = price_predicate(
@@ -200,6 +214,17 @@ class TestTrimming:
             matcher.push({"price": value})
             peak = max(peak, matcher.buffered_rows)
         assert peak <= 10  # attempts are at most m deep plus lookback
+
+    def test_example4_window_stays_bounded(self, example4_compiled):
+        matcher = OpsStreamMatcher(example4_compiled)
+        rng = random.Random(31)
+        value = 46.0
+        peak = 0
+        for _ in range(2000):
+            value = max(35.0, min(60.0, value + rng.choice([-3.0, -1.0, 1.0, 3.0])))
+            matcher.push({"price": value})
+            peak = max(peak, matcher.buffered_rows)
+        assert peak <= 10
 
     def test_star_window_bounded_by_attempt_length(self):
         plan = compiled(("A", RISE, True), ("B", FALL, True), ("S", LOW, False))

@@ -105,6 +105,30 @@ class TestQueries:
                     client.request("query", **fields)
                 assert info.value.code == "bad_request"
 
+    @pytest.mark.parametrize(
+        "op, field",
+        [
+            ("query", "timeout"),
+            ("query", "max_matches"),
+            ("query", "workers"),
+            ("subscribe", "after_seq"),
+        ],
+    )
+    def test_bool_field_is_a_bad_request(self, run_server, op, field):
+        # JSON true/false decode to bool, an int subclass: taken as a
+        # number, `true` meant 1 and a `false` timeout an expired deadline.
+        handle = run_server()
+        fields = {"sql": CROSSING_QUERY}
+        if op == "subscribe":
+            fields["subscription"] = "s1"
+        with ServeClient(*handle.address, tenant="acme") as client:
+            for value in (True, False):
+                with pytest.raises(ServeError) as info:
+                    client.request(op, **fields, **{field: value})
+                assert info.value.code == "bad_request"
+            tenants = client.stats()["admission"]["tenants"]
+        assert "deadline" not in tenants.get("acme", {}).get("rejections", {})
+
 
 class TestLimitsAndDeadlines:
     def test_nan_timeout_is_a_bad_request_and_frees_its_slot(self, run_server):
