@@ -52,7 +52,13 @@ from repro.recovery import (
 )
 from repro.resilience import Budget, Diagnostics, ErrorPolicy, ResourceLimits
 from repro.sqlts import ast
-from repro.sqlts.expressions import evaluate_condition, evaluate_expr
+from repro.sqlts.expressions import evaluate_condition
+
+# ``codegen=False`` projects through the interpreter, and the benchmark's
+# layer wrappers (perf/layers.py) patch this name as the ``project`` span;
+# tests/test_perf_targets.py fails if it goes.  The lowered SELECT that
+# every other run uses does not call it, so that span reads about 0.
+from repro.sqlts.expressions import evaluate_expr
 from repro.sqlts.parser import parse_query
 from repro.sqlts.semantic import AnalyzedQuery, analyze
 
@@ -187,8 +193,7 @@ class Executor:
         self._query_seconds = self.metrics.histogram(
             "repro_query_seconds", "Query wall time in seconds"
         )
-        if not isinstance(workers, int) or workers < 1:
-            raise ExecutionError(f"workers must be a positive int, got {workers!r}")
+        _check_workers(workers)
         self._workers = workers
         if evaluator not in EVALUATOR_MODES:
             raise ExecutionError(
@@ -271,10 +276,7 @@ class Executor:
         either way (asserted by ``repro.bench.obs_overhead``).
         """
         workers = self._workers if workers is None else workers
-        if not isinstance(workers, int) or workers < 1:
-            raise ExecutionError(
-                f"workers must be a positive int, got {workers!r}"
-            )
+        _check_workers(workers)
         started = time.perf_counter()
         if trace is None:
             result, report = self._run(
@@ -459,7 +461,7 @@ class Executor:
         return StreamingQuery(
             columns=columns,
             runner=runner,
-            keyed_rows=_stream_rows(runner, analyzed, resume),
+            keyed_rows=_stream_rows(runner, analyzed, resume, compiled.use_codegen),
         )
 
     # ------------------------------------------------------------------
@@ -731,7 +733,10 @@ def _ordered_source(source_factory, sequence_by: tuple[str, ...]):
 
 
 def _stream_rows(
-    runner: RecoveringStreamRunner, analyzed: AnalyzedQuery, resume: bool
+    runner: RecoveringStreamRunner,
+    analyzed: AnalyzedQuery,
+    resume: bool,
+    lowered: bool,
 ) -> Iterator[tuple[int, tuple]]:
     """Project each emitted match against the matcher's live window.
 
@@ -739,20 +744,21 @@ def _stream_rows(
     position in the stream — the same coordinate the recovery runner's
     exactly-once high-water mark uses, so it is stable across
     crash/resume and strictly increasing within one subscription.
+    ``lowered`` reads the match's boundaries through the plan's lowered
+    SELECT; otherwise each item is interpreted over the match's spans.
     """
+    if lowered:
+        items = analyzed.projection.items
+    else:
+        items = tuple(partial(evaluate_expr, item.expr) for item in analyzed.select)
     warned_trimmed = False
     for _, match in runner.run(resume=resume):
         window = runner.matcher.window
-        bindings = {
-            name: (span.start, span.end)
-            for name, span in match.bindings().items()
-        }
+        context = match.bounds if lowered else _span_bindings(match)
         values = []
-        for item in analyzed.select:
+        for item in items:
             try:
-                values.append(
-                    evaluate_expr(item.expr, window, bindings)
-                )
+                values.append(item(window, context))
             except RuntimeError:
                 # The window position was trimmed — possible after an
                 # overflow "restart" dropped rows a restored/pending
@@ -820,7 +826,8 @@ def search_cluster(
     PlanningError from the matcher degrades to the fallback under a
     lenient policy, and the returned plan carries the fallback so later
     clusters skip the failing attempt.  With ``trace``, the search is
-    one ``cluster`` span labelled with the cluster's key.
+    one ``cluster`` span labelled with the cluster's key, with the
+    projection of its matches as its ``project`` child.
     """
     tests_before = instrumentation.tests
     with (
@@ -846,7 +853,14 @@ def search_cluster(
             matches = plan.matcher.find_matches(
                 rows, plan.compiled, instrumentation, budget, kernels=kernels
             )
-        projected = [_project(plan.analyzed, rows, match) for match in matches]
+        if trace is None:
+            projected = _project_cluster(plan, rows, matches)
+        else:
+            with trace.span("project") as project_span:
+                projected = _project_cluster(plan, rows, matches)
+            project_span.annotate(
+                matches=len(matches), columns=len(plan.analyzed.select)
+            )
     if span is not None:
         span.annotate(
             partition=_cluster_label(key),
@@ -907,14 +921,37 @@ def _cluster_passes(analyzed: AnalyzedQuery, rows: list[dict[str, object]]) -> b
     )
 
 
-def _project(
-    analyzed: AnalyzedQuery, rows: list[dict[str, object]], match: Match
-) -> tuple:
-    bindings = {name: (span.start, span.end) for name, span in match.bindings().items()}
-    return tuple(
-        evaluate_expr(item.expr, rows, bindings)
-        for item in analyzed.select
-    )
+def _project_cluster(
+    plan: SearchPlan, rows: list[dict[str, object]], matches: list[Match]
+) -> list[tuple]:
+    """One output tuple per match, in match order.
+
+    The plan's lowered SELECT gathers each value from the match's
+    boundaries.  ``codegen=False`` is the interpreted oracle: each item
+    goes through ``evaluate_expr`` over the match's spans.
+    """
+    if plan.compiled.use_codegen:
+        return plan.analyzed.projection.rows(rows, matches)
+    select = plan.analyzed.select
+    projected = []
+    for match in matches:
+        bindings = _span_bindings(match)
+        projected.append(
+            tuple(evaluate_expr(item.expr, rows, bindings) for item in select)
+        )
+    return projected
+
+
+def _span_bindings(match: Match) -> dict[str, tuple[int, int]]:
+    """The interpreter's bindings of a match: name -> (start, end)."""
+    return {name: (span.start, span.end) for name, span in match.bindings().items()}
+
+
+def _check_workers(workers) -> None:
+    """Refuse a worker count that is not a positive int; a bool is an
+    int to Python but no count a caller means."""
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ExecutionError(f"workers must be a positive int, got {workers!r}")
 
 
 def execute(

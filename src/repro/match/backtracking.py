@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
-from repro.match.base import Instrumentation, Match, Span, test_element
+from repro.match.base import Instrumentation, Match, test_element
 from repro.pattern.compiler import CompiledPattern
 from repro.resilience import Budget
 
@@ -61,15 +61,16 @@ class BacktrackingMatcher:
         while start < n:
             if budget is not None and budget.step():
                 break
-            spans = self._search(
+            ends = self._search(
                 rows, pattern, evaluators, 1, start, {}, instrumentation, budget
             )
-            if spans is None:
+            if ends is None:
                 start += 1
             else:
-                match = Match(start, spans[-1].end, tuple(spans), pattern.spec.names)
-                matches.append(match)
-                start = match.end + 1
+                matches.append(
+                    Match.from_bounds((start, *ends), pattern.spec.names)
+                )
+                start = ends[-1]
                 if budget is not None and budget.add_match():
                     break
         return matches
@@ -84,8 +85,11 @@ class BacktrackingMatcher:
         bindings: dict[str, tuple[int, int]],
         instrumentation: Optional[Instrumentation],
         budget: Optional[Budget] = None,
-    ) -> Optional[list[Span]]:
-        """Match elements j..m starting at input i; None on failure."""
+    ) -> Optional[list[int]]:
+        """Match elements j..m starting at input i; None on failure.
+
+        On success, the end boundary (last row + 1) of each element j..m.
+        """
         if budget is not None and budget.step():
             # Abandoning the search mid-attempt is safe: the caller
             # returns whatever complete matches were already recorded.
@@ -106,7 +110,7 @@ class BacktrackingMatcher:
                 rows, pattern, evaluators, j + 1, i + 1, extended,
                 instrumentation, budget
             )
-            return None if rest is None else [Span(i, i), *rest]
+            return None if rest is None else [i + 1, *rest]
         # Starred: discover the maximal satisfying run, then try every
         # boundary from longest to shortest, re-searching downstream.
         end = i
@@ -122,7 +126,7 @@ class BacktrackingMatcher:
                 instrumentation, budget
             )
             if rest is not None:
-                return [Span(i, last), *rest]
+                return [last + 1, *rest]
             if budget is not None and budget.tripped is not None:
                 return None
         return None

@@ -9,7 +9,7 @@ curves of Figure 5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Protocol, Sequence
 
 from repro.pattern.compiler import CompiledPattern
@@ -32,24 +32,103 @@ class Span:
         return self.end - self.start + 1
 
 
-@dataclass(frozen=True)
 class Match:
-    """One pattern occurrence: overall extent plus per-element spans."""
+    """One pattern occurrence, stored as its element boundaries.
 
-    start: int
-    end: int
-    spans: tuple[Span, ...]
-    names: tuple[str, ...]
+    ``bounds`` holds m + 1 absolute input positions: element t (1-based)
+    spans ``bounds[t - 1] .. bounds[t] - 1``.  ``start``, ``end``,
+    ``spans``, ``bindings()`` and ``span_of()`` are derived from it, so a
+    :class:`Span` is built only when one of them is read.  Matchers build
+    a match with :meth:`from_bounds`; ``Match(start, end, spans, names)``
+    checks that the spans tile ``start .. end`` without gaps.
+    """
+
+    __slots__ = ("_bounds", "_names")
+
+    def __init__(
+        self, start: int, end: int, spans: Sequence[Span], names: Sequence[str]
+    ):
+        spans = tuple(spans)
+        names = tuple(names)
+        if not spans:
+            raise ValueError("a match needs at least one span")
+        if len(spans) != len(names):
+            raise ValueError(
+                f"{len(spans)} span(s) for {len(names)} pattern variable(s)"
+            )
+        bounds = [start]
+        for span in spans:
+            if span.start != bounds[-1]:
+                raise ValueError(
+                    f"span {span.start}..{span.end} does not start at "
+                    f"{bounds[-1]}: spans must be contiguous from {start}"
+                )
+            bounds.append(span.end + 1)
+        if bounds[-1] != end + 1:
+            raise ValueError(
+                f"spans end at {bounds[-1] - 1}, not at the match end {end}"
+            )
+        self._bounds = tuple(bounds)
+        self._names = names
+
+    @classmethod
+    def from_bounds(cls, bounds: tuple[int, ...], names: tuple[str, ...]) -> "Match":
+        """The match whose element t spans ``bounds[t - 1] .. bounds[t] - 1``."""
+        match = object.__new__(cls)
+        match._bounds = bounds
+        match._names = names
+        return match
+
+    @property
+    def bounds(self) -> tuple[int, ...]:
+        return self._bounds
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return self._names
+
+    @property
+    def start(self) -> int:
+        return self._bounds[0]
+
+    @property
+    def end(self) -> int:
+        return self._bounds[-1] - 1
+
+    @property
+    def spans(self) -> tuple[Span, ...]:
+        bounds = self._bounds
+        return tuple(
+            Span(bounds[t], bounds[t + 1] - 1) for t in range(len(bounds) - 1)
+        )
 
     def bindings(self) -> dict[str, Span]:
         """Pattern-variable name -> matched span."""
-        return dict(zip(self.names, self.spans))
+        return dict(zip(self._names, self.spans))
 
     def span_of(self, name: str) -> Span:
         try:
-            return self.spans[self.names.index(name)]
+            t = self._names.index(name)
         except ValueError:
             raise KeyError(f"no pattern variable named {name!r}") from None
+        return Span(self._bounds[t], self._bounds[t + 1] - 1)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._bounds == other._bounds and self._names == other._names
+
+    def __hash__(self) -> int:
+        return hash((self._bounds, self._names))
+
+    def __reduce__(self):
+        return (self.from_bounds, (self._bounds, self._names))
+
+    def __repr__(self) -> str:
+        return (
+            f"Match(start={self.start!r}, end={self.end!r}, "
+            f"spans={self.spans!r}, names={self._names!r})"
+        )
 
 
 class Instrumentation:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from repro.errors import PlanningError
-from repro.match.base import Instrumentation, Match, Matcher, Span
+from repro.match.base import Instrumentation, Match, Matcher
 from repro.match.ops_star import OpsStarMatcher
 from repro.pattern.compiler import CompiledPattern, compile_pattern
 from repro.pattern.predicates import (
@@ -43,6 +43,7 @@ from repro.pattern.predicates import (
     StringEqualityCondition,
 )
 from repro.pattern.spec import PatternElement, PatternSpec
+from repro.resilience import Budget
 
 
 def _reverse_attr(attr: Attr | None) -> Attr | None:
@@ -129,7 +130,12 @@ def choose_direction(spec: PatternSpec) -> tuple[str, CompiledPattern]:
 
 
 class ReverseMatcher:
-    """Scan right-to-left with a reversed pattern; report forward spans."""
+    """Scan right-to-left with a reversed pattern; report forward spans.
+
+    ``budget`` reaches the inner scan.  ``kernels`` are the truth arrays of
+    the forward rows, so the reversed scan ignores them and evaluates its
+    reversed predicates row by row.
+    """
 
     def __init__(self, inner: Optional[Matcher] = None):
         self._inner = inner if inner is not None else OpsStarMatcher()
@@ -139,20 +145,21 @@ class ReverseMatcher:
         rows: Sequence[Mapping[str, object]],
         pattern: CompiledPattern,
         instrumentation: Optional[Instrumentation] = None,
+        budget: Optional[Budget] = None,
+        kernels=None,
     ) -> list[Match]:
         reversed_plan = compile_pattern(reverse_pattern(pattern.spec))
         reversed_rows = list(reversed(rows))
-        raw = self._inner.find_matches(reversed_rows, reversed_plan, instrumentation)
+        raw = self._inner.find_matches(
+            reversed_rows, reversed_plan, instrumentation, budget
+        )
+        # Reversed element t spans b[t-1] .. b[t]-1 counted from the end,
+        # so the forward boundaries are n - b, read right to left.
         n = len(rows)
-        converted = []
-        for match in raw:
-            spans = tuple(
-                Span(n - 1 - span.end, n - 1 - span.start)
-                for span in reversed(match.spans)
-            )
-            names = tuple(reversed(match.names))
-            converted.append(
-                Match(n - 1 - match.end, n - 1 - match.start, spans, names)
-            )
+        names = pattern.spec.names
+        converted = [
+            Match.from_bounds(tuple([n - b for b in reversed(match.bounds)]), names)
+            for match in raw
+        ]
         converted.sort(key=lambda match: match.start)
         return converted

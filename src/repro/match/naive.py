@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
-from repro.match.base import Instrumentation, Match, Span
+from repro.match.base import Instrumentation, Match
 from repro.pattern.compiler import CompiledPattern
 from repro.resilience import Budget
 
@@ -72,7 +72,7 @@ class NaiveMatcher:
     ) -> Optional[Match]:
         n = len(rows)
         i = start
-        spans: list[Span] = []
+        bounds = [start]
         bindings: dict[str, tuple[int, int]] = {}
         evaluators = pattern.evaluators
         record = instrumentation.record if instrumentation is not None else None
@@ -105,7 +105,6 @@ class NaiveMatcher:
                     i += 1
                     if budget is not None and budget.step():
                         return None
-            span = Span(first, i - 1)
-            spans.append(span)
-            bindings[element.name] = (span.start, span.end)
-        return Match(start, i - 1, tuple(spans), pattern.spec.names)
+            bounds.append(i)
+            bindings[element.name] = (first, i - 1)
+        return Match.from_bounds(tuple(bounds), pattern.spec.names)

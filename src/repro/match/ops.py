@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence
 
 from repro.errors import PlanningError
-from repro.match.base import Instrumentation, Match, Span
+from repro.match.base import Instrumentation, Match
 from repro.pattern.compiler import CompiledPattern
 from repro.resilience import Budget
 
@@ -98,8 +98,9 @@ class OpsMatcher:
             j += 1
             if j > m:
                 start = i - m - 1  # 0-based: the match covers t_{i-m} .. t_{i-1}
-                spans = tuple(Span(start + offset, start + offset) for offset in range(m))
-                matches.append(Match(start, i - 2, spans, names))
+                matches.append(
+                    Match.from_bounds(tuple(range(start, start + m + 1)), names)
+                )
                 j = 1  # resume scanning right after the match (non-overlapping)
                 if budget is not None and budget.add_match():
                     break

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
-from repro.match.base import Instrumentation, Match, Span
+from repro.match.base import Instrumentation, Match
 from repro.pattern.compiler import CompiledPattern
 from repro.resilience import Budget
 
@@ -107,6 +107,9 @@ class _Run:
             getattr(element.predicate, "has_residual", True)
             for element in self.elements
         ]
+        # ``reads_bindings[j]``: element j's evaluator reads the spans of
+        # earlier elements (see ``_bindings``).
+        self.reads_bindings = (False,) + tuple(residuals)
         residual_stars = [
             element.star and residual
             for element, residual in zip(self.elements, residuals)
@@ -140,16 +143,24 @@ class _Run:
         Covers everything :meth:`process` mutates except ``matches``,
         which the snapshotting layer owns (it knows which matches were
         already emitted downstream).  The result contains only built-in
-        types, so it serializes with any codec.
+        types, so it serializes with any codec.  ``spans`` and
+        ``bindings`` are derived from ``attempt_start`` and ``counts``;
+        they stay in the snapshot, as separate tuples, so its pickled
+        bytes do not change.
         """
+        start = self.attempt_start
+        counts = self.counts
+        spans = [
+            (start + counts[t - 1], start + counts[t] - 1) for t in range(1, self.j)
+        ]
         return {
-            "attempt_start": self.attempt_start,
+            "attempt_start": start,
             "i": self.i,
             "j": self.j,
             "current_consumed": self.current_consumed,
-            "counts": list(self.counts),
-            "spans": [(span.start, span.end) for span in self.spans],
-            "bindings": {name: tuple(span) for name, span in self.bindings.items()},
+            "counts": list(counts),
+            "spans": spans,
+            "bindings": {name: (s, e) for name, (s, e) in zip(self.names, spans)},
         }
 
     def restore_state(self, state: dict) -> None:
@@ -159,11 +170,7 @@ class _Run:
         self.j = int(state["j"])
         self.current_consumed = int(state["current_consumed"])
         self.counts = [int(count) for count in state["counts"]]
-        self.spans = [Span(start, end) for start, end in state["spans"]]
-        self.bindings = {
-            name: (int(span[0]), int(span[1]))
-            for name, span in dict(state["bindings"]).items()
-        }
+        self.bound = None
 
     def _reset_attempt(self, start: int) -> None:
         self.attempt_start = start
@@ -171,8 +178,23 @@ class _Run:
         self.j = 1
         self.current_consumed = 0
         self.counts = [0] * (self.m + 1)
-        self.spans: list[Span] = []
-        self.bindings: dict[str, tuple[int, int]] = {}
+        self.bound = None
+
+    def _bindings(self) -> dict[str, tuple[int, int]]:
+        """Name -> ``(start, end)`` of elements 1..j-1, for residual
+        evaluators; built once per attempt state and cached on ``bound``
+        until the next transition clears it.  A name not bound yet is a
+        KeyError, which the evaluators report as an unbound variable."""
+        bound = self.bound
+        if bound is None:
+            start = self.attempt_start
+            counts = self.counts
+            names = self.names
+            bound = self.bound = {
+                names[t - 1]: (start + counts[t - 1], start + counts[t] - 1)
+                for t in range(1, self.j)
+            }
+        return bound
 
     # ------------------------------------------------------------------
 
@@ -191,11 +213,15 @@ class _Run:
         """
         # Scan-invariant state hoisted into locals: every name below is a
         # plain fast-local inside the loop instead of a ``self`` attribute
-        # read per iteration.  ``i``/``j``/``bindings`` mutate through the
-        # helper methods, so they are re-read after every helper call.
+        # read per iteration.  ``i``/``j`` mutate through the helper
+        # methods, so they are re-read after every helper call.  An
+        # element without a residual is handed ``unbound``, an empty
+        # mapping, since its evaluator never reads the bindings.
         rows = self.rows
         elements = self.elements
         evaluators = self.evaluators
+        reads_bindings = self.reads_bindings
+        unbound: dict = {}
         record = self.record
         budget = self.budget
         truths = self.truths
@@ -239,8 +265,10 @@ class _Run:
             truth = truths[j - 1] if truths is not None else None
             if truth is not None:
                 satisfied = truth[i]
+            elif reads_bindings[j]:
+                satisfied = evaluators[j - 1](rows, i, self._bindings())
             else:
-                satisfied = evaluators[j - 1](rows, i, self.bindings)
+                satisfied = evaluators[j - 1](rows, i, unbound)
             if satisfied:
                 self.i = i + 1
                 self.current_consumed += 1
@@ -297,33 +325,20 @@ class _Run:
         """Move the in-flight attempt ``rows`` positions on, unchanged."""
         self.attempt_start += rows
         self.i += rows
-        if self.spans:
-            self.spans = [
-                Span(span.start + rows, span.end + rows) for span in self.spans
-            ]
-            self.bindings = {
-                name: (span.start, span.end)
-                for name, span in zip(self.names, self.spans)
-            }
+        self.bound = None
 
     def _complete_element(self) -> None:
         j = self.j
         self.counts[j] = self.counts[j - 1] + self.current_consumed
-        span = Span(
-            self.attempt_start + self.counts[j - 1],
-            self.attempt_start + self.counts[j] - 1,
-        )
-        self.spans.append(span)
-        self.bindings[self.names[j - 1]] = (span.start, span.end)
-        self.j += 1
+        self.j = j + 1
         self.current_consumed = 0
+        self.bound = None
 
     def _record_match(self) -> None:
-        end = self.attempt_start + self.counts[self.m] - 1
-        self.matches.append(
-            Match(self.attempt_start, end, tuple(self.spans), self.names)
-        )
-        self._reset_attempt(end + 1)
+        start = self.attempt_start
+        bounds = tuple([start + count for count in self.counts])
+        self.matches.append(Match.from_bounds(bounds, self.names))
+        self._reset_attempt(bounds[-1])
         if self.budget is not None:
             self.budget.add_match()
 
@@ -375,8 +390,6 @@ class _Run:
             self.instrumentation.record_skip(consumed_by_shift)
         new_start = self.attempt_start + consumed_by_shift
         new_counts = [0] * (self.m + 1)
-        new_spans: list[Span] = []
-        new_bindings: dict[str, tuple[int, int]] = {}
         for t in range(1, nx):
             boundary = sh + t
             if boundary <= j - 1:
@@ -395,16 +408,9 @@ class _Run:
                 # fresh at the shifted origin instead.
                 self._reset_attempt(new_start)
                 return
-            span = Span(
-                new_start + new_counts[t - 1],
-                new_start + new_counts[t] - 1,
-            )
-            new_spans.append(span)
-            new_bindings[self.names[t - 1]] = (span.start, span.end)
         self.attempt_start = new_start
         self.i = new_start + new_counts[nx - 1]
         self.j = nx
         self.current_consumed = 0
         self.counts = new_counts
-        self.spans = new_spans
-        self.bindings = new_bindings
+        self.bound = None

@@ -47,7 +47,7 @@ from repro.errors import (
     RecoveryError,
     TransientSourceError,
 )
-from repro.match.base import Instrumentation, Match, Span
+from repro.match.base import Instrumentation, Match
 from repro.match.streaming import OpsStreamMatcher
 from repro.pattern.compiler import CompiledPattern
 from repro.resilience import Diagnostics, ResourceLimits
@@ -139,7 +139,7 @@ def snapshot_matcher(matcher: OpsStreamMatcher) -> MatcherSnapshot:
             (
                 match.start,
                 match.end,
-                tuple((span.start, span.end) for span in match.spans),
+                tuple(zip(match.bounds, [bound - 1 for bound in match.bounds[1:]])),
             )
             for match in pending
         ),
@@ -202,13 +202,8 @@ def restore_matcher(
     matcher._run.restore_state(dict(snapshot.run))
     names = pattern.spec.names
     matcher._run.matches = [
-        Match(
-            start,
-            end,
-            tuple(Span(s, e) for s, e in spans),
-            names,
-        )
-        for start, end, spans in snapshot.pending_matches
+        Match.from_bounds((start, *(span_end + 1 for _, span_end in spans)), names)
+        for start, _, spans in snapshot.pending_matches
     ]
     matcher._emitted = 0
     matcher._high_water = snapshot.high_water

@@ -33,7 +33,7 @@ The analyzer performs the paper's (implicit) query-compilation front half:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.constraints.atoms import Op
@@ -51,17 +51,23 @@ from repro.pattern.predicates import (
 )
 from repro.pattern.spec import PatternElement, PatternSpec
 from repro.sqlts import ast
-from repro.sqlts.codegen import lower_residual
+from repro.sqlts.codegen import LoweredSelect, lower_residual, lower_select
 from repro.sqlts.expressions import evaluate_condition
 
 
 @dataclass(frozen=True)
 class AnalyzedQuery:
-    """The result of semantic analysis, ready for pattern compilation."""
+    """The result of semantic analysis, ready for pattern compilation.
+
+    ``projection`` is the SELECT list lowered once, at analysis time, to
+    row gathers over a match's boundaries (:func:`~repro.sqlts.codegen.
+    lower_select`); it lives as long as the plan that holds it.
+    """
 
     query: ast.Query
     spec: PatternSpec
     cluster_filter: tuple[ast.Cond, ...]
+    projection: LoweredSelect = field(compare=False, repr=False)
 
     @property
     def select(self) -> tuple[ast.SelectItem, ...]:
@@ -121,6 +127,7 @@ def analyze(query: ast.Query, domains: Optional[AttributeDomains] = None) -> Ana
         query=query,
         spec=spec,
         cluster_filter=tuple(cluster_filter),
+        projection=lower_select(query.select, spec.names),
     )
 
 

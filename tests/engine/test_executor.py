@@ -1,11 +1,15 @@
 """The SQL-TS executor end to end: projection, clustering, reports."""
 
 import datetime as dt
+import gc
 
 import pytest
 
+from repro.data.quotes import quote_table
+from repro.data.workloads import EXAMPLE_2
 from repro.engine.catalog import Catalog
 from repro.engine.executor import Executor, execute
+from repro.engine.session import Session
 from repro.engine.table import Table
 from repro.errors import ExecutionError
 from repro.match.base import Instrumentation
@@ -209,3 +213,46 @@ class TestReport:
         analyzed, compiled = Executor(catalog, domains=DOMAINS).prepare(EXAMPLE1)
         assert analyzed.table == "quote"
         assert compiled.m == 3
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda catalog: Executor(catalog, workers=True),
+            lambda catalog: Executor(catalog).execute(EXAMPLE1, workers=True),
+            lambda catalog: Session(catalog, workers=True),
+        ],
+        ids=["Executor", "execute", "Session"],
+    )
+    def test_a_bool_is_refused(self, call):
+        # True is an int to Python, but no worker count a caller means.
+        with pytest.raises(ExecutionError, match="positive int"):
+            call(quote_catalog(SPIKE_ROWS))
+
+
+class TestNoReferenceCycles:
+    """A scan's matches and bindings must be freed by reference counting
+    alone: a cycle would keep every match of a scan alive until a full
+    collection."""
+
+    PANEL_QUERY = (
+        "SELECT X.name, X.date, S.date FROM quote CLUSTER BY name "
+        "SEQUENCE BY date AS (X, *Y, S) "
+        "WHERE Y.price < 0.995 * Y.previous.price "
+        "AND S.price > 1.01 * X.price"
+    )
+
+    def test_residual_queries_leave_nothing_for_the_collector(self):
+        executor = Executor(Catalog([quote_table(days=120)]), domains=DOMAINS)
+        queries = (EXAMPLE_2, self.PANEL_QUERY)
+        for query in queries:
+            executor.prepare(query)
+        gc.collect()
+        gc.disable()
+        try:
+            results = [executor.execute(query) for query in queries]
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert results[1].rows  # the panel query's residual does match

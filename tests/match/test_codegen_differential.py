@@ -172,3 +172,140 @@ class TestProjectionParity:
             errors.append(str(info.value))
         assert errors[0] == errors[1]
         assert "division by zero" in errors[0]
+
+    # The lowered SELECT (row gathers over a match's boundaries) against
+    # the interpreted oracle (evaluate_expr over Match.spans).  The data
+    # below hold two matches of (X, *Y, Z): X=0, Y=1..3, Z=4 and X=5,
+    # Y=6..7, Z=8, the second one ending on the last row.
+    STARRED = (
+        "FROM quote CLUSTER BY name SEQUENCE BY day AS (X, *Y, Z) "
+        "WHERE Y.price < Y.previous.price AND Z.price > Z.previous.price"
+    )
+    STARRED_PRICES = [10, 9, 8, 7, 9, 8, 6, 5, 10]
+
+    def assert_rows_on_both_paths(self, select, expected):
+        catalog = tiny_catalog(self.STARRED_PRICES)
+        for matcher_name in MATCHER_NAMES:
+            (fast, _, _), _ = run_both(
+                f"SELECT {select} {self.STARRED}", matcher_name, catalog=catalog
+            )
+            assert list(fast.rows) == expected
+
+    def test_bare_first_and_last_on_a_starred_variable(self):
+        self.assert_rows_on_both_paths(
+            "Y.day, FIRST(Y).day, LAST(Y).day, LAST(Y).price, X.day, Z.day",
+            [(1, 1, 3, 7.0, 0, 4), (6, 6, 7, 5.0, 5, 8)],
+        )
+
+    def test_navigation_chains_off_both_ends_are_null(self):
+        self.assert_rows_on_both_paths(
+            "X.previous.day, X.previous.previous.day, X.previous.NEXT.day, "
+            "LAST(Y).NEXT.NEXT.day, Z.NEXT.day, Z.NEXT.previous.day, "
+            "FIRST(Y).previous.previous.previous.day",
+            [(None, None, 0, 5, 5, 4, None), (4, 3, 5, None, None, 8, 3)],
+        )
+
+    def test_arithmetic_negation_and_literal_items(self):
+        self.assert_rows_on_both_paths(
+            "-X.price, X.price * 2 + 1, (LAST(Y).price - X.price) / X.price, "
+            "3, 'tag', Z.NEXT.price - 1, -(Z.NEXT.price)",
+            [
+                (-10.0, 21.0, -0.3, 3.0, "tag", 7.0, -8.0),
+                (-8.0, 17.0, -0.375, 3.0, "tag", None, None),
+            ],
+        )
+
+    def error_on_both_paths(self, query, prices):
+        catalog = tiny_catalog(prices)
+        messages = set()
+        for matcher_name in MATCHER_NAMES:
+            for codegen in (True, False):
+                executor = Executor(catalog, matcher=matcher_name, codegen=codegen)
+                with pytest.raises(ExecutionError) as info:
+                    executor.execute(query)
+                messages.add(str(info.value))
+        assert len(messages) == 1
+        return messages.pop()
+
+    RISING = (
+        "FROM quote CLUSTER BY name SEQUENCE BY day AS (X, Y) "
+        "WHERE Y.price > X.price"
+    )
+
+    def test_unknown_attribute_raises_identically(self):
+        message = self.error_on_both_paths(
+            f"SELECT X.day, X.nosuch {self.RISING}", [10, 12, 11, 13]
+        )
+        assert message == "unknown attribute 'nosuch'"
+
+    def test_arithmetic_on_a_string_raises_identically(self):
+        message = self.error_on_both_paths(
+            f"SELECT X.name + 1 {self.RISING}", [10, 12, 11, 13]
+        )
+        assert message == "arithmetic on non-numeric value 'IBM'"
+
+    def test_first_error_is_in_match_then_item_order(self):
+        # Match 1 (X=0): item 1 navigates off the start (NULL, no error),
+        # so item 2 raises first.  Item 1 would only raise at match 2.
+        message = self.error_on_both_paths(
+            f"SELECT X.previous.name + 1, X.nosuch {self.RISING}",
+            [10, 12, 11, 13],
+        )
+        assert message == "unknown attribute 'nosuch'"
+
+    def test_stream_projection_matches_batch_on_both_paths(self):
+        # A stream has no rows past the newest one, so the items stay
+        # inside or before the match.
+        select = (
+            "SELECT X.previous.day, FIRST(Y).day, LAST(Y).day, "
+            "Z.previous.previous.day, -X.price FROM quote SEQUENCE BY day "
+            "AS (X, *Y, Z) "
+            "WHERE Y.price < Y.previous.price AND Z.price > Z.previous.price"
+        )
+        catalog = tiny_catalog(self.STARRED_PRICES)
+        rows = list(catalog.table("quote").rows)
+
+        def source(start):
+            return ((offset, row) for offset, row in enumerate(rows) if offset >= start)
+
+        outputs = []
+        for codegen in (True, False):
+            executor = Executor(catalog, codegen=codegen)
+            outputs.append(list(executor.stream(select, source).rows))
+            outputs.append(list(executor.execute(select).rows))
+        assert outputs[0] == [(None, 1, 3, 2, -10.0), (4, 6, 7, 6, -8.0)]
+        assert all(output == outputs[0] for output in outputs)
+
+    @pytest.mark.parametrize("lowered", [True, False], ids=["lowered", "interpreted"])
+    def test_trimmed_window_reads_are_null_with_one_warning(self, lowered):
+        # A stream-buffer restart can leave a pending match pointing at
+        # rows the window already dropped: those items project NULL, and
+        # the stream warns once.
+        from types import SimpleNamespace
+
+        from repro.engine.executor import _stream_rows
+        from repro.match.base import Match
+        from repro.match.streaming import _Window
+        from repro.resilience import Diagnostics
+
+        analyzed, _ = Executor(tiny_catalog([1])).prepare(
+            "SELECT X.previous.day, X.day FROM quote SEQUENCE BY day AS (X, Y) "
+            "WHERE Y.price > X.price"
+        )
+        window = _Window()
+        for day in range(7):
+            window.append({"day": day, "price": float(day)})
+        window.trim_before(3)
+        matches = [
+            Match.from_bounds(bounds, ("X", "Y"))
+            for bounds in ((1, 2, 3), (3, 4, 5), (4, 5, 6))
+        ]
+        runner = SimpleNamespace(
+            run=lambda resume: ((0, match) for match in matches),
+            matcher=SimpleNamespace(window=window),
+            diagnostics=Diagnostics(),
+        )
+        rows = list(_stream_rows(runner, analyzed, False, lowered))
+        assert rows == [(2, (None, None)), (4, (None, 3)), (5, (3, 4))]
+        assert len(runner.diagnostics.warnings) == 1
+        assert "trimmed window position" in runner.diagnostics.warnings[0]

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.data.djia import djia_table
+from repro.engine.catalog import Catalog
+from repro.engine.executor import Executor
 from repro.errors import PlanningError
 from repro.match.base import Instrumentation, Span
 from repro.match.direction import (
@@ -16,6 +19,7 @@ from repro.match.ops_star import OpsStarMatcher
 from repro.pattern.compiler import compile_pattern
 from repro.pattern.predicates import ResidualCondition, ElementPredicate, comparison
 from repro.pattern.spec import PatternElement, PatternSpec
+from repro.resilience import ResourceLimits
 from tests.conftest import DOMAINS, PREV, PRICE, price_predicate, price_rows
 
 
@@ -97,6 +101,45 @@ class TestReverseMatcher:
         rows = price_rows(10, 12, 9)
         (match,) = ReverseMatcher().find_matches(rows, cp)
         assert match.names == ("A", "B")
+
+
+RISING_PAIR = (
+    "SELECT X.date, Y.price FROM djia SEQUENCE BY date AS (X, Y) "
+    "WHERE Y.price > X.price"
+)
+
+
+class TestReverseMatcherInExecutor:
+    """The executor hands its matcher a budget and the forward rows' truth
+    arrays: the reversed scan honours the one and ignores the other."""
+
+    def executor(self, **kwargs):
+        return Executor(
+            Catalog([djia_table()]),
+            domains=DOMAINS,
+            matcher=ReverseMatcher(),
+            **kwargs,
+        )
+
+    def test_executor_rows_equal_the_direct_scan_projected(self):
+        executor = self.executor()
+        result = executor.execute(RISING_PAIR)
+        _, compiled = executor.prepare(RISING_PAIR)
+        rows = sorted(djia_table().rows, key=lambda row: row["date"])
+        direct = ReverseMatcher().find_matches(rows, compiled)
+        assert direct
+        assert list(result.rows) == [
+            (rows[match.start]["date"], rows[match.end]["price"])
+            for match in direct
+        ]
+
+    def test_max_matches_is_named_in_limits_hit(self):
+        executor = self.executor(limits=ResourceLimits(max_matches=3))
+        result = executor.execute(RISING_PAIR)
+        assert len(result.rows) == 3
+        assert any(
+            "max_matches" in reason for reason in result.diagnostics.limits_hit
+        )
 
 
 class TestHeuristic:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.data.djia import djia_table
 from repro.data.quotes import quote_table
-from repro.data.workloads import EXAMPLE_10
+from repro.data.workloads import EXAMPLE_8, EXAMPLE_10
 from repro.engine.catalog import Catalog
 from repro.engine.executor import Executor
 from repro.obs import MetricsRegistry, Trace
@@ -125,6 +125,38 @@ class TestParallelSpanTree:
             parallel_result.profile.predicate_tests
             == serial_result.profile.predicate_tests
         )
+
+
+def assert_project_children(trace: Trace) -> None:
+    """Every cluster span ends in a ``project`` child, after ``kernels``,
+    that projected the cluster's matches."""
+    clusters = trace.find_all("cluster")
+    assert clusters
+    for cluster in clusters:
+        names = [child.name for child in cluster.children]
+        assert names == ["kernels", "project"]
+        project = cluster.children[-1]
+        assert project.attrs["matches"] == cluster.attrs["matches"]
+        assert project.attrs["columns"] == 3
+        assert project.duration_s is not None
+    assert sum(cluster.attrs["matches"] for cluster in clusters) > 0
+
+
+class TestProjectSpan:
+    def test_serial_cluster_spans_have_a_project_child(self):
+        trace = Trace()
+        result = _executor().execute(EXAMPLE_8, trace=trace)
+        assert_project_children(trace)
+        assert sum(
+            span.attrs["matches"] for span in trace.find_all("project")
+        ) == len(result.rows)
+
+    def test_pool_unit_cluster_spans_have_a_project_child(self):
+        trace = Trace()
+        with parallel_path("inline"):
+            _executor(workers=2).execute(EXAMPLE_8, trace=trace)
+        assert trace.find_all("unit")
+        assert_project_children(trace)
 
 
 class TestRender:

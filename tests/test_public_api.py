@@ -93,6 +93,58 @@ class TestSpanAndMatch:
         assert match.bindings() == {"A": Span(0, 1), "B": Span(2, 3)}
         assert match.span_of("A") == Span(0, 1)
 
+    def test_constructor_and_boundary_forms_are_one_match(self):
+        spans = (Span(4, 4), Span(5, 7), Span(8, 8))
+        built = Match(4, 8, spans, ("X", "Y", "Z"))
+        bounded = Match.from_bounds((4, 5, 8, 9), ("X", "Y", "Z"))
+        assert built == bounded
+        assert hash(built) == hash(bounded)
+        assert built.bounds == (4, 5, 8, 9)
+        assert len({built, bounded}) == 1
+        assert bounded != Match.from_bounds((4, 6, 8, 9), ("X", "Y", "Z"))
+        assert bounded != Match.from_bounds((4, 5, 8, 9), ("X", "Y", "W"))
+        assert repr(bounded) == (
+            "Match(start=4, end=8, spans=(Span(start=4, end=4), "
+            "Span(start=5, end=7), Span(start=8, end=8)), names=('X', 'Y', 'Z'))"
+        )
+
+    def test_spans_bindings_and_span_of_derive_from_the_bounds(self):
+        match = Match.from_bounds((2, 3, 6, 7), ("X", "Y", "Z"))
+        assert (match.start, match.end) == (2, 6)
+        assert match.spans == (Span(2, 2), Span(3, 5), Span(6, 6))
+        assert match.bindings() == {
+            "X": Span(2, 2), "Y": Span(3, 5), "Z": Span(6, 6)
+        }
+        assert match.span_of("Y") == Span(3, 5)
+        assert match.span_of("Y").length == 3
+        with pytest.raises(KeyError):
+            match.span_of("Q")
+
+    def test_match_is_immutable_and_pickles(self):
+        import pickle
+
+        match = Match.from_bounds((0, 2, 3), ("A", "B"))
+        with pytest.raises(AttributeError):
+            match.bounds = (0, 1, 3)
+        assert pickle.loads(pickle.dumps(match)) == match
+
+    @pytest.mark.parametrize(
+        "start,end,spans,names",
+        [
+            (0, 3, (Span(0, 1), Span(3, 3)), ("A", "B")),  # gap
+            (0, 3, (Span(0, 2), Span(2, 3)), ("A", "B")),  # overlap
+            (1, 3, (Span(0, 1), Span(2, 3)), ("A", "B")),  # not from start
+            (0, 4, (Span(0, 1), Span(2, 3)), ("A", "B")),  # not to end
+            (0, 3, (Span(0, 1), Span(2, 3)), ("A",)),  # a name short
+            (0, 0, (), ()),  # no element
+        ],
+    )
+    def test_spans_that_do_not_tile_the_match_are_rejected(
+        self, start, end, spans, names
+    ):
+        with pytest.raises(ValueError):
+            Match(start, end, spans, names)
+
     def test_instrumentation_repr(self):
         inst = Instrumentation(record_trace=True)
         inst.record(0, 1)
