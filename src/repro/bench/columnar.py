@@ -61,34 +61,28 @@ BENCH_MATCHERS: tuple[tuple[str, type], ...] = (
 HEADLINE_MATCHER = "ops"
 
 
-def _best_row_time(
+def _best_times(
     matcher: Matcher,
     rows: Sequence[dict],
     pattern: CompiledPattern,
     repetitions: int,
-) -> float:
-    best = float("inf")
+) -> tuple[float, float]:
+    """Best row and best columnar wall-clock, interleaved.
+
+    Each repetition times one row call and then one columnar call, so a
+    slow spell of a shared host falls on both sides instead of on one
+    phase.  The columnar time includes truth materialization.
+    """
+    best_row = best_columnar = float("inf")
     for _ in range(repetitions):
         started = time.perf_counter()
         matcher.find_matches(rows, pattern, Instrumentation())
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
-def _best_columnar_time(
-    matcher: Matcher,
-    rows: Sequence[dict],
-    pattern: CompiledPattern,
-    repetitions: int,
-) -> float:
-    """Best columnar wall-clock, truth materialization included."""
-    best = float("inf")
-    for _ in range(repetitions):
+        best_row = min(best_row, time.perf_counter() - started)
         started = time.perf_counter()
         kernels = materialize_kernels(pattern, rows)
         matcher.find_matches(rows, pattern, Instrumentation(), kernels=kernels)
-        best = min(best, time.perf_counter() - started)
-    return best
+        best_columnar = min(best_columnar, time.perf_counter() - started)
+    return best_row, best_columnar
 
 
 def _bench_workload(
@@ -119,8 +113,7 @@ def _bench_workload(
         # ...and an uninstrumented call must return those same matches.
         if matcher.find_matches(rows, pattern, None, kernels=kernels) != row_matches:
             raise AssertionError(f"{name}: uninstrumented call diverged")
-        row_s = _best_row_time(matcher, rows, pattern, repetitions)
-        columnar_s = _best_columnar_time(matcher, rows, pattern, repetitions)
+        row_s, columnar_s = _best_times(matcher, rows, pattern, repetitions)
         matchers[name] = {
             "row_s": round(row_s, 6),
             "columnar_s": round(columnar_s, 6),

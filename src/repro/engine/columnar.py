@@ -60,6 +60,7 @@ import json
 import mmap
 import os
 import struct
+import threading
 import zlib
 from collections.abc import Mapping as _MappingABC
 from pathlib import Path
@@ -68,7 +69,7 @@ from typing import Iterator, Optional, Sequence, Union
 from repro import failpoints
 from repro.constraints.atoms import Op
 from repro.engine.table import Schema
-from repro.errors import ColumnarFormatError
+from repro.errors import ColumnarFormatError, ExecutionError
 from repro.pattern.kernels import (
     CompareConst,
     ComparePair,
@@ -96,7 +97,7 @@ _MISSING = object()
 
 
 # ----------------------------------------------------------------------
-# Column store (per-cluster, transient)
+# Column store (per cluster, kept with a table's partition)
 # ----------------------------------------------------------------------
 
 
@@ -120,7 +121,7 @@ class _Column:
             values.append(value)
         self.values = values
         self.floats_only = floats_only
-        self._f8 = _MISSING
+        self._f8 = None
 
     def f8(self, np):
         """float64 ndarray of this column, or None when not exact.
@@ -128,18 +129,28 @@ class _Column:
         Only all-``float`` columns vectorize: a Python float *is* an
         IEEE double, so float64 arithmetic reproduces the scalar
         computation bit-for-bit.  Ints (arbitrary precision), dates,
-        strings, and missing cells stay on the Python kernels.
+        strings, and missing cells stay on the Python kernels, as does
+        every column when ``np`` is None (the ``python`` backend).  The
+        array is built once and kept read-only, since later queries of
+        the cluster share it.
         """
-        if self._f8 is _MISSING:
-            if np is None or not self.floats_only:
-                self._f8 = None
-            else:
-                self._f8 = np.asarray(self.values, dtype=np.float64)
+        if np is None or not self.floats_only:
+            return None
+        if self._f8 is None:
+            array = np.asarray(self.values, dtype=np.float64)
+            array.flags.writeable = False
+            self._f8 = array
         return self._f8
 
 
 class ColumnStore:
-    """Lazily-built columns over one cluster's rows."""
+    """Lazily-built columns over one cluster's rows.
+
+    A sorted cluster of a table's partition (:mod:`repro.engine.cluster`)
+    keeps its store, so a column is read from the rows once per table,
+    not once per query.  Two threads may both build a missing column;
+    each gets a complete one, and either may be the one kept.
+    """
 
     __slots__ = ("rows", "n", "_columns")
 
@@ -179,7 +190,10 @@ class ClusterKernels:
 
 
 def materialize_kernels(
-    compiled, rows: Sequence, backend: str = "numpy"
+    compiled,
+    rows: Sequence,
+    backend: str = "numpy",
+    columns: Optional[ColumnStore] = None,
 ) -> Optional[ClusterKernels]:
     """Build truth arrays for ``rows`` from a compiled pattern's plan.
 
@@ -188,7 +202,10 @@ def materialize_kernels(
     caller then runs the plain row path.  ``backend`` is ``"numpy"``
     (whole-column float64 where exact, scalar Python otherwise) or
     ``"python"`` (scalar kernels only — the reference the bit-parity
-    test holds the NumPy kernels to).
+    test holds the NumPy kernels to).  ``columns`` is the store kept
+    with ``rows`` (a partition's sorted cluster); without one the
+    columns are read from the rows.  The truth arrays are built per
+    call: they depend on the query's constants.
     """
     if backend not in ("numpy", "python"):
         raise ValueError(f"backend must be 'numpy' or 'python', got {backend!r}")
@@ -202,7 +219,7 @@ def materialize_kernels(
     import numpy
 
     np = numpy if backend == "numpy" else None
-    store = ColumnStore(rows)
+    store = columns if columns is not None else ColumnStore(rows)
     n = store.n
     memo: dict[ElementKernel, Optional[bytes]] = {}
     truth: list[Optional[bytes]] = []
@@ -592,11 +609,16 @@ class ColumnarTable:
 
     Duck-compatible with :class:`~repro.engine.table.Table` everywhere
     the engine reads one: ``name``, ``schema``, ``__iter__`` /
-    ``__len__`` over row mappings, and a ``rows`` list.  Column data
-    stays in the mapping until a cell is touched.
+    ``__len__`` over row mappings, a ``rows`` list, and the
+    ``partitions`` its queries asked for.  Column data stays in the
+    mapping until a cell is touched.  The table is immutable, so only
+    :meth:`close` drops the partitions.
     """
 
-    __slots__ = ("name", "schema", "_columns", "_length", "_mmap", "_file", "_rows")
+    __slots__ = (
+        "name", "schema", "_columns", "_length", "_mmap", "_file", "_rows",
+        "partitions", "partition_lock",
+    )
 
     def __init__(self, name, schema, columns, length, mapped, handle):
         self.name = name
@@ -606,10 +628,14 @@ class ColumnarTable:
         self._mmap = mapped
         self._file = handle
         self._rows: Optional[list[RowView]] = None
+        self.partitions: dict = {}
+        self.partition_lock = threading.Lock()
 
     @property
     def rows(self) -> list[RowView]:
         if self._rows is None:
+            if self._mmap.closed:
+                raise ExecutionError(f"table {self.name!r} is closed")
             self._rows = [RowView(self, i) for i in range(self._length)]
         return self._rows
 
@@ -620,8 +646,15 @@ class ColumnarTable:
         return iter(self.rows)
 
     def close(self) -> None:
-        """Release the mapping (reads after close raise)."""
+        """Release the mapping; iterating or querying the table then
+        raises :class:`~repro.errors.ExecutionError`.
+
+        Dropping the row views and the partitions also breaks their
+        reference cycles through ``RowView``, so the table is freed
+        without waiting for the collector.
+        """
         self._rows = None
+        self.partitions = {}
         self._columns = {}
         self._mmap.close()
         self._file.close()

@@ -30,10 +30,10 @@ from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Iterator, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional, Tuple, Union
 
 from repro.engine.catalog import Catalog
-from repro.engine.cluster import clusters_of
+from repro.engine.cluster import ClusterScan, clusters_of
 from repro.engine.result import Result
 from repro.errors import ExecutionError, PlanningError
 from repro.match.backtracking import BacktrackingMatcher
@@ -61,6 +61,9 @@ from repro.sqlts.expressions import evaluate_condition
 from repro.sqlts.expressions import evaluate_expr
 from repro.sqlts.parser import parse_query
 from repro.sqlts.semantic import AnalyzedQuery, analyze
+
+if TYPE_CHECKING:
+    from repro.engine.columnar import ColumnStore
 
 MATCHERS: dict[str, type] = {
     "ops": OpsStarMatcher,
@@ -332,16 +335,18 @@ class Executor:
             trace.span("scan") if trace is not None else nullcontext()
         ) as scan_span:
             if workers == 1:
-                for key, rows in admission:
+                for key, rows, columns in admission:
                     projected, plan = search_cluster(
                         plan, key, rows, instrumentation, budget,
-                        diagnostics, trace,
+                        diagnostics, trace, columns,
                     )
                     output_rows += projected
                     if budget is not None and budget.tripped is not None:
                         break
             else:
-                admitted = list(admission)
+                # Work units build their own kernel columns: a process
+                # pool's pickles carry rows only.
+                admitted = [(key, rows) for key, rows, _ in admission]
         if workers == 1:
             matcher_name = plan.matcher_name
         else:
@@ -359,9 +364,13 @@ class Executor:
                 trace=trace,
             )
         if scan_span is not None:
+            scan = admission.scan
             scan_span.annotate(
                 clusters=admission.clusters,
                 clusters_searched=admission.searched,
+                grouped=scan.grouped,
+                sorted=scan.sorted,
+                reused=scan.reused,
                 rows_scanned=admission.scanned,
                 skips=instrumentation.skips,
                 skip_distance=instrumentation.skip_distance,
@@ -583,11 +592,14 @@ class Executor:
 class _Admission:
     """The clusters one execution searches, in first-appearance order.
 
-    Iterating yields ``(key, rows)`` for every cluster that passes the
-    hoisted cluster filter, checks the deadline before each cluster,
-    charges its rows check-then-charge, and counts as it goes.  The
-    serial loop and the parallel split both admit through it, so they
-    search the same clusters and report the same counts.
+    Iterating yields ``(key, rows, columns)`` for every cluster that
+    passes the hoisted cluster filter, where ``columns`` is the kernel
+    column store the table's partition keeps with ``rows``; it checks
+    the deadline before each cluster, charges its rows
+    check-then-charge, and counts as it goes.  The serial loop and the
+    parallel split both admit through it, so they search the same
+    clusters and report the same counts.  ``scan`` says which clusters
+    this execution grouped or sorted and which it reused.
     """
 
     def __init__(
@@ -598,6 +610,7 @@ class _Admission:
         diagnostics: Diagnostics,
         budget: Optional[Budget],
     ):
+        self.scan = ClusterScan()
         self._clusters = clusters_of(
             table,
             analyzed.cluster_by,
@@ -605,14 +618,18 @@ class _Admission:
             policy=policy,
             diagnostics=diagnostics,
             keep=partial(_cluster_passes, analyzed),
+            scan=self.scan,
         )
         self._budget = budget
         self.clusters = 0
         self.searched = 0
         self.scanned = 0
 
-    def __iter__(self) -> Iterator[tuple[tuple, list[dict[str, object]]]]:
+    def __iter__(
+        self,
+    ) -> Iterator[tuple[tuple, list[dict[str, object]], Optional[ColumnStore]]]:
         budget = self._budget
+        scan = self.scan
         for key, rows in self._clusters:
             self.clusters += 1
             if budget is not None and budget.check_deadline():
@@ -623,7 +640,7 @@ class _Admission:
                 return
             self.searched += 1
             self.scanned += len(rows)
-            yield key, rows
+            yield key, rows, scan.columns
 
 
 @dataclass
@@ -817,12 +834,14 @@ def search_cluster(
     budget: Optional[Budget],
     diagnostics: Diagnostics,
     trace: Optional[Trace] = None,
+    columns: Optional[ColumnStore] = None,
 ) -> tuple[list[tuple], SearchPlan]:
     """Search one admitted cluster and project its matches.
 
     The one per-cluster path: the serial loop and every parallel work
     unit (:mod:`repro.engine.parallel`) call it, so the two cannot drift
-    apart.  The cluster's kernels are materialized once.  A
+    apart.  The cluster's kernels are materialized once, from
+    ``columns`` (the column store kept with ``rows``) when given.  A
     PlanningError from the matcher degrades to the fallback under a
     lenient policy, and the returned plan carries the fallback so later
     clusters skip the failing attempt.  With ``trace``, the search is
@@ -833,7 +852,7 @@ def search_cluster(
     with (
         trace.span("cluster") if trace is not None else nullcontext()
     ) as span:
-        kernels = _cluster_kernels(rows, plan, trace)
+        kernels = _cluster_kernels(rows, plan, trace, columns)
         try:
             matches = plan.matcher.find_matches(
                 rows, plan.compiled, instrumentation, budget, kernels=kernels
@@ -873,7 +892,10 @@ def search_cluster(
 
 
 def _cluster_kernels(
-    rows: list[dict[str, object]], plan: SearchPlan, trace: Optional[Trace]
+    rows: list[dict[str, object]],
+    plan: SearchPlan,
+    trace: Optional[Trace],
+    columns: Optional[ColumnStore] = None,
 ):
     """Materialize columnar truth arrays for one cluster, or None.
 
@@ -888,9 +910,9 @@ def _cluster_kernels(
     from repro.engine.columnar import materialize_kernels
 
     if trace is None:
-        return materialize_kernels(compiled, rows)
+        return materialize_kernels(compiled, rows, columns=columns)
     with trace.span("kernels") as span:
-        kernels = materialize_kernels(compiled, rows)
+        kernels = materialize_kernels(compiled, rows, columns=columns)
         if kernels is None:
             span.annotate(lowered=0, rows=len(rows))
         else:

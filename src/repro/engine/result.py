@@ -32,14 +32,13 @@ class Result:
         diagnostics: Optional[Diagnostics] = None,
     ):
         self.columns = tuple(columns)
-        self.rows = tuple(tuple(row) for row in rows)
+        self.rows = tuple(map(tuple, rows))
         self.diagnostics = diagnostics if diagnostics is not None else Diagnostics()
         self.profile = None
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError(
-                    f"row width {len(row)} != column count {len(self.columns)}"
-                )
+        width = len(self.columns)
+        if set(map(len, self.rows)) - {width}:
+            bad = next(row for row in self.rows if len(row) != width)
+            raise ValueError(f"row width {len(bad)} != column count {width}")
 
     def __len__(self) -> int:
         return len(self.rows)

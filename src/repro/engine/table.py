@@ -9,6 +9,7 @@ strings, integers, floats, and dates — with ``int`` acceptable wherever
 from __future__ import annotations
 
 import datetime as _dt
+import threading
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -111,21 +112,43 @@ class Schema:
 
 
 class Table:
-    """An insert-ordered bag of schema-validated rows."""
+    """An insert-ordered bag of schema-validated rows.
 
-    __slots__ = ("name", "schema", "_rows")
+    The table also keeps the partitions its queries have asked for
+    (:func:`repro.engine.cluster.clusters_of`): per (CLUSTER BY,
+    SEQUENCE BY, error policy) triple, the cluster keys, each cluster's
+    sorted rows and its kernel columns.  ``partition_lock`` guards
+    building them.  Every mutation through the table (:meth:`insert`,
+    :meth:`insert_many`, :meth:`extend_columns`) drops them.  They rely
+    on rows not being mutated in place: a row dict is validated only at
+    insert, and a later query may answer from cells an earlier one read.
+    Changing rows before the first query, as fault-injection tests do,
+    is fine.
+    """
+
+    __slots__ = ("name", "schema", "_rows", "partitions", "partition_lock")
 
     def __init__(self, name: str, schema: Schema | Iterable[Column | tuple[str, str]]):
         self.name = name
         self.schema = schema if isinstance(schema, Schema) else Schema(schema)
         self._rows: list[dict[str, object]] = []
+        self.partitions: dict = {}
+        self.partition_lock = threading.Lock()
+
+    # Each mutation drops the partitions after its rows are in.  A query
+    # reads the partition dict before it reads the rows, so one that
+    # grouped the rows as they were before the append stores its
+    # partition in the dict being dropped, never in its replacement.
 
     def insert(self, row: Mapping[str, object]) -> None:
         self._rows.append(self.schema.validate_row(row))
+        self.partitions = {}
 
     def insert_many(self, rows: Iterable[Mapping[str, object]]) -> None:
-        for row in rows:
-            self.insert(row)
+        try:
+            self._rows.extend(map(self.schema.validate_row, rows))
+        finally:
+            self.partitions = {}
 
     def extend_columns(self, columns: Sequence[Sequence[object]]) -> None:
         """Append rows given column-wise, one sequence per schema column.
@@ -146,10 +169,12 @@ class Table:
             column.validate_all(values)
         names = self.schema.names
         self._rows.extend(map(dict, map(zip, repeat(names), zip(*columns))))
+        self.partitions = {}
 
     @property
     def rows(self) -> list[dict[str, object]]:
-        """The live row list (treated as read-only by the executor)."""
+        """The live row list (read-only: appending through it bypasses
+        validation and leaves the partitions stale)."""
         return self._rows
 
     def __len__(self) -> int:

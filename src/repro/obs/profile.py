@@ -35,6 +35,9 @@ _ATTR_ORDER = (
     "degraded",
     "clusters",
     "clusters_searched",
+    "grouped",
+    "sorted",
+    "reused",
     "rows",
     "rows_scanned",
     "tests",

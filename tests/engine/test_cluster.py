@@ -1,18 +1,24 @@
 """CLUSTER BY / SEQUENCE BY: the paper's Figure 1 behaviour.
 
-The partitioning runs on C-level ``itemgetter`` keys; a Hypothesis
-property pins it to the per-row reference it replaced (keys, row
+The partitioning runs on C-level ``itemgetter`` keys and is kept on the
+table; a Hypothesis property pins every scan of it (cold, warm, and
+after each mutation) to the per-row reference it replaced (keys, row
 objects, order, and lenient-policy diagnostics).
 """
 
 import datetime as dt
 import os
+import random
+import sys
 import tempfile
+import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data.quotes import QUOTE_SCHEMA, synthetic_quotes
 from repro.engine.catalog import Catalog
 from repro.engine.cluster import clusters_of, sequenced
 from repro.engine.columnar import load_columnar, write_columnar
@@ -153,16 +159,143 @@ class TestHoistedClusterFilter:
         assert (report.clusters, report.clusters_searched) == (2, 1)
 
 
+def reads_of(table, name):
+    return sum(row.reads[name] for row in table.rows)
+
+
+class TestPartitionMemo:
+    """The table keeps its partition: a warm query reads no key cell."""
+
+    QUERY = (
+        "SELECT X.price FROM quote CLUSTER BY name SEQUENCE BY date AS (X, Y) "
+        "WHERE Y.price > X.price"
+    )
+
+    @pytest.mark.parametrize("policy", ["raise", "collect", "skip"])
+    def test_a_warm_scan_reads_no_cell(self, policy):
+        table = quote_table(ROWS)
+        table.rows[:] = [CountingRow(row) for row in table.rows]
+        cold_diagnostics, warm_diagnostics = Diagnostics(), Diagnostics()
+        cold = list(
+            clusters_of(table, ["name"], ["date"], policy=policy,
+                        diagnostics=cold_diagnostics)
+        )
+        assert reads_of(table, "name") == len(ROWS)
+        for row in table.rows:
+            row.reads.clear()
+        warm = list(
+            clusters_of(table, ["name"], ["date"], policy=policy,
+                        diagnostics=warm_diagnostics)
+        )
+        assert all(not row.reads for row in table.rows)
+        assert warm == cold
+        assert warm_diagnostics.warnings == cold_diagnostics.warnings
+        # Under a lenient policy INTC's out-of-order warning is replayed.
+        assert bool(warm_diagnostics.warnings) == (policy != "raise")
+        assert repr(warm_diagnostics.quarantined) == repr(
+            cold_diagnostics.quarantined
+        )
+
+    def test_a_warm_query_reads_no_cluster_or_sequence_cell(self):
+        table = quote_table(ROWS)
+        table.rows[:] = [CountingRow(row) for row in table.rows]
+        executor = Executor(Catalog([table]))
+        cold = executor.execute(self.QUERY)
+        assert reads_of(table, "date") >= len(ROWS)
+        for row in table.rows:
+            row.reads.clear()
+        warm = executor.execute(self.QUERY)
+        assert warm.rows == cold.rows == ((60.0,), (80.5,))
+        assert reads_of(table, "name") == reads_of(table, "date") == 0
+        # The kernels read the kept price column: only the SELECT reads
+        # a price cell, one per match.
+        assert reads_of(table, "price") == len(warm.rows)
+
+
+def shuffled_quotes():
+    """Quotes out of SEQUENCE BY order, with two duplicate keys."""
+    rows = synthetic_quotes(days=200)
+    random.Random(5).shuffle(rows)
+    return rows + [dict(rows[3], price=1.0), dict(rows[40], price=2.0)]
+
+
+THREADED_QUERY = (
+    "SELECT X.name, X.date, Z.date FROM quote CLUSTER BY name "
+    "SEQUENCE BY date AS (X, *Y, Z) "
+    "WHERE Y.price < Y.previous.price AND Z.price > 1.01 * Z.previous.price"
+)
+
+
+@pytest.mark.parametrize("policy", ["raise", "collect"])
+@pytest.mark.parametrize("mmapped", [False, True], ids=["table", "rcol"])
+def test_threads_sharing_a_fresh_table_get_the_serial_answer(
+    policy, mmapped, tmp_path
+):
+    rows = shuffled_quotes()
+
+    def fresh(name):
+        table = Table("quote", QUOTE_SCHEMA)
+        table.insert_many(rows)
+        if not mmapped:
+            return table
+        path = str(tmp_path / f"{name}.rcol")
+        write_columnar(table, path)
+        return load_columnar(path)
+
+    serial_table, shared = fresh("serial"), fresh("shared")
+    try:
+        serial = Executor(Catalog([serial_table]), policy=policy).execute(
+            THREADED_QUERY
+        )
+        executor = Executor(Catalog([shared]), policy=policy)
+        executor.prepare(THREADED_QUERY)  # so the threads meet in the scan
+        barrier = threading.Barrier(8, timeout=60)
+        results = [None] * 8
+
+        def run(index):
+            barrier.wait()
+            results[index] = executor.execute(THREADED_QUERY)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid-group and mid-sort
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert serial.rows
+        if policy == "collect":
+            assert serial.diagnostics.warnings
+        for result in results:
+            assert result.rows == serial.rows
+            assert result.diagnostics.warnings == serial.diagnostics.warnings
+            assert repr(result.diagnostics.quarantined) == repr(
+                serial.diagnostics.quarantined
+            )
+    finally:
+        if mmapped:
+            serial_table.close()
+            shared.close()
+
+
 class CountingRow(dict):
-    """A row that counts reads of its SEQUENCE BY column."""
+    """A row that counts reads of each of its columns."""
 
     def __init__(self, row):
         super().__init__(row)
-        self.date_reads = 0
+        self.reads = Counter()
+
+    @property
+    def date_reads(self):
+        """Reads of the SEQUENCE BY column."""
+        return self.reads["date"]
 
     def __getitem__(self, name):
-        if name == "date":
-            self.date_reads += 1
+        self.reads[name] += 1
         return super().__getitem__(name)
 
 
@@ -285,17 +418,45 @@ def _shape(key):
     return tuple((type(value), repr(value)) for value in key)
 
 
+def assert_matches_reference(table, cluster_by, sequence_by, policy):
+    """One ``clusters_of`` scan against the reference on the table as it
+    is now: keys, row objects, order and diagnostics."""
+    got_diagnostics, want_diagnostics = Diagnostics(), Diagnostics()
+    got = list(
+        clusters_of(
+            table, cluster_by, sequence_by,
+            policy=policy, diagnostics=got_diagnostics,
+        )
+    )
+    want = list(
+        reference_clusters_of(
+            table, cluster_by, sequence_by,
+            policy=policy, diagnostics=want_diagnostics,
+        )
+    )
+    assert all(type(key) is tuple for key, _ in got)
+    assert [_shape(key) for key, _ in got] == [_shape(key) for key, _ in want]
+    assert [[id(row) for row in cluster] for _, cluster in got] == [
+        [id(row) for row in cluster] for _, cluster in want
+    ]
+    assert got_diagnostics.warnings == want_diagnostics.warnings
+    assert repr(got_diagnostics.quarantined) == repr(want_diagnostics.quarantined)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     rows=property_rows,
+    extra=property_rows,
     cluster_by=key_columns,
     sequence_by=key_columns,
     policy=st.sampled_from(list(ErrorPolicy)),
     mmapped=st.booleans(),
 )
 def test_partitioning_matches_per_row_reference(
-    rows, cluster_by, sequence_by, policy, mmapped
+    rows, extra, cluster_by, sequence_by, policy, mmapped
 ):
+    # Cold (the scan that groups), then warm (the kept partition and its
+    # replayed audit), then after each kind of mutation a Table allows.
     table = Table("t", PROPERTY_SCHEMA)
     table.insert_many(rows)
     with tempfile.TemporaryDirectory() as workdir:
@@ -304,28 +465,20 @@ def test_partitioning_matches_per_row_reference(
             write_columnar(table, path)
             table = load_columnar(path)
         try:
-            got_diagnostics, want_diagnostics = Diagnostics(), Diagnostics()
-            got = list(
-                clusters_of(
-                    table, cluster_by, sequence_by,
-                    policy=policy, diagnostics=got_diagnostics,
-                )
+            assert_matches_reference(table, cluster_by, sequence_by, policy)
+            assert_matches_reference(table, cluster_by, sequence_by, policy)
+            if mmapped:
+                return
+            for row in extra[:2]:
+                table.insert(row)
+                assert_matches_reference(table, cluster_by, sequence_by, policy)
+            table.insert_many(extra[2:5])
+            assert_matches_reference(table, cluster_by, sequence_by, policy)
+            added = extra[5:]
+            table.extend_columns(
+                [[row[name] for row in added] for name, _ in PROPERTY_SCHEMA]
             )
-            want = list(
-                reference_clusters_of(
-                    table, cluster_by, sequence_by,
-                    policy=policy, diagnostics=want_diagnostics,
-                )
-            )
-            assert all(type(key) is tuple for key, _ in got)
-            assert [_shape(key) for key, _ in got] == [_shape(key) for key, _ in want]
-            assert [[id(row) for row in cluster] for _, cluster in got] == [
-                [id(row) for row in cluster] for _, cluster in want
-            ]
-            assert got_diagnostics.warnings == want_diagnostics.warnings
-            assert repr(got_diagnostics.quarantined) == repr(
-                want_diagnostics.quarantined
-            )
+            assert_matches_reference(table, cluster_by, sequence_by, policy)
         finally:
             if mmapped:
                 table.close()

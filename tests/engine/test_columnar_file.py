@@ -31,7 +31,7 @@ from repro.engine.columnar import (
 from repro.engine.csv_io import save_csv
 from repro.engine.executor import Executor
 from repro.engine.table import Schema, Table
-from repro.errors import ColumnarFormatError, FailpointError
+from repro.errors import ColumnarFormatError, ExecutionError, FailpointError
 from repro.resilience import Diagnostics
 from tests.conftest import parallel_path
 
@@ -73,6 +73,26 @@ def test_round_trip_preserves_rows_and_schema(tmp_path):
         assert [dict(row) for row in loaded] == table.rows
     finally:
         loaded.close()
+
+
+def test_a_closed_table_refuses_iteration_and_queries(tmp_path):
+    path = str(tmp_path / "quote.rcol")
+    write_columnar(sample_table(), path)
+    loaded = load_columnar(path)
+    executor = Executor(Catalog([loaded]))
+    query = (
+        "SELECT X.date FROM quote CLUSTER BY name SEQUENCE BY date AS (X, Y) "
+        "WHERE Y.price > X.price"
+    )
+    assert len(executor.execute(query).rows) == 6
+    assert loaded.partitions
+    loaded.close()
+    # The partition went with the mapping: nothing answers from it.
+    assert not loaded.partitions
+    with pytest.raises(ExecutionError, match="table 'quote' is closed"):
+        executor.execute(query)
+    with pytest.raises(ExecutionError, match="table 'quote' is closed"):
+        list(loaded)
 
 
 def test_empty_table_round_trips(tmp_path):

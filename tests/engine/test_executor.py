@@ -256,3 +256,23 @@ class TestNoReferenceCycles:
         finally:
             gc.enable()
         assert results[1].rows  # the panel query's residual does match
+
+    @pytest.mark.parametrize("policy", ["raise", "skip"])
+    def test_a_queried_table_is_freed_by_reference_counting(self, policy):
+        # The table keeps its partition: grouped and sorted clusters,
+        # replayable audit records and kernel columns.  None of them may
+        # point back at what holds them, or every table would outlive
+        # its last query until a full collection.
+        gc.collect()
+        gc.disable()
+        try:
+            table = quote_table(days=120)
+            executor = Executor(Catalog([table]), domains=DOMAINS, policy=policy)
+            for query in (EXAMPLE1, EXAMPLE_2, self.PANEL_QUERY):
+                executor.execute(query)
+                executor.execute(query)
+            assert table.partitions
+            del table, executor
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

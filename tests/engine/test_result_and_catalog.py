@@ -16,6 +16,18 @@ class TestResult:
         with pytest.raises(ValueError):
             Result(["a", "b"], [(1,)])
 
+    def test_width_error_names_the_first_bad_row(self):
+        rows = [(1, "x"), (2,), (3, "z", "extra")]
+        with pytest.raises(ValueError, match=r"^row width 1 != column count 2$"):
+            Result(["a", "b"], rows)
+        with pytest.raises(ValueError, match=r"^row width 3 != column count 2$"):
+            Result(["a", "b"], reversed(rows[::2]))
+
+    def test_rows_become_tuples(self):
+        result = Result(["a", "b"], iter([[1, "x"], (2, "y")]))
+        assert result.rows == ((1, "x"), (2, "y"))
+        assert all(type(row) is tuple for row in result.rows)
+
     def test_to_dicts(self):
         result = Result(["a", "b"], [(1, "x"), (2, "y")])
         assert result.to_dicts() == [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]

@@ -170,6 +170,30 @@ class TestSession:
         assert len(results) == 1
         assert results[0].rows == (("IBM",),)
 
+    def test_a_query_sees_rows_inserted_after_an_earlier_query(self):
+        # The first query leaves the table partitioned; INSERT INTO must
+        # drop that partition, or the repeat would miss the new rows.
+        session = Session(domains=DOMAINS)
+        session.execute(PAPER_DDL)
+        session.execute(
+            "INSERT INTO quote VALUES "
+            "('IBM', '1999-01-25', 100.0), ('IBM', '1999-01-26', 120.0), "
+            "('INTC', '1999-01-25', 50.0)"
+        )
+        query = (
+            "SELECT X.name, Y.date FROM quote CLUSTER BY name SEQUENCE BY date "
+            "AS (X, Y) WHERE Y.price > 1.15 * X.price"
+        )
+        assert session.execute(query).rows == (("IBM", dt.date(1999, 1, 26)),)
+        session.execute(
+            "INSERT INTO quote VALUES "
+            "('INTC', '1999-01-26', 60.0), ('IBM', '1999-01-24', 80.0)"
+        )
+        assert session.execute(query).rows == (
+            ("IBM", dt.date(1999, 1, 25)),
+            ("INTC", dt.date(1999, 1, 26)),
+        )
+
 
 class TestSplitStatements:
     def test_semicolon_inside_string_preserved(self):

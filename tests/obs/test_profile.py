@@ -159,6 +159,27 @@ class TestProjectSpan:
         assert_project_children(trace)
 
 
+class TestPartitionSpan:
+    """The scan span says whether a query paid for partitioning."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_second_query_reuses_the_first_ones_sorts(self, workers):
+        executor = _executor(workers=workers)
+        first, second = Trace(), Trace()
+        with parallel_path("inline"):
+            cold = executor.execute(CLUSTER_QUERY, trace=first)
+            warm = executor.execute(CLUSTER_QUERY, trace=second)
+        assert warm.rows == cold.rows
+        clusters = first.find("scan").attrs["clusters"]
+        assert clusters > 1
+        scans = [trace.find("scan").attrs for trace in (first, second)]
+        assert [
+            (scan["grouped"], scan["sorted"], scan["reused"]) for scan in scans
+        ] == [(clusters, clusters, 0), (0, 0, clusters)]
+        rendered = warm.profile.render()
+        assert f"grouped=0 sorted=0 reused={clusters}" in rendered
+
+
 class TestRender:
     def test_render_has_header_and_connectors(self):
         executor = _executor()

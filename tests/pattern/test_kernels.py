@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 
+import numpy
 import pytest
 
 from repro.data.djia import djia_table
 from repro.data.workloads import EXAMPLE_10
 from repro.engine.catalog import Catalog
-from repro.engine.columnar import materialize_kernels
+from repro.engine.columnar import ColumnStore, materialize_kernels
 from repro.engine.executor import Executor
 from repro.match.naive import NaiveMatcher
 from repro.match.ops_star import OpsStarMatcher
@@ -230,6 +231,24 @@ def test_python_and_numpy_backends_agree_bitwise():
     assert python.backend == "python"
     assert vector.backend == "numpy"
     assert python.truth == vector.truth
+
+
+def test_a_kept_column_store_serves_both_backends():
+    """A cluster's kept store is shared by every later query: a scalar
+    pass must not stop a later NumPy pass from vectorizing, and the
+    kept float64 array must stay unchanged."""
+    compiled = prepare(EXAMPLE_10)
+    prices = [50.0 + math.sin(i / 3.0) * 5.0 + (i % 7) * 0.3 for i in range(200)]
+    rows = price_rows(prices)
+    store = ColumnStore(rows)
+    python = materialize_kernels(compiled, rows, backend="python", columns=store)
+    vector = materialize_kernels(compiled, rows, columns=store)
+    again = materialize_kernels(compiled, rows, columns=store)
+    assert (python.backend, vector.backend) == ("python", "numpy")
+    assert python.truth == vector.truth == again.truth
+    kept = store.column("price").f8(numpy)
+    assert not kept.flags.writeable
+    assert kept.tolist() == prices
 
 
 def test_unknown_backend_rejected():
