@@ -167,9 +167,14 @@ class Executor:
             )
         self._fallback = fallback
         self._codegen = codegen
-        if plan_cache_size < 0:
+        if (
+            isinstance(plan_cache_size, bool)
+            or not isinstance(plan_cache_size, int)
+            or plan_cache_size < 0
+        ):
             raise ExecutionError(
-                f"plan_cache_size must be >= 0, got {plan_cache_size}"
+                f"plan_cache_size must be a non-negative int, "
+                f"got {plan_cache_size!r}"
             )
         self._plan_cache_size = plan_cache_size
         self._plan_cache: OrderedDict[
@@ -276,7 +281,8 @@ class Executor:
         EXPLAIN ANALYZE-style :class:`~repro.obs.QueryProfile` on
         ``result.profile``.  With ``trace=None`` (the default) the
         traced code paths are never entered — output is byte-identical
-        either way (asserted by ``repro.bench.obs_overhead``).
+        either way (asserted by the ``tracing`` gate of
+        ``repro.bench.gates``).
         """
         workers = self._workers if workers is None else workers
         _check_workers(workers)
@@ -344,9 +350,7 @@ class Executor:
                     if budget is not None and budget.tripped is not None:
                         break
             else:
-                # Work units build their own kernel columns: a process
-                # pool's pickles carry rows only.
-                admitted = [(key, rows) for key, rows, _ in admission]
+                admitted = list(admission)
         if workers == 1:
             matcher_name = plan.matcher_name
         else:

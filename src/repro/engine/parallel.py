@@ -60,7 +60,7 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures import as_completed
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from repro import failpoints
 
@@ -86,6 +86,9 @@ from repro.sqlts import ast
 from repro.sqlts.parser import parse_query
 from repro.sqlts.semantic import analyze
 
+if TYPE_CHECKING:
+    from repro.engine.columnar import ColumnStore
+
 #: Work units per worker: small enough to amortize dispatch overhead,
 #: large enough that a skewed partition cannot straggle a whole unit's
 #: worth of siblings behind it.
@@ -94,11 +97,13 @@ UNIT_OVERSUBSCRIPTION = 4
 
 @dataclass(frozen=True)
 class Partition:
-    """One admitted cluster: its merge position, key, and sorted rows."""
+    """One admitted cluster: its merge position, key, and sorted rows,
+    with the kernel column store the table keeps for them, if any."""
 
     index: int
     key: tuple
     rows: Sequence
+    columns: Optional["ColumnStore"] = None
 
 
 @dataclass(frozen=True)
@@ -219,7 +224,7 @@ def _run_unit(
             try:
                 rows, plan = search_cluster(
                     plan, partition.key, partition.rows, instrumentation,
-                    budget, diagnostics, trace,
+                    budget, diagnostics, trace, partition.columns,
                 )
             except Exception as exc:
                 error = (partition.index, type(exc).__name__, str(exc))
@@ -260,6 +265,14 @@ def _process_initializer(
     build = degraded_pattern if degraded else compile_pattern
     _PROCESS_PLAN = replace(
         plan, analyzed=analyzed, compiled=build(analyzed.spec, codegen=codegen)
+    )
+
+
+def _rows_only(unit: WorkUnit) -> WorkUnit:
+    """``unit`` as a process pool pickles it: rows, no column stores."""
+    return replace(
+        unit,
+        partitions=tuple(replace(p, columns=None) for p in unit.partitions),
     )
 
 
@@ -389,7 +402,7 @@ def _run_units_pooled(
         future_units = {
             pool.submit(
                 _process_run_unit,
-                unit,
+                _rows_only(unit),
                 _unit_limits(budget),
                 record_trace,
                 record_spans,
@@ -433,10 +446,11 @@ def execute_parallel(
 
     Called by :meth:`repro.engine.executor.Executor.execute_with_report`
     when the effective worker count exceeds one, with the executor's
-    :class:`~repro.engine.executor.SearchPlan` and the ``(key, rows)``
-    pairs it admitted, in cluster order.  Returns the projected rows,
-    cut at the ``max_matches`` cap, and the name of the matcher that
-    ran last.  The units' counts fold into ``instrumentation`` and their
+    :class:`~repro.engine.executor.SearchPlan` and the
+    ``(key, rows, columns)`` triples it admitted, in cluster order.
+    In-line units read each cluster's kept ``columns``; a process pool
+    is sent the rows alone.  Returns the projected rows, cut at the
+    ``max_matches`` cap, and the name of the matcher that ran last.  The units' counts fold into ``instrumentation`` and their
     downgrades into ``diagnostics``.
 
     ``budget`` is the parent's: its deadline is pushed down to each
@@ -450,7 +464,8 @@ def execute_parallel(
     units' own ``unit > cluster`` span trees grafted under it.
     """
     partitions = [
-        Partition(index, key, rows) for index, (key, rows) in enumerate(clusters)
+        Partition(index, key, rows, columns)
+        for index, (key, rows, columns) in enumerate(clusters)
     ]
     units = split_partitions(partitions, workers)
     record_trace = instrumentation.trace is not None

@@ -9,12 +9,12 @@ Production code guards its failure-prone boundaries with *named sites*::
 
 When no failpoint is armed (the production default) every hook is a
 single module-global boolean check — zero allocation, zero locking — so
-the byte-identity and overhead gates in ``bench/obs_overhead`` are
-unaffected.  Tests and chaos harnesses arm sites to fire a chosen
-exception, truncate a payload ("torn write"), or skip an operation
-(lost fsync), optionally only from the Nth hit onward and at most K
-times, which turns "kill -9 at just the wrong moment" races into
-deterministic unit tests.
+the ``tracing`` gate's byte-identity and overhead checks
+(``repro.bench.gates``) are unaffected.  Tests and chaos harnesses arm
+sites to fire a chosen exception, truncate a payload ("torn write"), or
+skip an operation (lost fsync), optionally only from the Nth hit onward
+and at most K times, which turns "kill -9 at just the wrong moment"
+races into deterministic unit tests.
 
 Activation surfaces:
 

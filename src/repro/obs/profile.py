@@ -17,7 +17,7 @@ The profile rides on :attr:`repro.engine.result.Result.profile` when a
 query runs with a trace, and is printed by ``repro query --profile``
 and ``repro explain --analyze``.  It is strictly observational: the
 result rows of a traced run are byte-identical to an untraced run (the
-acceptance gate of the overhead bench, ``repro.bench.obs_overhead``).
+``tracing`` gate of ``repro.bench.gates`` checks it).
 """
 
 from __future__ import annotations

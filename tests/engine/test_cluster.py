@@ -21,11 +21,13 @@ from hypothesis import strategies as st
 from repro.data.quotes import QUOTE_SCHEMA, synthetic_quotes
 from repro.engine.catalog import Catalog
 from repro.engine.cluster import clusters_of, sequenced
+from repro.engine import columnar
 from repro.engine.columnar import load_columnar, write_columnar
 from repro.engine.executor import Executor
 from repro.engine.table import Table
 from repro.errors import ExecutionError
 from repro.resilience import Diagnostics, ErrorPolicy
+from tests.conftest import parallel_path
 
 
 def quote_table(rows):
@@ -210,6 +212,27 @@ class TestPartitionMemo:
         # The kernels read the kept price column: only the SELECT reads
         # a price cell, one per match.
         assert reads_of(table, "price") == len(warm.rows)
+
+    def test_a_warm_inline_parallel_query_builds_no_column(self, monkeypatch):
+        """In-line work units read the columns the partition keeps."""
+        built = []
+
+        class CountingColumn(columnar._Column):
+            __slots__ = ()
+
+            def __init__(self, rows, name):
+                built.append(name)
+                super().__init__(rows, name)
+
+        monkeypatch.setattr(columnar, "_Column", CountingColumn)
+        executor = Executor(Catalog([quote_table(ROWS)]), workers=2)
+        with parallel_path("inline"):
+            cold = executor.execute(self.QUERY)
+            assert built == ["price", "price"]
+            built.clear()
+            warm = executor.execute(self.QUERY)
+        assert warm.rows == cold.rows == ((60.0,), (80.5,))
+        assert built == []
 
 
 def shuffled_quotes():

@@ -209,20 +209,16 @@ class TestUsableCpus:
         pool = trace.find("parallel")
         assert pool.attrs["mode"] == "inline" and pool.attrs["units"] > 1
 
-    def test_pr5_skips_scaling_with_one_usable_cpu(self, monkeypatch, capsys):
-        from repro.bench import pr5
+    def test_the_parallel_gate_skips_scaling_with_one_usable_cpu(
+        self, monkeypatch, capsys
+    ):
+        from repro.bench import gates
 
         pin_to_one_cpu(monkeypatch)
-        monkeypatch.setattr(
-            pr5,
-            "_bench_workload",
-            lambda *args: {
-                "serial_s": 1.0,
-                "matches": 1,
-                "workers": {"4": {"speedup": 0.5}},
-            },
-        )
-        current = pr5.run_bench("smoke")
-        assert current["cpu_count"] == 1
-        assert pr5.check_scaling(current) == []
-        assert "SCALING CHECK SKIPPED" in capsys.readouterr().out
+        monkeypatch.setitem(gates.REPETITIONS, "smoke", 1)
+        run = gates.Run("smoke")
+        gates.measure_parallel(run)
+        assert run.mismatches == []
+        assert run.results[gates.PANEL]["usable_cpus"] == 1
+        assert gates.check_scaling(run.results, {}) == []
+        assert "SCALING FLOOR SKIPPED" in capsys.readouterr().out

@@ -97,6 +97,13 @@ class TestPlanCacheEviction:
         with pytest.raises(ExecutionError, match="plan_cache_size"):
             Executor(quote_catalog(), plan_cache_size=-1)
 
+    @pytest.mark.parametrize("size", [True, 2.5, float("nan"), "8"])
+    def test_a_size_that_is_not_an_int_is_rejected(self, size):
+        # NaN used to turn the cache off (nan > 0 is False) and True to
+        # hold one entry.
+        with pytest.raises(ExecutionError, match="non-negative int"):
+            Executor(quote_catalog(), plan_cache_size=size)
+
 
 class TestPlanCacheKeying:
     def test_ast_queries_bypass_the_cache(self):

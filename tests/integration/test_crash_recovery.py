@@ -16,6 +16,8 @@ import random
 
 import pytest
 
+from repro.data.djia import djia_table
+from repro.data.workloads import EXAMPLE_10
 from repro.engine.catalog import Catalog
 from repro.engine.csv_io import iter_csv, save_csv
 from repro.engine.executor import Executor
@@ -111,6 +113,36 @@ def test_kill_and_resume_equals_uninterrupted(tmp_path, codegen, crash_at):
     combined.extend(second.rows)
     assert combined == uninterrupted
     assert second.diagnostics.checkpoints_restored == 1
+
+
+@pytest.mark.parametrize("codegen", [True, False], ids=["compiled", "interpreted"])
+def test_example_10_crashed_halfway_still_emits_its_11_matches_once(
+    tmp_path, codegen
+):
+    """The paper's DJIA double bottom as a stream, crashed halfway and
+    resumed from its checkpoint: each of its 11 matches arrives once."""
+    table = djia_table()
+    rows = list(table)
+    executor = Executor(
+        Catalog([table]), domains=AttributeDomains.prices(), codegen=codegen
+    )
+    _, pattern = executor.prepare(EXAMPLE_10)
+    store = CheckpointStore(tmp_path / "ck")
+    checkpoints = CheckpointPolicy(every_rows=100)
+    first = RecoveringStreamRunner(
+        pattern, make_factory(rows, crash_at=len(rows) // 2),
+        store=store, checkpoints=checkpoints,
+    )
+    emitted = []
+    with pytest.raises(PlannedCrash):
+        emitted.extend(match for _, match in first.run())
+    second = RecoveringStreamRunner(
+        pattern, make_factory(rows), store=store, checkpoints=checkpoints
+    )
+    emitted.extend(match for _, match in second.run(resume=True))
+    assert second.diagnostics.checkpoints_restored == 1
+    positions = [(match.start, match.end) for match in emitted]
+    assert len(set(positions)) == len(positions) == 11
 
 
 @pytest.mark.parametrize("codegen", [True, False], ids=["compiled", "interpreted"])
