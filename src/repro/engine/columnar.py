@@ -15,6 +15,20 @@ the row path; the differential suites
 (``tests/engine/test_columnar_equivalence.py``,
 ``tests/match/test_counted_runs.py``) hold both paths byte-identical.
 
+An element with anchored comparisons (a residual that compares the row
+under test with an earlier element's boundary row, see
+:class:`~repro.pattern.kernels.AnchoredCompare`) has no truth array: its
+answer depends on the attempt.  Each side of such a comparison becomes
+one Python list per cluster instead, with None where navigation leaves
+the cluster, and the OPS scan compares ``lhs[i]`` with ``rhs[anchor]``.
+The sides are built with NumPy float64 only where that reproduces the
+residual closure's Python float arithmetic bit for bit: every column
+read is all-``float``, every literal passes ``_np_exact``, and no side
+divides.  Anywhere else the element keeps its closure, so a string,
+int or missing cell raises the closure's error at the same match; so
+does every anchored element under ``backend="python"``, whose reference
+for them is the closure itself.
+
 Each comparison's truth bytes come from one of two kernels:
 
 - NumPy: whole-column float64 arithmetic, used only for columns whose
@@ -71,6 +85,7 @@ from repro.constraints.atoms import Op
 from repro.engine.table import Schema
 from repro.errors import ColumnarFormatError, ExecutionError
 from repro.pattern.kernels import (
+    AnchoredCompare,
     CompareConst,
     ComparePair,
     Disjunction,
@@ -173,20 +188,30 @@ class ColumnStore:
 
 
 class ClusterKernels:
-    """Per-element truth arrays for one cluster.
+    """Per-element truth arrays and anchored comparisons for one cluster.
 
     ``truth[j - 1]`` is a ``bytes`` with one byte per row (1 where element
-    j's predicate holds at that position) or None where the element fell
-    back to the row evaluator.  Identical element kernels share one
-    truth object (Example 10's repeated shapes deduplicate).
+    j's predicate holds at that position) or None where the element has
+    none.  ``anchored[j - 1]`` is None, or ``(gate, comparisons)`` for an
+    element with anchored comparisons: ``gate`` is the truth bytes of its
+    ordinary conditions (None when it has none), and each comparison is
+    ``(lhs, holds, rhs, edge, delta)``: it holds at row i of an attempt
+    at ``start`` with count array ``counts`` when ``lhs[i]`` and
+    ``rhs[start + counts[edge] + delta]`` are not None and
+    ``holds(lhs[i], rhs[...])``.  An element with neither fell back to
+    the row evaluator.  Identical element kernels share one entry
+    (Example 10's repeated shapes deduplicate).
     """
 
-    __slots__ = ("truth", "backend", "lowered")
+    __slots__ = ("truth", "anchored", "backend", "lowered")
 
-    def __init__(self, truth: tuple, backend: str):
+    def __init__(self, truth: tuple, anchored: tuple, backend: str):
         self.truth = truth
+        self.anchored = anchored
         self.backend = backend
-        self.lowered = sum(1 for t in truth if t is not None)
+        self.lowered = sum(
+            1 for t, a in zip(truth, anchored) if t is not None or a is not None
+        )
 
 
 def materialize_kernels(
@@ -197,15 +222,16 @@ def materialize_kernels(
 ) -> Optional[ClusterKernels]:
     """Build truth arrays for ``rows`` from a compiled pattern's plan.
 
-    Returns None when nothing lowered (interpreted oracle plans, fully
-    residual patterns, or every element failing materialization) — the
-    caller then runs the plain row path.  ``backend`` is ``"numpy"``
-    (whole-column float64 where exact, scalar Python otherwise) or
-    ``"python"`` (scalar kernels only — the reference the bit-parity
-    test holds the NumPy kernels to).  ``columns`` is the store kept
-    with ``rows`` (a partition's sorted cluster); without one the
-    columns are read from the rows.  The truth arrays are built per
-    call: they depend on the query's constants.
+    Returns None when nothing lowered (interpreted oracle plans,
+    patterns whose every element keeps a closure, or every element
+    failing materialization) — the caller then runs the plain row path.
+    ``backend`` is ``"numpy"`` (whole-column float64 where exact, scalar
+    Python otherwise) or ``"python"`` (scalar kernels only — the
+    reference the bit-parity test holds the NumPy kernels to).
+    ``columns`` is the store kept with ``rows`` (a partition's sorted
+    cluster); without one the columns are read from the rows.  The truth
+    arrays and anchored side lists are built per call: they depend on
+    the query's constants.
     """
     if backend not in ("numpy", "python"):
         raise ValueError(f"backend must be 'numpy' or 'python', got {backend!r}")
@@ -221,32 +247,125 @@ def materialize_kernels(
     np = numpy if backend == "numpy" else None
     store = columns if columns is not None else ColumnStore(rows)
     n = store.n
-    memo: dict[ElementKernel, Optional[bytes]] = {}
+    memo: dict[ElementKernel, tuple] = {}
     truth: list[Optional[bytes]] = []
+    anchored: list[Optional[tuple]] = []
     used_numpy = False
     for kernel in plan.elements:
         if kernel is None:
-            truth.append(None)
-            continue
-        if kernel in memo:
-            truth.append(memo[kernel])
-            continue
-        try:
-            built, vectorized = _element_truth(kernel, store, n, np)
-        except Exception:
-            # Anything the batch evaluation trips over (non-numeric
-            # cells, overflow, exotic operators) is left to the row
-            # evaluator, which raises — or short-circuits past it —
-            # exactly as the row path always did.
-            built, vectorized = None, False
-        used_numpy = used_numpy or vectorized
-        memo[kernel] = built
-        truth.append(built)
-    if all(t is None for t in truth):
+            built = None, None
+        elif kernel in memo:
+            built = memo[kernel]
+        else:
+            try:
+                built, vectorized = _element_kernel(kernel, store, n, np)
+            except Exception:
+                # Anything the batch evaluation trips over (non-numeric
+                # cells, overflow, exotic operators) is left to the row
+                # evaluator, which raises — or short-circuits past it —
+                # exactly as the row path always did.
+                built, vectorized = (None, None), False
+            used_numpy = used_numpy or vectorized
+            memo[kernel] = built
+        truth.append(built[0])
+        anchored.append(built[1])
+    if all(t is None for t in truth) and all(a is None for a in anchored):
         return None
     return ClusterKernels(
-        tuple(truth), backend="numpy" if used_numpy else "python"
+        tuple(truth), tuple(anchored), backend="numpy" if used_numpy else "python"
     )
+
+
+def _element_kernel(
+    kernel: ElementKernel, store: ColumnStore, n: int, np
+) -> tuple[tuple, bool]:
+    """``((truth, None), used_numpy)`` for an element without anchored
+    comparisons, ``((None, (gate, comparisons)), True)`` for one with
+    them (see :class:`ClusterKernels`).  Anchored comparisons need NumPy:
+    under the ``python`` backend the element keeps its closure, the
+    reference they are held to."""
+    if not kernel.anchored:
+        built, vectorized = _element_truth(kernel, store, n, np)
+        return (built, None), vectorized
+    if np is None:
+        raise ValueError("anchored comparisons are built with NumPy only")
+    comparisons = tuple(
+        _anchored_comparison(compare, store, n, np) for compare in kernel.anchored
+    )
+    gate = _element_truth(kernel, store, n, np)[0] if kernel.steps else None
+    return (None, (gate, comparisons)), True
+
+
+def _anchored_comparison(
+    compare: AnchoredCompare, store: ColumnStore, n: int, np
+) -> tuple:
+    """``(lhs, holds, rhs, edge, delta)`` of one anchored comparison.
+
+    Raises ValueError where the lists could differ from the residual
+    closure's arithmetic, which leaves the element on its closure.
+    """
+    if compare.last:
+        edge, delta = compare.element, -1
+    else:
+        edge, delta = compare.element - 1, 0
+    return (
+        _side_values(compare.lhs, store, n, np),
+        _OP_FUNCS[compare.op],
+        _side_values(compare.rhs, store, n, np),
+        edge,
+        delta,
+    )
+
+
+def _side_values(program: tuple, store: ColumnStore, n: int, np) -> list:
+    """One side's value at every row ``i`` of the cluster, None where its
+    navigation leaves the cluster.
+
+    Only all-``float`` columns and exact literals qualify: a Python float
+    is an IEEE double, so float64 arithmetic reproduces
+    ``_require_number``'s, operation by operation in the same order.
+    """
+    offsets: list[int] = []
+    _side_reads(program, store, offsets)
+    lo, hi = _valid_range(n, *offsets)
+    lo, hi = min(lo, n), min(hi, n)
+    with np.errstate(all="ignore"):
+        values = _eval_side(
+            program, lambda name, off: store.column(name).f8(np)[lo + off : hi + off]
+        ).tolist()
+    return [None] * lo + values + [None] * (n - hi)
+
+
+def _side_reads(program: tuple, store: ColumnStore, offsets: list[int]) -> None:
+    """Collect the side's offsets; raise ValueError where it is not exact."""
+    kind = program[0]
+    if kind == "col":
+        if not store.column(program[1]).floats_only:
+            raise ValueError(f"column {program[1]!r} is not all float")
+        offsets.append(program[2])
+    elif kind == "num":
+        if not _np_exact(program[1]):
+            raise ValueError(f"literal {program[1]!r} is not exact in float64")
+    else:
+        for operand in program[1:]:
+            _side_reads(operand, store, offsets)
+
+
+def _eval_side(program: tuple, read):
+    kind = program[0]
+    if kind == "col":
+        return read(program[1], program[2])
+    if kind == "num":
+        return float(program[1])
+    if kind == "neg":
+        return -_eval_side(program[1], read)
+    left = _eval_side(program[1], read)
+    right = _eval_side(program[2], read)
+    if kind == "+":
+        return left + right
+    if kind == "-":
+        return left - right
+    return left * right
 
 
 def _element_truth(

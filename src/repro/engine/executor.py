@@ -850,9 +850,11 @@ def search_cluster(
     lenient policy, and the returned plan carries the fallback so later
     clusters skip the failing attempt.  With ``trace``, the search is
     one ``cluster`` span labelled with the cluster's key, with the
-    projection of its matches as its ``project`` child.
+    projection of its matches as its ``project`` child; its ``replays``
+    are the attempts the OPS replay walk settled.
     """
     tests_before = instrumentation.tests
+    replays_before = instrumentation.replays
     with (
         trace.span("cluster") if trace is not None else nullcontext()
     ) as span:
@@ -889,6 +891,7 @@ def search_cluster(
             partition=_cluster_label(key),
             rows=len(rows),
             tests=instrumentation.tests - tests_before,
+            replays=instrumentation.replays - replays_before,
             matches=len(projected),
             matcher=plan.matcher_name,
         )
@@ -918,10 +921,11 @@ def _cluster_kernels(
     with trace.span("kernels") as span:
         kernels = materialize_kernels(compiled, rows, columns=columns)
         if kernels is None:
-            span.annotate(lowered=0, rows=len(rows))
+            span.annotate(lowered=0, anchored=0, rows=len(rows))
         else:
             span.annotate(
                 lowered=kernels.lowered,
+                anchored=sum(1 for entry in kernels.anchored if entry is not None),
                 elements=compiled.m,
                 backend=kernels.backend,
                 rows=len(rows),

@@ -149,15 +149,22 @@ class Instrumentation:
     work to individual pattern elements (and to the band-fused ones).
     It costs one dict update per test, so it stays off outside traced
     runs; the aggregate ``tests`` counter is untouched either way.
+
+    ``replays`` counts the attempts the OPS scan's replay walk settled
+    without stepping through them (see :mod:`repro.match.ops_star`);
+    their tests and skips are in the other counters all the same.
     """
 
-    __slots__ = ("tests", "trace", "skips", "skip_distance", "tests_by_element")
+    __slots__ = (
+        "tests", "trace", "skips", "skip_distance", "replays", "tests_by_element"
+    )
 
     def __init__(self, record_trace: bool = False):
         self.tests = 0
         self.trace: Optional[list[tuple[int, int]]] = [] if record_trace else None
         self.skips = 0
         self.skip_distance = 0
+        self.replays = 0
         self.tests_by_element: Optional[dict[int, int]] = None
 
     def enable_detail(self) -> None:
@@ -203,6 +210,7 @@ class Instrumentation:
         self.tests += other.tests
         self.skips += other.skips
         self.skip_distance += other.skip_distance
+        self.replays += other.replays
         if self.trace is not None and other.trace:
             self.trace.extend(other.trace)
         if self.tests_by_element is not None and other.tests_by_element:

@@ -77,7 +77,8 @@ class CompiledPattern:
         Stage 1 of the columnar lowering (:mod:`repro.pattern.kernels`):
         entry ``j - 1`` is a symbolic :class:`~repro.pattern.kernels.
         ElementKernel` or None where the element must stay on the
-        per-row evaluator (residuals, opaque conditions).  With
+        per-row evaluator (residuals other than anchored comparisons,
+        opaque conditions).  With
         ``use_codegen=False`` — the interpreted differential oracle —
         nothing lowers, keeping the oracle path entirely kernel-free.
         """

@@ -12,20 +12,26 @@ The split is deliberate:
 - **stage 1 (here, per query)** — walk the condition objects once at
   pattern-compile time and emit data-only programs
   (:class:`CompareConst`, :class:`ComparePair`, :class:`StringEquality`,
-  :class:`Ground`, :class:`Disjunction`) naming the columns, sequence
-  offsets, linear coefficients, and comparison operators involved.  The
+  :class:`Ground`, :class:`Disjunction`, :class:`AnchoredCompare`)
+  naming the columns, sequence offsets, linear coefficients, and
+  comparison operators involved.  The
   programs are frozen and hashable, so identical element predicates
   (Example 10 repeats its down/up shapes across seven starred elements)
   deduplicate to one shared kernel;
 - **stage 2 (columnar, per cluster)** — bind the programs to actual
-  column data and materialize truth bytes.
+  column data and materialize truth bytes (and, for anchored
+  comparisons, one value list per side).
 
-Coverage mirrors codegen exactly, minus residuals: a residual condition
-closes over per-attempt *bindings*, which vary across match attempts,
-so it can never be batch-evaluated over positions.  Any element whose
-predicate contains a residual (or an unknown condition type) gets no
-kernel and stays on the per-row evaluator — fallback is per-element,
-never per-query, exactly like codegen's contract.
+Coverage mirrors codegen, with one kind of residual on top.  A residual
+condition reads other elements' *bindings*, which vary across match
+attempts, so it has no truth array.  The one shape that still lowers is
+an **anchored comparison** (:class:`AnchoredCompare`): one side reads
+only the row under test, the other only one earlier element's boundary
+row (its *anchor*).  Each side becomes one value per position, and the
+OPS scan compares ``lhs[i]`` with ``rhs[anchor]`` per test.  An element
+whose predicate holds any other residual (or an unknown condition type)
+gets no kernel and stays on the per-row evaluator — fallback is
+per-element, never per-query, exactly like codegen's contract.
 
 Semantics note: a truth array has no evaluation *order*, so an element
 lowers only when every one of its conditions does, and the columnar
@@ -45,6 +51,7 @@ from repro.pattern.predicates import (
     Condition,
     ElementPredicate,
     OrCondition,
+    ResidualCondition,
     StringEqualityCondition,
 )
 
@@ -106,6 +113,32 @@ class Disjunction:
 
 
 @dataclass(frozen=True)
+class AnchoredCompare:
+    """``op(lhs(i), rhs(anchor))`` — a residual comparison on kernels.
+
+    ``lhs`` reads only the row under test ``i``, ``rhs`` only the
+    *anchor*: the start of pattern element ``element`` (1-based), or its
+    end when ``last`` (a ``LAST(V)`` reference).  Each side is an
+    expression program over one row, as nested tuples:
+    ``("col", name, offset)`` reads ``column[row + offset]``,
+    ``("num", value)`` is a literal, ``("neg", operand)`` negates, and
+    ``("+" | "-" | "*", left, right)`` is arithmetic.  There is no
+    division: Python raises on a zero divisor, NumPy does not.
+
+    At run time the anchor is ``attempt_start + counts[element - 1]``, or
+    ``attempt_start + counts[element] - 1`` for the end (see
+    :mod:`repro.match.ops_star`).  Navigation off either end makes the
+    comparison False for every operator, as in the residual closure.
+    """
+
+    lhs: tuple
+    op: Op
+    rhs: tuple
+    element: int
+    last: bool = False
+
+
+@dataclass(frozen=True)
 class ElementKernel:
     """The full conjunction program for one pattern element.
 
@@ -113,16 +146,23 @@ class ElementKernel:
     is informational only — a truth array is order-free).  ``band_fused``
     marks the two-comparison shape codegen fuses into one closure, so
     profiles can attribute fusion identically on both paths.
+    ``anchored`` are the element's anchored comparisons; the element
+    holds at a row where every step's truth byte is 1 and every anchored
+    comparison holds for the attempt's anchor.
     """
 
     steps: tuple[object, ...]
     band_fused: bool = False
+    anchored: tuple[AnchoredCompare, ...] = ()
 
     @property
     def columns(self) -> frozenset[str]:
         """Every column name any step of this kernel reads."""
         names: set[str] = set()
         _collect_columns(self.steps, names)
+        for compare in self.anchored:
+            _collect_side_columns(compare.lhs, names)
+            _collect_side_columns(compare.rhs, names)
         return frozenset(names)
 
 
@@ -134,7 +174,7 @@ class KernelPlan:
 
     @property
     def lowered(self) -> int:
-        """How many elements have a batch kernel."""
+        """How many elements have a batch kernel, anchored ones included."""
         return sum(1 for kernel in self.elements if kernel is not None)
 
     @property
@@ -158,16 +198,37 @@ def _collect_columns(steps, names: set[str]) -> None:
                 _collect_columns(branch, names)
 
 
+def _collect_side_columns(program: tuple, names: set[str]) -> None:
+    kind = program[0]
+    if kind == "col":
+        names.add(program[1])
+    elif kind != "num":
+        for operand in program[1:]:
+            _collect_side_columns(operand, names)
+
+
 def plan_element(predicate: ElementPredicate) -> Optional[ElementKernel]:
-    """Lower one element predicate to a kernel, or None to fall back."""
+    """Lower one element predicate to a kernel, or None to fall back.
+
+    Every condition must be an ordinary kernel step or a residual that
+    carries an anchored comparison (attached by the SQL-TS analyzer).
+    """
     steps: list[object] = []
+    anchored: list[AnchoredCompare] = []
     for condition in predicate.conditions:
+        if isinstance(condition, ResidualCondition):
+            if condition.anchored is None:
+                return None
+            anchored.append(condition.anchored)
+            continue
         step = _plan_condition(condition)
         if step is None:
             return None
         steps.append(step)
     return ElementKernel(
-        steps=tuple(steps), band_fused=_is_band_fused(predicate.conditions)
+        steps=tuple(steps),
+        band_fused=_is_band_fused(predicate.conditions),
+        anchored=tuple(anchored),
     )
 
 
@@ -192,8 +253,8 @@ def _plan_condition(condition: Condition) -> Optional[object]:
                 lowered_branch.append(lowered)
             branches.append(tuple(lowered_branch))
         return Disjunction(branches=tuple(branches))
-    # Residuals (binding-dependent) and unknown condition types never
-    # batch-lower; the element stays on the row evaluator.
+    # Unknown condition types never batch-lower; the element stays on
+    # the row evaluator.
     return None
 
 

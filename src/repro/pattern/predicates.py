@@ -348,6 +348,12 @@ class ResidualCondition(Condition):
     attach it so the compiled fast path covers residuals too.  It must be
     observationally identical to ``func`` and is therefore excluded from
     equality.
+
+    ``anchored``, when present, is the same condition as a
+    :class:`~repro.pattern.kernels.AnchoredCompare` program, which the
+    columnar kernels evaluate in place of ``fast`` (see
+    :mod:`repro.pattern.kernels`); like ``fast``, it is excluded from
+    equality.
     """
 
     func: Callable[[EvalContext], bool]
@@ -355,6 +361,7 @@ class ResidualCondition(Condition):
     fast: Optional[
         Callable[[Sequence[Mapping[str, object]], int, Mapping[str, tuple[int, int]]], bool]
     ] = field(default=None, compare=False)
+    anchored: Optional[object] = field(default=None, compare=False)
 
     def evaluate(self, ctx: EvalContext) -> bool:
         return bool(self.func(ctx))

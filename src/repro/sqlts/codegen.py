@@ -30,6 +30,13 @@ Any AST node outside the supported fragment makes the lowering return
 ``None``; the residual then simply has no fast form and the element falls
 back to interpreted evaluation.
 
+:func:`lower_anchored` lowers the same AST a second way, when the residual
+is one comparison between the row under test and one earlier element's
+boundary row: to an :class:`~repro.pattern.kernels.AnchoredCompare`
+program, which the columnar kernels evaluate with two list lookups per
+test.  The closure above stays the fallback wherever the kernels cannot
+reproduce it exactly.
+
 :func:`lower_select` lowers the SELECT list once per plan, into one
 function per item of a match's element boundaries (see
 :class:`~repro.match.base.Match`).  A column reference ``V.attr`` is one
@@ -44,7 +51,9 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Optional, Sequence
 
+from repro.constraints.atoms import Op
 from repro.errors import ExecutionError
+from repro.pattern.kernels import AnchoredCompare
 from repro.sqlts import ast
 from repro.sqlts.expressions import (
     _compare,
@@ -76,6 +85,65 @@ def lower_residual(
         return _lower_cond(condition, element_var)
     except _Unsupported:
         return None
+
+
+def lower_anchored(
+    condition: ast.Cond, element_var: str, positions: Mapping[str, int]
+) -> Optional[AnchoredCompare]:
+    """The anchored-comparison program of a residual, or None.
+
+    The residual must be one comparison.  One side reads only
+    ``element_var``, the element under test: every accessor resolves to
+    the cursor row, as in :func:`lower_residual`.  The other reads only
+    one earlier variable, all through its start (a bare reference or
+    ``FIRST``) or all through its end (``LAST``).  Both may navigate and
+    use numeric literals, ``+``, ``-``, ``*`` and unary minus; a
+    division or a string makes this return None.  ``positions`` maps
+    each pattern variable to its 1-based element position.
+    """
+    if not isinstance(condition, ast.Comparison):
+        return None
+    sides = []
+    for expr in (condition.left, condition.right):
+        refs: set[tuple[str, bool]] = set()
+        program = _anchored_side(expr, element_var, refs)
+        if program is None or len(refs) != 1:
+            return None
+        sides.append((program, refs.pop()))
+    (left, (left_var, left_last)), (right, (right_var, right_last)) = sides
+    op = Op(condition.op)
+    if left_var == element_var and right_var != element_var:
+        return AnchoredCompare(left, op, right, positions[right_var], right_last)
+    if right_var == element_var and left_var != element_var:
+        # Floats compare the same either way round, NaN included.
+        return AnchoredCompare(
+            right, op.flipped, left, positions[left_var], left_last
+        )
+    return None
+
+
+def _anchored_side(
+    expr: ast.Expr, element_var: str, refs: set[tuple[str, bool]]
+) -> Optional[tuple]:
+    """One side as an :class:`AnchoredCompare` expression program, adding
+    each ``(variable, reads its end)`` it references to ``refs``."""
+    if isinstance(expr, ast.NumberLit):
+        return ("num", expr.value)
+    if isinstance(expr, ast.VarPath):
+        offset = sum(-1 if step == "previous" else 1 for step in expr.navigation)
+        current = expr.var == element_var
+        refs.add((expr.var, not current and expr.accessor == "last"))
+        return ("col", expr.attr, offset)
+    if isinstance(expr, ast.Neg):
+        operand = _anchored_side(expr.operand, element_var, refs)
+        return None if operand is None else ("neg", operand)
+    if isinstance(expr, ast.BinOp) and expr.op in ("+", "-", "*"):
+        left = _anchored_side(expr.left, element_var, refs)
+        right = _anchored_side(expr.right, element_var, refs)
+        if left is None or right is None:
+            return None
+        return (expr.op, left, right)
+    return None
 
 
 class LoweredSelect:

@@ -51,7 +51,12 @@ from repro.pattern.predicates import (
 )
 from repro.pattern.spec import PatternElement, PatternSpec
 from repro.sqlts import ast
-from repro.sqlts.codegen import LoweredSelect, lower_residual, lower_select
+from repro.sqlts.codegen import (
+    LoweredSelect,
+    lower_anchored,
+    lower_residual,
+    lower_select,
+)
 from repro.sqlts.expressions import evaluate_condition
 
 
@@ -215,7 +220,7 @@ def _convert_conjunct(
         disjunctive = _convert_disjunction(conjunct, element_var, positions, stars)
         if disjunctive is not None:
             return disjunctive
-    return _residual(conjunct, element_var)
+    return _residual(conjunct, element_var, positions)
 
 
 _NEGATED_OP = {"=": "!=", "!=": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
@@ -392,14 +397,18 @@ def _linear_term(
     return None
 
 
-def _residual(conjunct: ast.Cond, element_var: str) -> ResidualCondition:
+def _residual(
+    conjunct: ast.Cond, element_var: str, positions: dict[str, int]
+) -> ResidualCondition:
     """Wrap a conjunct for generic runtime evaluation via bindings.
 
     The current element is temporarily bound to the tuple under test, so
     references to it (bare or via previous/next) resolve against the
     cursor position, while earlier elements resolve through their spans.
     A pre-lowered fast form (see :mod:`repro.sqlts.codegen`) is attached
-    so the compiled evaluation path covers the residual too.
+    so the compiled evaluation path covers the residual too, and, for a
+    comparison with an earlier element's boundary row, an anchored
+    program for the columnar kernels.
     """
 
     def evaluate(ctx: EvalContext) -> bool:
@@ -411,4 +420,5 @@ def _residual(conjunct: ast.Cond, element_var: str) -> ResidualCondition:
         evaluate,
         description=str(conjunct),
         fast=lower_residual(conjunct, element_var),
+        anchored=lower_anchored(conjunct, element_var, positions),
     )

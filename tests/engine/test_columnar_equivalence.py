@@ -43,7 +43,7 @@ CORPUS_PATH = Path(__file__).parent / "data" / "columnar_corpus.json"
 MATCHERS = ["ops", "naive", "backtracking"]
 
 
-def _condition_pool(var, previous_var):
+def _condition_pool(var, previous_var, starred=frozenset()):
     pool = [
         f"{var}.price > {var}.previous.price",
         f"{var}.price < {var}.previous.price",
@@ -54,9 +54,22 @@ def _condition_pool(var, previous_var):
         f"NOT {var}.price > 55",
     ]
     if previous_var is not None:
-        # Starred endpoints turn this into a residual — the kernel plan
-        # must decline the element and fall back per element.
+        # Starred endpoints turn this into a residual, an anchored
+        # comparison on kernels.
         pool.append(f"{var}.price > {previous_var}.price")
+        # Anchored comparisons with element 1's row (across a star when
+        # one lies between), with navigation on the anchor side and !=.
+        pool += [
+            f"{var}.previous.price < 0.5 * A.price",
+            f"{var}.price > 1.01 * A.price",
+            f"{var}.price > A.next.price",
+            f"{var}.price != A.price",
+        ]
+        if var > "B" and "B" in starred:
+            pool += [
+                f"{var}.price < 0.99 * FIRST(B).price",
+                f"{var}.price > LAST(B).price",
+            ]
     return pool
 
 
@@ -65,10 +78,11 @@ def queries(draw):
     arity = draw(st.integers(1, 4))
     names = list(VARS[:arity])
     stars = [draw(st.booleans()) for _ in names]
+    starred = {name for name, star in zip(names, stars) if star}
     conjuncts = []
     for index, name in enumerate(names):
         previous_var = names[index - 1] if index > 0 else None
-        pool = _condition_pool(name, previous_var)
+        pool = _condition_pool(name, previous_var, starred)
         picks = draw(st.lists(st.sampled_from(pool), min_size=0, max_size=2))
         conjuncts.extend(picks)
     if not conjuncts:

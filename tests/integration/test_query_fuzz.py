@@ -28,7 +28,7 @@ DOMAINS = AttributeDomains.prices()
 VARS = "ABCDEFG"
 
 
-def _condition_pool(var, previous_var):
+def _condition_pool(var, previous_var, starred=frozenset()):
     """SQL condition templates for one pattern variable."""
     pool = [
         f"{var}.price > {var}.previous.price",
@@ -43,6 +43,20 @@ def _condition_pool(var, previous_var):
     if previous_var is not None:
         pool.append(f"{var}.price > {previous_var}.price")
         pool.append(f"{var}.price < 1.05 * {previous_var}.price")
+        # Anchored comparisons with element 1's row, and with B's start
+        # or end when B is starred: the OPS scan tests them on kernels
+        # and may settle their replays in one walk.
+        pool += [
+            f"{var}.previous.price < 0.5 * A.price",
+            f"{var}.price > 1.01 * A.price",
+            f"{var}.price > A.next.price",
+            f"{var}.price != A.price",
+        ]
+        if var > "B" and "B" in starred:
+            pool += [
+                f"{var}.price < 0.99 * FIRST(B).price",
+                f"{var}.price > LAST(B).price",
+            ]
     return pool
 
 
@@ -51,6 +65,7 @@ def queries(draw):
     arity = draw(st.integers(1, 4))
     names = list(VARS[:arity])
     stars = [draw(st.booleans()) for _ in names]
+    starred = {name for name, star in zip(names, stars) if star}
     conjuncts = []
     for index, name in enumerate(names):
         previous_var = None
@@ -59,7 +74,7 @@ def queries(draw):
         # for starred cases (it becomes a residual, also worth fuzzing).
         if index > 0:
             previous_var = names[index - 1]
-        pool = _condition_pool(name, previous_var)
+        pool = _condition_pool(name, previous_var, starred)
         picks = draw(st.lists(st.sampled_from(pool), min_size=0, max_size=2))
         conjuncts.extend(picks)
     if not conjuncts:

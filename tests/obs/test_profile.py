@@ -4,9 +4,10 @@ import pytest
 
 from repro.data.djia import djia_table
 from repro.data.quotes import quote_table
-from repro.data.workloads import EXAMPLE_8, EXAMPLE_10
+from repro.data.workloads import EXAMPLE_2, EXAMPLE_8, EXAMPLE_10
 from repro.engine.catalog import Catalog
 from repro.engine.executor import Executor
+from repro.match.base import Instrumentation
 from repro.obs import MetricsRegistry, Trace
 from repro.pattern.predicates import AttributeDomains
 from tests.conftest import parallel_path
@@ -157,6 +158,31 @@ class TestProjectSpan:
             _executor(workers=2).execute(EXAMPLE_8, trace=trace)
         assert trace.find_all("unit")
         assert_project_children(trace)
+
+
+class TestResidualSpans:
+    """Example 2's residual runs on an anchored comparison, and the OPS
+    replay walk settles attempts; both show in the spans."""
+
+    def test_example_2_shows_anchored_and_replays(self):
+        executor = _executor()
+        trace = Trace()
+        instrumentation = Instrumentation()
+        result = executor.execute(EXAMPLE_2, instrumentation, trace=trace)
+        kernels = trace.find_all("kernels")
+        assert kernels
+        assert all(span.attrs["anchored"] == 1 for span in kernels)
+        assert all(span.attrs["lowered"] == 3 for span in kernels)
+        clusters = trace.find_all("cluster")
+        replays = sum(span.attrs["replays"] for span in clusters)
+        assert replays == instrumentation.replays > 0
+        rendered = result.profile.render()
+        assert "anchored=1" in rendered and "replays=" in rendered
+
+    def test_a_row_evaluator_walks_nothing(self):
+        trace = Trace()
+        _executor(evaluator="row").execute(EXAMPLE_2, trace=trace)
+        assert all(span.attrs["replays"] == 0 for span in trace.find_all("cluster"))
 
 
 class TestPartitionSpan:
