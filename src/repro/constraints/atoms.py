@@ -15,9 +15,10 @@ GSW atom), which is what makes the phi-matrix computation effective.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import Callable, Union
 
 from repro.constraints.terms import Domain, Variable, ZERO
 from repro.errors import ConstraintError
@@ -42,20 +43,24 @@ class Op(Enum):
         """The operator obtained by swapping the two sides of the atom."""
         return _FLIP[self]
 
+    @property
+    def operator(self) -> Callable[[object, object], object]:
+        """The comparison as a function: ``operator.lt`` for ``<``, and so on."""
+        return _OPERATORS[self]
+
     def holds(self, left: float, right: float) -> bool:
         """Evaluate the comparison on concrete numbers."""
-        if self is Op.EQ:
-            return left == right
-        if self is Op.NE:
-            return left != right
-        if self is Op.LT:
-            return left < right
-        if self is Op.LE:
-            return left <= right
-        if self is Op.GT:
-            return left > right
-        return left >= right
+        return self.operator(left, right)
 
+
+_OPERATORS = {
+    Op.EQ: operator.eq,
+    Op.NE: operator.ne,
+    Op.LT: operator.lt,
+    Op.LE: operator.le,
+    Op.GT: operator.gt,
+    Op.GE: operator.ge,
+}
 
 _NEGATION = {
     Op.EQ: Op.NE,

@@ -2,22 +2,29 @@
 
 Two cooperating halves, both behind the existing engine API:
 
-**Kernel materialization** (stage 2 of the lowering started in
-:mod:`repro.pattern.kernels`): bind a pattern's symbolic kernel programs
-to one cluster's rows and produce per-element **truth arrays** — one
-byte per input position, 1 where the element predicate holds.  Matchers
-substitute ``truth[i]`` for the compiled closure call, and the OPS scan
-advances star runs and mismatch self-loops with C-speed ``bytes.find``
-scans whose tests it charges as one sum.  Because the truth value at
-every position equals what the row evaluator would have returned there,
-matches, test counts, skip accounting, and budget spend are those of
-the row path; the differential suites
-(``tests/engine/test_columnar_equivalence.py``,
-``tests/match/test_counted_runs.py``) hold both paths byte-identical.
+**Kernel materialization**: read each pattern element's
+``predicate.conditions`` and turn them, for one cluster's rows, into a
+per-element **truth array**: one byte per input position, 1 where the
+element predicate holds.  Matchers substitute ``truth[i]`` for the
+compiled closure call, and the OPS scan advances star runs and mismatch
+self-loops with C-speed ``bytes.find`` scans whose tests it charges as
+one sum.  Because the truth value at every position equals what the row
+evaluator would have returned there, matches, test counts, skip
+accounting, and budget spend are those of the row path; the
+differential suites (``tests/engine/test_columnar_equivalence.py``,
+``tests/match/test_counted_runs.py``) hold both paths byte-identical,
+and ``tests/pattern/test_kernels.py`` holds every truth byte to the
+interpreted :meth:`~repro.pattern.predicates.ElementPredicate.test`.
+
+:func:`plan_kernels` decides once per compiled pattern which elements
+lower and which share one truth array.  An element lowers when each of
+its conditions is a comparison, a string equality, an OR of those, or a
+residual that carries an anchored program.  Any other element keeps its
+row evaluator: fallback is per element, never per query.
 
 An element with anchored comparisons (a residual that compares the row
 under test with an earlier element's boundary row, see
-:class:`~repro.pattern.kernels.AnchoredCompare`) has no truth array: its
+:class:`~repro.pattern.predicates.AnchoredCompare`) has no truth array: its
 answer depends on the attempt.  Each side of such a comparison becomes
 one Python list per cluster instead, with None where navigation leaves
 the cluster, and the OPS scan compares ``lhs[i]`` with ``rhs[anchor]``.
@@ -25,21 +32,18 @@ The sides are built with NumPy float64 only where that reproduces the
 residual closure's Python float arithmetic bit for bit: every column
 read is all-``float``, every literal passes ``_np_exact``, and no side
 divides.  Anywhere else the element keeps its closure, so a string,
-int or missing cell raises the closure's error at the same match; so
-does every anchored element under ``backend="python"``, whose reference
-for them is the closure itself.
+int or missing cell raises the closure's error at the same match.
 
 Each comparison's truth bytes come from one of two kernels:
 
-- NumPy: whole-column float64 arithmetic, used only for columns whose
-  every cell is a ``float`` — Python floats are IEEE doubles, so the
-  results are bit-identical to the scalar computation;
-- scalar Python, for every other column (ints, dates, strings, missing
-  cells): it evaluates the *identical* expression the row closure
-  evaluates (``op(a * value + b, c)``) on the identical cell objects,
-  so parity is automatic for every value type.  ``backend="python"``
-  forces it everywhere: the reference the bit-parity test holds the
-  NumPy kernels to.
+- NumPy: whole-column float64 arithmetic, used wherever every column
+  the comparison reads is all-``float`` and every literal is exact in
+  float64.  Python floats are IEEE doubles, so the results are
+  bit-identical to the scalar computation;
+- a scalar loop for every other cell (ints, dates, strings, missing
+  cells, inexact literals): it evaluates the *identical* expression the
+  row closure evaluates (``op(a * value + b, c)``) on the identical
+  cell objects, so parity is automatic for every value type.
 
 NumPy is a declared dependency, imported on the first materialization
 (the stream path never materializes, so it never loads it).
@@ -63,7 +67,7 @@ extents, and checksums — a torn write or partial file raises
 what the failpoint-driven crash-consistency suite pins
 (``tests/engine/test_columnar_file.py``).
 
-See ``docs/performance.md`` ("Columnar execution") for flags and the
+See ``docs/performance.md`` ("Predicate tests") for flags and the
 kernel spans emitted through :mod:`repro.obs`.
 """
 
@@ -84,26 +88,15 @@ from repro import failpoints
 from repro.constraints.atoms import Op
 from repro.engine.table import Schema
 from repro.errors import ColumnarFormatError, ExecutionError
-from repro.pattern.kernels import (
+from repro.pattern.predicates import (
     AnchoredCompare,
-    CompareConst,
-    ComparePair,
-    Disjunction,
-    ElementKernel,
-    Ground,
-    StringEquality,
+    ComparisonCondition,
+    Condition,
+    LinearTerm,
+    OrCondition,
+    ResidualCondition,
+    StringEqualityCondition,
 )
-
-import operator
-
-_OP_FUNCS = {
-    Op.EQ: operator.eq,
-    Op.NE: operator.ne,
-    Op.LT: operator.lt,
-    Op.LE: operator.le,
-    Op.GT: operator.gt,
-    Op.GE: operator.ge,
-}
 
 #: Marks a (row, column) cell whose row has no such key.  The row
 #: evaluators turn a missing column into False (KeyError caught); the
@@ -144,12 +137,11 @@ class _Column:
         Only all-``float`` columns vectorize: a Python float *is* an
         IEEE double, so float64 arithmetic reproduces the scalar
         computation bit-for-bit.  Ints (arbitrary precision), dates,
-        strings, and missing cells stay on the Python kernels, as does
-        every column when ``np`` is None (the ``python`` backend).  The
-        array is built once and kept read-only, since later queries of
-        the cluster share it.
+        strings, and missing cells stay on the scalar loops.  The array
+        is built once and kept read-only, since later queries of the
+        cluster share it.
         """
-        if np is None or not self.floats_only:
+        if not self.floats_only:
             return None
         if self._f8 is None:
             array = np.asarray(self.values, dtype=np.float64)
@@ -183,7 +175,56 @@ class ColumnStore:
 
 
 # ----------------------------------------------------------------------
-# Truth materialization (stage 2)
+# Planning (once per compiled pattern)
+# ----------------------------------------------------------------------
+
+
+def plan_kernels(spec) -> tuple[tuple, tuple]:
+    """Which elements of a pattern the kernels evaluate, and which share.
+
+    Returns ``(shapes, slots)``.  ``shapes`` holds each distinct
+    ``(conditions, anchored)`` pair once: an element's ordinary
+    conditions, and the anchored programs of its residuals.
+    ``slots[j - 1]`` is the index of element j's shape, or None where the
+    element keeps its row evaluator.  Elements with equal shapes
+    (Example 10 repeats its down, flat and up elements) share one slot,
+    so a cluster builds their truth array once.  The compiled pattern
+    keeps the plan (``CompiledPattern.kernel_plan``).
+    """
+    shapes: dict[tuple, int] = {}
+    slots = []
+    for element in spec:
+        shape = _shape(element.predicate.conditions)
+        slots.append(None if shape is None else shapes.setdefault(shape, len(shapes)))
+    return tuple(shapes), tuple(slots)
+
+
+def _shape(conditions: Sequence[Condition]) -> Optional[tuple]:
+    ordinary: list[Condition] = []
+    anchored: list[AnchoredCompare] = []
+    for condition in conditions:
+        if isinstance(condition, ResidualCondition):
+            if condition.anchored is None:
+                return None
+            anchored.append(condition.anchored)
+        elif _has_truth(condition):
+            ordinary.append(condition)
+        else:
+            return None
+    return tuple(ordinary), tuple(anchored)
+
+
+def _has_truth(condition: Condition) -> bool:
+    """True for the condition types :func:`_condition_truth` reads."""
+    if isinstance(condition, OrCondition):
+        return all(
+            _has_truth(leaf) for branch in condition.branches for leaf in branch
+        )
+    return isinstance(condition, (ComparisonCondition, StringEqualityCondition))
+
+
+# ----------------------------------------------------------------------
+# Truth materialization (per cluster)
 # ----------------------------------------------------------------------
 
 
@@ -199,8 +240,9 @@ class ClusterKernels:
     at ``start`` with count array ``counts`` when ``lhs[i]`` and
     ``rhs[start + counts[edge] + delta]`` are not None and
     ``holds(lhs[i], rhs[...])``.  An element with neither fell back to
-    the row evaluator.  Identical element kernels share one entry
-    (Example 10's repeated shapes deduplicate).
+    the row evaluator.  Elements that share a shape share one entry
+    (Example 10's repeated shapes).  ``backend`` is ``"numpy"`` when
+    NumPy built any of them, else ``"python"``.
     """
 
     __slots__ = ("truth", "anchored", "backend", "lowered")
@@ -215,84 +257,62 @@ class ClusterKernels:
 
 
 def materialize_kernels(
-    compiled,
-    rows: Sequence,
-    backend: str = "numpy",
-    columns: Optional[ColumnStore] = None,
+    compiled, rows: Sequence, columns: Optional[ColumnStore] = None
 ) -> Optional[ClusterKernels]:
     """Build truth arrays for ``rows`` from a compiled pattern's plan.
 
     Returns None when nothing lowered (interpreted oracle plans,
     patterns whose every element keeps a closure, or every element
     failing materialization) — the caller then runs the plain row path.
-    ``backend`` is ``"numpy"`` (whole-column float64 where exact, scalar
-    Python otherwise) or ``"python"`` (scalar kernels only — the
-    reference the bit-parity test holds the NumPy kernels to).
     ``columns`` is the store kept with ``rows`` (a partition's sorted
     cluster); without one the columns are read from the rows.  The truth
     arrays and anchored side lists are built per call: they depend on
     the query's constants.
     """
-    if backend not in ("numpy", "python"):
-        raise ValueError(f"backend must be 'numpy' or 'python', got {backend!r}")
-    plan = compiled.kernel_plan
-    if plan.lowered == 0:
+    shapes, slots = compiled.kernel_plan
+    if not shapes:
         return None
     # Imported here, not per element inside the ``except`` below: NumPy
     # is a declared dependency, so a missing one must fail loudly, and a
     # module-level import would load it on the stream path, which never
     # materializes kernels.
-    import numpy
+    import numpy as np
 
-    np = numpy if backend == "numpy" else None
     store = columns if columns is not None else ColumnStore(rows)
     n = store.n
-    memo: dict[ElementKernel, tuple] = {}
-    truth: list[Optional[bytes]] = []
-    anchored: list[Optional[tuple]] = []
+    built: list[tuple] = []
     used_numpy = False
-    for kernel in plan.elements:
-        if kernel is None:
-            built = None, None
-        elif kernel in memo:
-            built = memo[kernel]
-        else:
-            try:
-                built, vectorized = _element_kernel(kernel, store, n, np)
-            except Exception:
-                # Anything the batch evaluation trips over (non-numeric
-                # cells, overflow, exotic operators) is left to the row
-                # evaluator, which raises — or short-circuits past it —
-                # exactly as the row path always did.
-                built, vectorized = (None, None), False
-            used_numpy = used_numpy or vectorized
-            memo[kernel] = built
-        truth.append(built[0])
-        anchored.append(built[1])
+    for conditions, anchored in shapes:
+        try:
+            entry, vectorized = _shape_kernel(conditions, anchored, store, n, np)
+        except Exception:
+            # Anything the batch evaluation trips over (non-numeric
+            # cells, overflow, exotic operators) is left to the row
+            # evaluator, which raises — or short-circuits past it —
+            # exactly as the row path always did.
+            entry, vectorized = (None, None), False
+        used_numpy = used_numpy or vectorized
+        built.append(entry)
+    truth = tuple(None if slot is None else built[slot][0] for slot in slots)
+    anchored = tuple(None if slot is None else built[slot][1] for slot in slots)
     if all(t is None for t in truth) and all(a is None for a in anchored):
         return None
-    return ClusterKernels(
-        tuple(truth), tuple(anchored), backend="numpy" if used_numpy else "python"
-    )
+    return ClusterKernels(truth, anchored, "numpy" if used_numpy else "python")
 
 
-def _element_kernel(
-    kernel: ElementKernel, store: ColumnStore, n: int, np
+def _shape_kernel(
+    conditions: tuple, anchored: tuple, store: ColumnStore, n: int, np
 ) -> tuple[tuple, bool]:
-    """``((truth, None), used_numpy)`` for an element without anchored
+    """``((truth, None), used_numpy)`` for a shape without anchored
     comparisons, ``((None, (gate, comparisons)), True)`` for one with
-    them (see :class:`ClusterKernels`).  Anchored comparisons need NumPy:
-    under the ``python`` backend the element keeps its closure, the
-    reference they are held to."""
-    if not kernel.anchored:
-        built, vectorized = _element_truth(kernel, store, n, np)
-        return (built, None), vectorized
-    if np is None:
-        raise ValueError("anchored comparisons are built with NumPy only")
+    them (see :class:`ClusterKernels`)."""
+    if not anchored:
+        truth, vectorized = _conjunction_truth(conditions, store, n, np)
+        return (truth, None), vectorized
     comparisons = tuple(
-        _anchored_comparison(compare, store, n, np) for compare in kernel.anchored
+        _anchored_comparison(compare, store, n, np) for compare in anchored
     )
-    gate = _element_truth(kernel, store, n, np)[0] if kernel.steps else None
+    gate = _conjunction_truth(conditions, store, n, np)[0] if conditions else None
     return (None, (gate, comparisons)), True
 
 
@@ -310,7 +330,7 @@ def _anchored_comparison(
         edge, delta = compare.element - 1, 0
     return (
         _side_values(compare.lhs, store, n, np),
-        _OP_FUNCS[compare.op],
+        compare.op.operator,
         _side_values(compare.rhs, store, n, np),
         edge,
         delta,
@@ -368,22 +388,39 @@ def _eval_side(program: tuple, read):
     return left * right
 
 
-def _element_truth(
-    kernel: ElementKernel, store: ColumnStore, n: int, np
+def _conjunction_truth(
+    conditions: Sequence[Condition], store: ColumnStore, n: int, np
 ) -> tuple[bytes, bool]:
-    """AND the kernel's step truths; returns (truth, used_numpy)."""
-    if not kernel.steps:
-        return b"\x01" * n, False
+    """AND the conditions' truths; returns (truth, used_numpy)."""
     truths = []
     used_numpy = False
-    for step in kernel.steps:
-        truth, vectorized = _step_truth(step, store, n, np)
+    for condition in conditions:
+        truth, vectorized = _condition_truth(condition, store, n, np)
         used_numpy = used_numpy or vectorized
         truths.append(truth)
     return _and_all(truths, n), used_numpy
 
 
+def _condition_truth(
+    condition: Condition, store: ColumnStore, n: int, np
+) -> tuple[bytes, bool]:
+    if isinstance(condition, ComparisonCondition):
+        return _comparison_truth(condition, store, n, np)
+    if isinstance(condition, StringEqualityCondition):
+        return _string_equality_truth(condition, store, n), False
+    # An OrCondition: plan_kernels lets no other type through.
+    branches = [
+        _conjunction_truth(branch, store, n, np) for branch in condition.branches
+    ]
+    return (
+        _or_all([truth for truth, _ in branches], n),
+        any(vectorized for _, vectorized in branches),
+    )
+
+
 def _and_all(truths: list[bytes], n: int) -> bytes:
+    if not truths:
+        return b"\x01" * n
     if len(truths) == 1:
         return truths[0]
     acc = int.from_bytes(truths[0], "big")
@@ -399,29 +436,6 @@ def _or_all(truths: list[bytes], n: int) -> bytes:
     for truth in truths[1:]:
         acc |= int.from_bytes(truth, "big")
     return acc.to_bytes(n, "big")
-
-
-def _step_truth(step, store: ColumnStore, n: int, np) -> tuple[bytes, bool]:
-    if isinstance(step, CompareConst):
-        return _compare_const_truth(step, store, n, np)
-    if isinstance(step, ComparePair):
-        return _compare_pair_truth(step, store, n, np)
-    if isinstance(step, StringEquality):
-        return _string_equality_truth(step, store, n), False
-    if isinstance(step, Ground):
-        return (b"\x01" * n if step.result else bytes(n)), False
-    if isinstance(step, Disjunction):
-        branch_truths = []
-        used_numpy = False
-        for branch in step.branches:
-            leaf_truths = []
-            for leaf in branch:
-                truth, vectorized = _step_truth(leaf, store, n, np)
-                used_numpy = used_numpy or vectorized
-                leaf_truths.append(truth)
-            branch_truths.append(_and_all(leaf_truths, n))
-        return _or_all(branch_truths, n), used_numpy
-    raise TypeError(f"unknown kernel step {type(step).__name__}")
 
 
 def _valid_range(n: int, *offsets: int) -> tuple[int, int]:
@@ -446,102 +460,95 @@ def _np_exact(value) -> bool:
     return False
 
 
-def _compare_const_truth(
-    step: CompareConst, store: ColumnStore, n: int, np
+def _comparison_truth(
+    condition: ComparisonCondition, store: ColumnStore, n: int, np
 ) -> tuple[bytes, bool]:
-    column = store.column(step.name)
-    lo, hi = _valid_range(n, step.off)
-    holds = _OP_FUNCS[step.op]
-    a, b, c = step.a, step.b, step.const
-    if (
-        np is not None
-        and _np_exact(a)
-        and _np_exact(b)
-        and _np_exact(c)
-    ):
-        arr = column.f8(np)
-        if arr is not None:
+    """Truth bytes of ``left op right``; returns (truth, used_numpy).
+
+    Each side is a constant or ``coefficient * column[i + offset] +
+    constant``, computed as the row closure computes it.
+    """
+    left, right = condition.left, condition.right
+    holds = condition.op.operator
+    if left.attr is None and right.attr is None:
+        return (b"\x01" * n if holds(left.constant, right.constant) else bytes(n)), False
+    lo, hi = _valid_range(
+        n, *(term.attr.offset for term in (left, right) if term.attr is not None)
+    )
+    with np.errstate(all="ignore"):
+        lhs = _f8_term(left, store, lo, hi, np)
+        rhs = None if lhs is None else _f8_term(right, store, lo, hi, np)
+        if rhs is not None:
             out = np.zeros(n, dtype=np.uint8)
-            if hi > lo:
-                seg = arr[lo + step.off : hi + step.off]
-                with np.errstate(all="ignore"):
-                    term = a * seg + b
-                    result = holds(c, term) if step.const_on_left else holds(term, c)
-                out[lo:hi] = result
+            out[lo:hi] = holds(lhs, rhs)
             return out.tobytes(), True
+    return _scalar_comparison_truth(left, holds, right, store, n, lo, hi), False
+
+
+def _f8_term(term: LinearTerm, store: ColumnStore, lo: int, hi: int, np):
+    """``term`` at rows ``lo..hi`` in float64 (a scalar for a constant),
+    or None where float64 arithmetic could differ from Python's."""
+    if term.attr is None:
+        return term.constant if _np_exact(term.constant) else None
+    if not (_np_exact(term.coefficient) and _np_exact(term.constant)):
+        return None
+    column = store.column(term.attr.name).f8(np)
+    if column is None:
+        return None
+    off = term.attr.offset
+    return term.coefficient * column[lo + off : hi + off] + term.constant
+
+
+def _scalar_comparison_truth(
+    left: LinearTerm, holds, right: LinearTerm, store: ColumnStore, n, lo, hi
+) -> bytes:
     out = bytearray(n)
-    values = column.values
-    off = step.off
-    if step.const_on_left:
+    if left.attr is not None and right.attr is not None:
+        left_values = store.column(left.attr.name).values
+        right_values = store.column(right.attr.name).values
+        left_off, right_off = left.attr.offset, right.attr.offset
+        la, lb = left.coefficient, left.constant
+        ra, rb = right.coefficient, right.constant
         for i in range(lo, hi):
-            value = values[i + off]
-            if value is not _MISSING and holds(c, a * value + b):
+            left_value = left_values[i + left_off]
+            if left_value is _MISSING:
+                continue
+            # Complete the left term before reading the right cell,
+            # exactly like the row closure, so a non-numeric left value
+            # raises here (and drops the element to the row path)
+            # regardless of the right side.
+            lhs = la * left_value + lb
+            right_value = right_values[i + right_off]
+            if right_value is _MISSING:
+                continue
+            if holds(lhs, ra * right_value + rb):
                 out[i] = 1
-    else:
+        return bytes(out)
+    term, c = (left, right.constant) if right.attr is None else (right, left.constant)
+    values = store.column(term.attr.name).values
+    off, a, b = term.attr.offset, term.coefficient, term.constant
+    if right.attr is None:
         for i in range(lo, hi):
             value = values[i + off]
             if value is not _MISSING and holds(a * value + b, c):
                 out[i] = 1
-    return bytes(out), False
-
-
-def _compare_pair_truth(
-    step: ComparePair, store: ColumnStore, n: int, np
-) -> tuple[bytes, bool]:
-    left = store.column(step.left_name)
-    right = store.column(step.right_name)
-    lo, hi = _valid_range(n, step.left_off, step.right_off)
-    holds = _OP_FUNCS[step.op]
-    la, lb = step.left_a, step.left_b
-    ra, rb = step.right_a, step.right_b
-    if (
-        np is not None
-        and _np_exact(la)
-        and _np_exact(lb)
-        and _np_exact(ra)
-        and _np_exact(rb)
-    ):
-        left_arr = left.f8(np)
-        right_arr = right.f8(np)
-        if left_arr is not None and right_arr is not None:
-            out = np.zeros(n, dtype=np.uint8)
-            if hi > lo:
-                lhs = left_arr[lo + step.left_off : hi + step.left_off]
-                rhs = right_arr[lo + step.right_off : hi + step.right_off]
-                with np.errstate(all="ignore"):
-                    out[lo:hi] = holds(la * lhs + lb, ra * rhs + rb)
-            return out.tobytes(), True
-    out = bytearray(n)
-    left_values = left.values
-    right_values = right.values
-    left_off, right_off = step.left_off, step.right_off
-    for i in range(lo, hi):
-        left_value = left_values[i + left_off]
-        if left_value is _MISSING:
-            continue
-        # Complete the left term before reading the right cell, exactly
-        # like the row closure, so a non-numeric left value raises here
-        # (and drops the element to the row path) regardless of the
-        # right side.
-        lhs = la * left_value + lb
-        right_value = right_values[i + right_off]
-        if right_value is _MISSING:
-            continue
-        if holds(lhs, ra * right_value + rb):
-            out[i] = 1
-    return bytes(out), False
+    else:
+        for i in range(lo, hi):
+            value = values[i + off]
+            if value is not _MISSING and holds(c, a * value + b):
+                out[i] = 1
+    return bytes(out)
 
 
 def _string_equality_truth(
-    step: StringEquality, store: ColumnStore, n: int
+    condition: StringEqualityCondition, store: ColumnStore, n: int
 ) -> bytes:
-    column = store.column(step.name)
-    lo, hi = _valid_range(n, step.off)
+    off = condition.attr.offset
+    values = store.column(condition.attr.name).values
+    lo, hi = _valid_range(n, off)
     out = bytearray(n)
-    values = column.values
-    off = step.off
-    expected = step.value
-    equals = step.equals
+    expected = condition.value
+    equals = condition.op is Op.EQ
     for i in range(lo, hi):
         value = values[i + off]
         if value is _MISSING:

@@ -39,7 +39,6 @@ instead.  Fallback is per-element, never per-query.
 
 from __future__ import annotations
 
-import operator
 from typing import Callable, Mapping, Optional, Sequence
 
 from repro.constraints.atoms import Op
@@ -57,15 +56,6 @@ from repro.pattern.predicates import (
 CompiledEvaluator = Callable[
     [Sequence[Mapping[str, object]], int, Mapping[str, tuple[int, int]]], bool
 ]
-
-_OP_FUNCS = {
-    Op.EQ: operator.eq,
-    Op.NE: operator.ne,
-    Op.LT: operator.lt,
-    Op.LE: operator.le,
-    Op.GT: operator.gt,
-    Op.GE: operator.ge,
-}
 
 
 def lower_predicate(predicate: ElementPredicate) -> Optional[CompiledEvaluator]:
@@ -125,7 +115,7 @@ def _always_true(rows, index, bindings):
 
 def _lower_comparison(condition: ComparisonCondition) -> CompiledEvaluator:
     left, right = condition.left, condition.right
-    holds = _OP_FUNCS[condition.op]
+    holds = condition.op.operator
     if left.attr is None and right.attr is None:
         # Ground comparison: the answer is input-independent.
         result = condition.op.holds(left.constant, right.constant)
@@ -218,8 +208,8 @@ def _fuse_comparisons(
         return None
     name_a, off_a = cell_a
     name_b, off_b = cell_b
-    holds_1 = _OP_FUNCS[first.op]
-    holds_2 = _OP_FUNCS[second.op]
+    holds_1 = first.op.operator
+    holds_2 = second.op.operator
     la_1, lb_1 = first.left.coefficient, first.left.constant
     ra_1, rb_1 = first.right.coefficient, first.right.constant
     la_2, lb_2 = second.left.coefficient, second.left.constant

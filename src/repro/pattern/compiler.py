@@ -71,24 +71,20 @@ class CompiledPattern:
         return tuple(evaluators)
 
     @cached_property
-    def kernel_plan(self):
-        """Per-element batch-kernel programs, lazily lowered and cached.
+    def kernel_plan(self) -> tuple[tuple, tuple]:
+        """Which elements the columnar kernels evaluate, decided once.
 
-        Stage 1 of the columnar lowering (:mod:`repro.pattern.kernels`):
-        entry ``j - 1`` is a symbolic :class:`~repro.pattern.kernels.
-        ElementKernel` or None where the element must stay on the
-        per-row evaluator (residuals other than anchored comparisons,
-        opaque conditions).  With
+        ``(shapes, slots)`` as :func:`repro.engine.columnar.plan_kernels`
+        returns it: ``slots[j - 1]`` indexes element j's shape, or is
+        None where the element stays on its per-row evaluator.  With
         ``use_codegen=False`` — the interpreted differential oracle —
         nothing lowers, keeping the oracle path entirely kernel-free.
         """
-        from repro.pattern.kernels import KernelPlan, plan_element
-
         if not self.use_codegen:
-            return KernelPlan(elements=(None,) * self.m)
-        return KernelPlan(
-            elements=tuple(plan_element(e.predicate) for e in self.spec)
-        )
+            return (), (None,) * self.m
+        from repro.engine.columnar import plan_kernels
+
+        return plan_kernels(self.spec)
 
     @property
     def has_star(self) -> bool:

@@ -335,6 +335,32 @@ class OrCondition(Condition):
 
 
 @dataclass(frozen=True)
+class AnchoredCompare:
+    """``op(lhs(i), rhs(anchor))``: a residual comparison the kernels run.
+
+    ``lhs`` reads only the row under test ``i``, ``rhs`` only the
+    *anchor*: the start of pattern element ``element`` (1-based), or its
+    end when ``last`` (a ``LAST(V)`` reference).  Each side is an
+    expression program over one row, as nested tuples:
+    ``("col", name, offset)`` reads ``column[row + offset]``,
+    ``("num", value)`` is a literal, ``("neg", operand)`` negates, and
+    ``("+" | "-" | "*", left, right)`` is arithmetic.  There is no
+    division: Python raises on a zero divisor, NumPy does not.
+
+    At run time the anchor is ``attempt_start + counts[element - 1]``, or
+    ``attempt_start + counts[element] - 1`` for the end (see
+    :mod:`repro.match.ops_star`).  Navigation off either end makes the
+    comparison False for every operator, as in the residual closure.
+    """
+
+    lhs: tuple
+    op: Op
+    rhs: tuple
+    element: int
+    last: bool = False
+
+
+@dataclass(frozen=True)
 class ResidualCondition(Condition):
     """An opaque condition evaluated by a callable (cross-element references).
 
@@ -349,11 +375,10 @@ class ResidualCondition(Condition):
     observationally identical to ``func`` and is therefore excluded from
     equality.
 
-    ``anchored``, when present, is the same condition as a
-    :class:`~repro.pattern.kernels.AnchoredCompare` program, which the
-    columnar kernels evaluate in place of ``fast`` (see
-    :mod:`repro.pattern.kernels`); like ``fast``, it is excluded from
-    equality.
+    ``anchored``, when present, is the same condition as an
+    :class:`AnchoredCompare` program, which the columnar kernels
+    evaluate in place of ``fast`` (see :mod:`repro.engine.columnar`);
+    like ``fast``, it is excluded from equality.
     """
 
     func: Callable[[EvalContext], bool]
@@ -361,7 +386,7 @@ class ResidualCondition(Condition):
     fast: Optional[
         Callable[[Sequence[Mapping[str, object]], int, Mapping[str, tuple[int, int]]], bool]
     ] = field(default=None, compare=False)
-    anchored: Optional[object] = field(default=None, compare=False)
+    anchored: Optional[AnchoredCompare] = field(default=None, compare=False)
 
     def evaluate(self, ctx: EvalContext) -> bool:
         return bool(self.func(ctx))

@@ -527,6 +527,15 @@ def _read_frame(path: str) -> object:
         ) from error
 
 
+def _require_count(name: str, value, minimum: int) -> None:
+    """Refuse anything but an int of at least ``minimum``; a bool is an
+    int to Python but no count a caller means."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Retry/backoff configuration for transient source failures.
@@ -554,13 +563,15 @@ class RetryPolicy:
     jitter: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be non-negative, got {self.max_retries}"
-            )
-        if self.backoff < 0 or self.max_backoff < 0:
-            raise ValueError("backoff delays must be non-negative")
-        if self.backoff_factor < 1.0:
+        _require_count("max_retries", self.max_retries, 0)
+        # ``not x >= 0`` also rejects NaN: a NaN delay makes ``time.sleep``
+        # raise mid-stream, and ``min(x, nan)`` is ``x``, so a NaN cap is
+        # no cap at all.
+        for name in ("backoff", "max_backoff"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
+        if not self.backoff_factor >= 1.0:
             raise ValueError(
                 f"backoff_factor must be >= 1, got {self.backoff_factor}"
             )
@@ -601,11 +612,10 @@ class CheckpointPolicy:
     on_emit: bool = True
 
     def __post_init__(self) -> None:
-        if self.every_rows is not None and self.every_rows < 1:
-            raise ValueError(
-                f"every_rows must be positive, got {self.every_rows}"
-            )
-        if self.every_seconds is not None and self.every_seconds <= 0:
+        if self.every_rows is not None:
+            _require_count("every_rows", self.every_rows, 1)
+        # A NaN interval never elapses: reject it with the non-positive ones.
+        if self.every_seconds is not None and not self.every_seconds > 0:
             raise ValueError(
                 f"every_seconds must be positive, got {self.every_seconds}"
             )

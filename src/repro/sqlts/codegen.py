@@ -32,7 +32,7 @@ back to interpreted evaluation.
 
 :func:`lower_anchored` lowers the same AST a second way, when the residual
 is one comparison between the row under test and one earlier element's
-boundary row: to an :class:`~repro.pattern.kernels.AnchoredCompare`
+boundary row: to an :class:`~repro.pattern.predicates.AnchoredCompare`
 program, which the columnar kernels evaluate with two list lookups per
 test.  The closure above stays the fallback wherever the kernels cannot
 reproduce it exactly.
@@ -53,7 +53,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from repro.constraints.atoms import Op
 from repro.errors import ExecutionError
-from repro.pattern.kernels import AnchoredCompare
+from repro.pattern.predicates import AnchoredCompare
 from repro.sqlts import ast
 from repro.sqlts.expressions import (
     _compare,

@@ -16,7 +16,7 @@ from repro.errors import TransientSourceError
 from repro.pattern.compiler import compile_pattern
 from repro.pattern.predicates import comparison
 from repro.pattern.spec import PatternElement, PatternSpec
-from repro.recovery import RecoveringStreamRunner, RetryPolicy
+from repro.recovery import CheckpointPolicy, RecoveringStreamRunner, RetryPolicy
 from repro.resilience import Diagnostics
 from tests.conftest import PREV, PRICE, price_predicate
 
@@ -256,3 +256,44 @@ class TestRetriesExhausted:
                 fake,
             )
         assert fake.sleeps == []
+
+
+class TestPolicyValidation:
+    """A value that would break a policy later is refused when it is
+    built: a NaN delay makes ``time.sleep`` raise mid-stream, a NaN cap
+    caps nothing, a NaN interval never elapses, and a bool or a fraction
+    is no count."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_retries", True),
+            ("max_retries", 2.5),
+            ("max_retries", -1),
+            ("backoff", float("nan")),
+            ("backoff", -0.1),
+            ("backoff_factor", float("nan")),
+            ("backoff_factor", 0.5),
+            ("max_backoff", float("nan")),
+            ("max_backoff", -1.0),
+            ("jitter", float("nan")),
+        ],
+    )
+    def test_retry_policy_refuses(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RetryPolicy(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("every_rows", True),
+            ("every_rows", 2.5),
+            ("every_rows", 0),
+            ("every_seconds", float("nan")),
+            ("every_seconds", 0.0),
+            ("every_seconds", -1.0),
+        ],
+    )
+    def test_checkpoint_policy_refuses(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CheckpointPolicy(**{field: value})

@@ -1,28 +1,33 @@
-"""Unit tests for the batch-kernel lowering and truth materialization.
+"""Unit tests for the columnar kernels: truth bytes from element predicates.
 
-Stage 1 (:mod:`repro.pattern.kernels`) turns element predicates into
-frozen symbolic programs; stage 2 (:mod:`repro.engine.columnar`) binds
-them to column data and emits truth bytes.  These tests pin the edges:
-empty inputs, NaN and non-numeric cells, band-fused conjunctions, the
-residual-on-star-binding class (an anchored comparison, no truth array),
-truth bytes vs the row evaluators, kernel deduplication across Example
-10's repeated shapes, and Python vs NumPy backend bit-parity.  Anchored
-comparisons must decline wherever they could differ from the residual
-closure, and then raise the closure's error or give its rows.
+:func:`repro.engine.columnar.materialize_kernels` reads each element's
+``predicate.conditions`` and emits truth bytes per cluster.  These tests
+pin the edges: empty inputs, NaN and non-numeric cells, band-fused
+conjunctions, the residual-on-star-binding class (an anchored
+comparison, no truth array), kernel sharing across Example 10's
+repeated shapes, and a seeded sweep that holds every truth byte to the
+interpreted :meth:`~repro.pattern.predicates.ElementPredicate.test`
+over the paper examples, screens of the ``adhoc_screens`` shape and
+random predicates on every kind of cell.  Anchored comparisons must
+decline wherever they could differ from the residual closure, and then
+raise the closure's error or give its rows.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import random
 
 import numpy
 import pytest
 
+from perf.workloads.adhoc_screens import distinct_screens
 from repro.constraints.atoms import Op
 from repro.data.djia import djia_table
-from repro.data.workloads import EXAMPLE_10
+from repro.data.workloads import ALL_EXAMPLES, EXAMPLE_10
+from repro.engine import columnar
 from repro.engine.catalog import Catalog
 from repro.engine.columnar import ColumnStore, materialize_kernels
 from repro.engine.executor import Executor
@@ -30,8 +35,19 @@ from repro.errors import ExecutionError
 from repro.match.base import Instrumentation
 from repro.match.naive import NaiveMatcher
 from repro.match.ops_star import OpsStarMatcher
-from repro.pattern.kernels import Disjunction, ElementKernel, plan_element
-from repro.pattern.predicates import AttributeDomains
+from repro.pattern.compiler import compile_pattern
+from repro.pattern.predicates import (
+    Attr,
+    AttributeDomains,
+    ComparisonCondition,
+    EvalContext,
+    LinearTerm,
+    OrCondition,
+    ResidualCondition,
+    StringEqualityCondition,
+    predicate,
+)
+from repro.pattern.spec import PatternElement, PatternSpec
 from repro.sqlts import ast
 from repro.sqlts.parser import parse_query
 
@@ -66,6 +82,67 @@ def truth_matches_evaluators(compiled, rows, kernels):
             assert truth[index] == int(evaluator(rows, index, {})), (j, index)
 
 
+def truth_matches_interpreter(compiled, rows, kernels):
+    """Every kernel equals the interpreted predicate at every row.
+
+    A truth array is held to ``ElementPredicate.test``.  An anchored
+    element's gate is held to its ordinary conditions, and each of its
+    comparisons to its residual's interpreted ``evaluate`` with the
+    anchor bound to a sample of rows.
+    """
+    n = len(rows)
+    anchors = sorted({*range(0, n, max(1, n // 7)), n - 1})
+    for j, element in enumerate(compiled.spec, start=1):
+        truth, anchored = kernels.truth[j - 1], kernels.anchored[j - 1]
+        conditions = element.predicate.conditions
+        if truth is not None:
+            assert len(truth) == n
+            for index in range(n):
+                expected = element.predicate.test(EvalContext(rows, index))
+                assert truth[index] == expected, (element, index)
+            continue
+        assert anchored is not None, f"{element} fell back to its closure"
+        gate, comparisons = anchored
+        ordinary = [c for c in conditions if not isinstance(c, ResidualCondition)]
+        residuals = [c for c in conditions if isinstance(c, ResidualCondition)]
+        assert (gate is None) == (not ordinary)
+        for index in range(n):
+            if gate is not None:
+                expected = all(c.evaluate(EvalContext(rows, index)) for c in ordinary)
+                assert gate[index] == expected, (element, index)
+        for residual, (lhs, holds, rhs, edge, delta) in zip(residuals, comparisons):
+            name = compiled.spec.names[residual.anchored.element - 1]
+            for anchor in anchors:
+                bindings = {name: (anchor, anchor)}
+                for index in range(n):
+                    expected = residual.evaluate(EvalContext(rows, index, bindings))
+                    got = (
+                        lhs[index] is not None
+                        and rhs[anchor] is not None
+                        and holds(lhs[index], rhs[anchor])
+                    )
+                    assert got == expected, (residual, anchor, index)
+
+
+def captured_kernels(executor, sql):
+    """``(compiled, rows, kernels)`` of every cluster ``sql`` scans."""
+    calls = []
+    original = columnar.materialize_kernels
+
+    def capture(compiled, rows, columns=None):
+        kernels = original(compiled, rows, columns=columns)
+        calls.append((compiled, rows, kernels))
+        return kernels
+
+    columnar.materialize_kernels = capture
+    try:
+        executor.execute(sql)
+    finally:
+        columnar.materialize_kernels = original
+    assert calls
+    return calls
+
+
 # ----------------------------------------------------------------------
 # Edges of materialization
 # ----------------------------------------------------------------------
@@ -83,14 +160,13 @@ def test_empty_rows_materialize_empty_truth():
 def test_nan_cells_are_false_on_both_paths():
     compiled = prepare(DOWN_UP)
     rows = price_rows([50.0, float("nan"), 45.0, 50.0, 52.0])
-    for backend in ("python", "numpy"):
-        kernels = materialize_kernels(compiled, rows, backend=backend)
-        assert kernels is not None
-        truth_matches_evaluators(compiled, rows, kernels)
-        # NaN fails every comparison: positions touching the NaN cell
-        # are 0 in both the < and > kernels.
-        assert kernels.truth[1][1] == 0 and kernels.truth[1][2] == 0
-        assert kernels.truth[2][1] == 0 and kernels.truth[2][2] == 0
+    kernels = materialize_kernels(compiled, rows)
+    assert kernels is not None and kernels.backend == "numpy"
+    truth_matches_evaluators(compiled, rows, kernels)
+    # NaN fails every comparison: positions touching the NaN cell are 0
+    # in both the < and > kernels.
+    assert kernels.truth[1][1] == 0 and kernels.truth[1][2] == 0
+    assert kernels.truth[2][1] == 0 and kernels.truth[2][2] == 0
 
 
 def test_non_numeric_cell_falls_back_to_row_evaluator():
@@ -119,7 +195,6 @@ def test_interpreted_plan_has_no_kernels():
         Catalog([djia_table()]), domains=AttributeDomains.prices(), codegen=False
     )
     _, compiled = executor.prepare(DOWN_UP)
-    assert compiled.kernel_plan.lowered == 0
     assert materialize_kernels(compiled, price_rows([50.0, 45.0])) is None
 
 
@@ -129,18 +204,19 @@ def test_interpreted_plan_has_no_kernels():
 
 
 def test_band_fused_element_lowers_with_flag():
+    """The row path fuses the band into one closure (the flight-recorder
+    marker); the kernels give the same element one truth array."""
     sql = (
         "SELECT Z.date FROM djia SEQUENCE BY date AS (X, Z) "
         "WHERE 0.98 * Z.previous.price < Z.price "
         "AND Z.price < 1.02 * Z.previous.price"
     )
     compiled = prepare(sql)
-    kernel = compiled.kernel_plan.elements[1]
-    assert kernel is not None and kernel.band_fused
-    # The row path fuses the same pair (the flight-recorder marker).
     assert getattr(compiled.evaluators[1], "band_fused", False)
     rows = price_rows([50.0, 49.5, 49.0, 51.0, 50.8])
     kernels = materialize_kernels(compiled, rows)
+    assert kernels.truth[1] == bytes([0, 1, 1, 0, 1])
+    assert kernels.lowered == 2 and kernels.backend == "numpy"
     truth_matches_evaluators(compiled, rows, kernels)
 
 
@@ -154,15 +230,15 @@ def test_residual_star_binding_element_lowers_anchored():
         "AS (*A, B) WHERE A.price < A.previous.price AND B.price > A.price"
     )
     compiled = prepare(sql)
-    plan = compiled.kernel_plan
-    assert plan.elements[0] is not None  # *A: offset-expressible
-    (compare,) = plan.elements[1].anchored  # B compares with A's start
-    assert (compare.element, compare.last, compare.op) == (1, False, Op.GT)
-    assert plan.lowered == 2
     rows = price_rows([60.0, 50.0, 40.0, 50.0])
     kernels = materialize_kernels(compiled, rows)
-    assert kernels is not None and kernels.truth[1] is None
-    assert kernels.anchored[1] is not None and kernels.lowered == 2
+    assert kernels is not None and kernels.lowered == 2
+    assert kernels.truth[0] is not None  # *A: offset-expressible
+    assert kernels.truth[1] is None and kernels.anchored[0] is None
+    # B compares with A's start: count edge 0, no delta, no gate.
+    gate, ((lhs, holds, rhs, edge, delta),) = kernels.anchored[1]
+    assert (gate, holds, edge, delta) == (None, operator.gt, 0, 0)
+    assert lhs == rhs == [60.0, 50.0, 40.0, 50.0]
     oracle = OpsStarMatcher().find_matches(rows, compiled)
     got = OpsStarMatcher().find_matches(rows, compiled, kernels=kernels)
     assert got == oracle
@@ -175,31 +251,36 @@ def test_disjunction_lowers():
         "WHERE (X.price < 35 OR X.price > 65)"
     )
     compiled = prepare(sql)
-    kernel = compiled.kernel_plan.elements[0]
-    assert kernel is not None
-    assert any(isinstance(step, Disjunction) for step in kernel.steps)
+    (condition,) = compiled.spec.elements[0].predicate.conditions
+    assert isinstance(condition, OrCondition)
     rows = price_rows([30.0, 50.0, 70.0])
     kernels = materialize_kernels(compiled, rows)
     assert kernels.truth[0] == bytes([1, 0, 1])
 
 
 def test_opaque_predicate_declines(example4_predicates):
-    """A hand-built predicate with a residual lambda cannot lower."""
-    from repro.pattern.predicates import ResidualCondition, predicate
-
+    """A hand-built predicate with a residual lambda keeps its row
+    evaluator; the paper's Example 4 predicates all lower."""
     opaque = predicate(
         ResidualCondition(lambda ctx: True, "opaque"),
         domains=DOMAINS,
         label="opaque",
     )
-    assert plan_element(opaque) is None
-    # Symbolic-only predicates from the paper's Example 4 all lower.
-    for predicate in example4_predicates:
-        assert plan_element(predicate) is not None
+    elements = [
+        PatternElement(name, p)
+        for name, p in zip("ABCDE", [opaque, *example4_predicates])
+    ]
+    compiled = compile_pattern(PatternSpec(elements))
+    rows = price_rows([50.0, 45.0, 44.0, 46.0, 48.0, 51.0])
+    kernels = materialize_kernels(compiled, rows)
+    assert kernels.truth[0] is None and kernels.anchored[0] is None
+    assert None not in kernels.truth[1:]
+    assert kernels.lowered == 4
+    truth_matches_evaluators(compiled, rows, kernels)
 
 
 # ----------------------------------------------------------------------
-# Representation agreement and dedup
+# Representation agreement and sharing
 # ----------------------------------------------------------------------
 
 
@@ -213,60 +294,18 @@ def test_truth_bytes_match_row_evaluators():
 
 def test_example_10_repeated_shapes_share_truth():
     """Example 10 repeats its down/flat/up shapes across the starred
-    elements; equal kernels must deduplicate to one truth object."""
+    elements; elements of one shape must share one truth object."""
     compiled = prepare(EXAMPLE_10)
-    plan = compiled.kernel_plan
-    assert plan.lowered == compiled.m  # everything lowers
-    # Z, U, W share the flat band; Y, V share the drop; T, R the rise.
-    assert plan.elements[2] == plan.elements[4] == plan.elements[6]
-    assert plan.elements[1] == plan.elements[5]
-    assert plan.elements[3] == plan.elements[7]
     rows = price_rows(
         [50.0, 49.0, 47.0, 47.5, 49.5, 49.0, 47.0, 47.5, 49.5, 50.0]
     )
     kernels = materialize_kernels(compiled, rows)
+    assert kernels.lowered == compiled.m  # everything lowers
+    # Z, U, W share the flat band; Y, V share the drop; T, R the rise.
     assert kernels.truth[2] is kernels.truth[4] is kernels.truth[6]
     assert kernels.truth[1] is kernels.truth[5]
     assert kernels.truth[3] is kernels.truth[7]
-
-
-# ----------------------------------------------------------------------
-# Backend parity
-# ----------------------------------------------------------------------
-
-
-def test_python_and_numpy_backends_agree_bitwise():
-    compiled = prepare(EXAMPLE_10)
-    prices = [50.0 + math.sin(i / 3.0) * 5.0 + (i % 7) * 0.3 for i in range(200)]
-    rows = price_rows(prices)
-    python = materialize_kernels(compiled, rows, backend="python")
-    vector = materialize_kernels(compiled, rows, backend="numpy")
-    assert python.backend == "python"
-    assert vector.backend == "numpy"
-    assert python.truth == vector.truth
-
-
-def test_a_kept_column_store_serves_both_backends():
-    """A cluster's kept store is shared by every later query: a scalar
-    pass must not stop a later NumPy pass from vectorizing, and the
-    kept float64 array must stay unchanged."""
-    compiled = prepare(EXAMPLE_10)
-    prices = [50.0 + math.sin(i / 3.0) * 5.0 + (i % 7) * 0.3 for i in range(200)]
-    rows = price_rows(prices)
-    store = ColumnStore(rows)
-    python = materialize_kernels(compiled, rows, backend="python", columns=store)
-    vector = materialize_kernels(compiled, rows, columns=store)
-    again = materialize_kernels(compiled, rows, columns=store)
-    assert (python.backend, vector.backend) == ("python", "numpy")
-    assert python.truth == vector.truth == again.truth
-    kept = store.column("price").f8(numpy)
-    assert not kept.flags.writeable
-    assert kept.tolist() == prices
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        materialize_kernels(prepare(DOWN_UP), price_rows([50.0]), backend="auto")
+    assert kernels.truth[1] is not kernels.truth[3]
 
 
 def test_int_cells_use_python_backend_exactly():
@@ -279,7 +318,133 @@ def test_int_cells_use_python_backend_exactly():
     rows = [{"price": p, "date": i} for i, p in enumerate([49, 50, 51, 10**40])]
     kernels = materialize_kernels(compiled, rows)
     assert kernels.truth[0] == bytes([0, 0, 1, 1])
+    assert kernels.backend == "python"
     truth_matches_evaluators(compiled, rows, kernels)
+
+
+# ----------------------------------------------------------------------
+# The seeded sweep: every truth byte against the interpreter
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(ALL_EXAMPLES))
+def test_truth_bytes_equal_the_interpreter_on_paper_examples(paper_catalog, name):
+    executor = Executor(paper_catalog, domains=DOMAINS)
+    for compiled, rows, kernels in captured_kernels(executor, ALL_EXAMPLES[name]):
+        assert kernels.lowered == compiled.m and kernels.backend == "numpy"
+        truth_matches_interpreter(compiled, rows, kernels)
+
+
+def test_truth_bytes_equal_the_interpreter_on_seeded_screens(paper_catalog):
+    """200 seeded screens of the ``adhoc_screens`` shape, residuals
+    against ``X`` included, each over the one cluster it scans."""
+    executor = Executor(paper_catalog, domains=DOMAINS)
+    screens = distinct_screens(random.Random(25), set())
+    anchored = 0
+    for _ in range(200):
+        for compiled, rows, kernels in captured_kernels(executor, next(screens)):
+            assert kernels.lowered == compiled.m
+            anchored += sum(entry is not None for entry in kernels.anchored)
+            truth_matches_interpreter(compiled, rows, kernels)
+    assert anchored > 20
+
+
+#: Cell values per column kind of the random-predicate sweep; None is a
+#: missing cell (the row has no such key).
+CELLS = {
+    "float": [-2.0, -0.5, 0.0, 0.5, 1.0, 1.5, 3.0],
+    "int": [-3, -1, 0, 1, 2, 3, 10**20],
+    "mixed": [-2, -0.5, 0, 0.5, 1, 1.5, 3],
+    "special": [math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, -1.5],
+    "missing": [-1.0, 0.0, 0.5, 2.0, None],
+}
+COEFFICIENTS = (1.0, -1.0, 0.5, 2.0, 1.02, 0.0)
+CONSTANTS = (0.0, -0.0, 1.0, -1.5, 2.5, math.inf, -math.inf, math.nan)
+
+
+def _random_term(rng):
+    if rng.random() < 0.3:
+        return LinearTerm(0.0, None, rng.choice(CONSTANTS))
+    attr = Attr(rng.choice(("v", "w")), rng.randint(-2, 1))
+    return LinearTerm(rng.choice(COEFFICIENTS), attr, rng.choice(CONSTANTS[:5]))
+
+
+def _random_condition(rng, depth=0):
+    roll = rng.random()
+    if roll < 0.1:
+        return StringEqualityCondition(
+            Attr("s", rng.randint(-2, 1)), rng.choice((Op.EQ, Op.NE)), "a"
+        )
+    if roll < 0.25 and depth == 0:
+        return OrCondition(
+            [
+                [_random_condition(rng, 1) for _ in range(rng.randint(1, 2))]
+                for _ in range(rng.randint(1, 3))
+            ]
+        )
+    return ComparisonCondition(
+        _random_term(rng), rng.choice(list(Op)), _random_term(rng)
+    )
+
+
+def _random_rows(rng, kind, n=40):
+    rows = []
+    for index in range(n):
+        row = {"s": rng.choice(("a", "b"))}
+        for name in ("v", "w"):
+            value = rng.choice(CELLS[kind])
+            if value is not None:
+                row[name] = value
+        if kind == "missing" and rng.random() < 0.1:
+            del row["s"]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("kind", sorted(CELLS))
+def test_truth_bytes_equal_the_interpreter_on_random_predicates(kind):
+    """One-element predicates: constants on either side, offsets -2..+1,
+    OR conditions and string equalities, over every kind of cell."""
+    rng = random.Random(f"kernels-{kind}")
+    backends = set()
+    for _ in range(150):
+        conditions = [_random_condition(rng) for _ in range(rng.randint(1, 3))]
+        element = PatternElement("X", predicate(*conditions))
+        compiled = compile_pattern(PatternSpec([element]))
+        rows = _random_rows(rng, kind)
+        kernels = materialize_kernels(compiled, rows)
+        assert kernels is not None and kernels.lowered == 1
+        backends.add(kernels.backend)
+        truth_matches_interpreter(compiled, rows, kernels)
+    # Only all-float columns vectorize; string equalities and constant
+    # comparisons never do.
+    assert ("numpy" in backends) == (kind in ("float", "special"))
+
+
+def test_a_kept_store_serves_a_scalar_then_a_numpy_build():
+    """A cluster's kept store is shared by every later query: a scalar
+    build (an int literal float64 cannot hold) must not stop a later
+    query from vectorizing, and the kept float64 array stays unchanged."""
+    prices = [50.0 + math.sin(i / 3.0) * 5.0 + (i % 7) * 0.3 for i in range(200)]
+    rows = price_rows(prices)
+    store = ColumnStore(rows)
+    price = Attr("price")
+    inexact = ComparisonCondition(
+        LinearTerm(2**53 + 1, price, 0.0), Op.GT, LinearTerm(0.0, None, 4.9e17)
+    )
+    scalar = compile_pattern(PatternSpec([PatternElement("X", predicate(inexact))]))
+    vector = prepare(EXAMPLE_10)
+    first = materialize_kernels(scalar, rows, columns=store)
+    second = materialize_kernels(vector, rows, columns=store)
+    again = materialize_kernels(vector, rows, columns=store)
+    assert (first.backend, second.backend) == ("python", "numpy")
+    assert 0 < sum(first.truth[0]) < len(rows)
+    truth_matches_interpreter(scalar, rows, first)
+    truth_matches_interpreter(vector, rows, second)
+    assert second.truth == again.truth
+    kept = store.column("price").f8(numpy)
+    assert not kept.flags.writeable
+    assert kept.tolist() == prices
 
 
 # ----------------------------------------------------------------------
@@ -322,8 +487,7 @@ SLIDE = [50.0, 48.0, 47.0, 45.0, 52.0, 51.0, 49.0, 48.5, 60.0, 58.0]
 
 def test_anchored_sides_equal_the_closure():
     """Every (row, anchor) pair gives the closure's verdict, with NaN
-    cells and navigation off both ends; the ``python`` backend keeps the
-    closure."""
+    cells and navigation off both ends."""
     rng = random.Random(4)
     prices = [rng.choice([40.0, 41.5, 43.0, 44.25, math.nan]) for _ in range(40)]
     rows = price_rows(prices)
@@ -335,8 +499,6 @@ def test_anchored_sides_equal_the_closure():
     ):
         compiled = prepare(ANCHORED.format(condition))
         evaluator = compiled.evaluators[2]
-        python = materialize_kernels(compiled, rows, backend="python")
-        assert python.anchored[2] is None and python.truth[2] is None
         kernels = materialize_kernels(compiled, rows)
         assert kernels.backend == "numpy"
         (gate, ((lhs, holds, rhs, edge, delta),)) = kernels.anchored[2]
@@ -398,7 +560,8 @@ def test_unknown_attribute_keeps_the_closure():
 
 def test_division_keeps_the_closure():
     compiled = prepare(ANCHORED.format("Z.price > X.price / 0.9"))
-    assert compiled.kernel_plan.elements[2] is None
+    (residual,) = compiled.spec.elements[2].predicate.conditions
+    assert residual.anchored is None and residual.fast is not None
     assert_declined_like_row(compiled, price_rows(SLIDE * 3))
 
 
@@ -413,6 +576,7 @@ def test_inexact_constant_keeps_the_closure():
     )
     query = dataclasses.replace(query, where=ast.And(query.where.left, inexact))
     _, compiled = Executor(Catalog([djia_table()]), domains=DOMAINS).prepare(query)
-    assert compiled.kernel_plan.elements[2].anchored
+    (residual,) = compiled.spec.elements[2].predicate.conditions
+    assert residual.anchored is not None
     rows = price_rows([value * 1e-16 for value in SLIDE * 3])
     assert_declined_like_row(compiled, rows)
