@@ -956,12 +956,13 @@ def _project_cluster(
 ) -> list[tuple]:
     """One output tuple per match, in match order.
 
-    The plan's lowered SELECT gathers each value from the match's
-    boundaries.  ``codegen=False`` is the interpreted oracle: each item
-    goes through ``evaluate_expr`` over the match's spans.
+    The plan's lowered SELECT gathers each value from the matches'
+    boundaries, column by column.  ``codegen=False`` is the interpreted
+    oracle: each item goes through ``evaluate_expr`` over the match's
+    spans.
     """
     if plan.compiled.use_codegen:
-        return plan.analyzed.projection.rows(rows, matches)
+        return plan.analyzed.projection.rows(rows, Match.all_bounds(matches))
     select = plan.analyzed.select
     projected = []
     for match in matches:

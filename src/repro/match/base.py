@@ -79,6 +79,25 @@ class Match:
         match._names = names
         return match
 
+    @classmethod
+    def from_all_bounds(
+        cls, all_bounds: Sequence[tuple[int, ...]], names: tuple[str, ...]
+    ) -> list["Match"]:
+        """One match per boundary tuple, in order (:meth:`from_bounds`)."""
+        new = object.__new__
+        matches = []
+        for bounds in all_bounds:
+            match = new(cls)
+            match._bounds = bounds
+            match._names = names
+            matches.append(match)
+        return matches
+
+    @staticmethod
+    def all_bounds(matches: Sequence["Match"]) -> list[tuple[int, ...]]:
+        """The boundaries of each match, in order."""
+        return [match._bounds for match in matches]
+
     @property
     def bounds(self) -> tuple[int, ...]:
         return self._bounds
@@ -140,8 +159,11 @@ class Instrumentation:
     ``skips``/``skip_distance`` measure the paper's optimization itself:
     every time a matcher applies its shift/next tables after a mismatch,
     it records how many input positions the attempt origin advanced —
-    the work the naive restart strategy would have redone.  These are
-    plain int adds on the (cold) mismatch path, so they are always on.
+    the work the naive restart strategy would have redone.  They are
+    plain int adds, so they are always on.  The OPS scan
+    (:mod:`repro.match.ops_star`) counts its skips, and its tests unless
+    a detail mode below is on, in locals, and adds them here whenever it
+    returns, raises or suspends.
 
     ``tests_by_element`` is the opt-in detail mode the flight recorder
     uses (:meth:`enable_detail`): per pattern position j, how many tests

@@ -207,9 +207,8 @@ class OpsStreamMatcher:
             # Keep the rows of matches completed by this push alive until
             # the caller has seen them (they are trimmed next push).
             keep = self._run.attempt_start - retain
-            fresh = self._run.matches[self._emitted :]
-            if fresh:
-                keep = min(keep, fresh[0].start - retain)
+            if len(self._run.matches) > self._emitted:
+                keep = min(keep, self._run.matches[self._emitted][0] - retain)
             self._window.trim_before(keep)
         cap = self._limits.max_stream_buffer
         if cap is not None:
@@ -260,16 +259,18 @@ class OpsStreamMatcher:
         return self._drain()
 
     def _drain(self) -> list[Match]:
-        fresh = self._run.matches[self._emitted :]
-        self._emitted = len(self._run.matches)
-        if fresh:
-            self._high_water = max(self._high_water, fresh[-1].end)
+        found = self._run.matches
+        if len(found) == self._emitted:
+            return []
+        fresh = Match.from_all_bounds(found[self._emitted :], self._run.names)
+        self._emitted = len(found)
+        self._high_water = max(self._high_water, fresh[-1].end)
         return fresh
 
     @property
     def matches(self) -> list[Match]:
         """All matches emitted so far."""
-        return list(self._run.matches)
+        return Match.from_all_bounds(self._run.matches, self._run.names)
 
     @property
     def buffered_rows(self) -> int:

@@ -11,7 +11,7 @@ the database, and its time-varying content".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -45,6 +45,12 @@ class CompiledPattern:
     #: False pins every element to the interpreted evaluator — the
     #: differential-testing oracle (see ``docs/performance.md``).
     use_codegen: bool = True
+    #: The OPS scan's programs for this plan, each built on the first
+    #: scan that needs it: how the cluster's kernels hold each element
+    #: -> :class:`~repro.match.ops_star.ScanProgram`.
+    scan_programs: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def m(self) -> int:

@@ -112,8 +112,12 @@ class LinearTerm:
         raise ConstraintError(f"cannot interpret comparison operand: {value!r}")
 
     def value(self, resolve: Callable[[Attr], float]) -> float:
-        base = 0.0 if self.attr is None else self.coefficient * resolve(self.attr)
-        return base + self.constant
+        # A bare constant is returned as it is: ``0.0 + constant`` would
+        # round an int that float64 cannot hold, which the compiled
+        # closures and the kernels compare exactly.
+        if self.attr is None:
+            return self.constant
+        return self.coefficient * resolve(self.attr) + self.constant
 
     def __add__(self, constant: float) -> "LinearTerm":
         return LinearTerm(self.coefficient, self.attr, self.constant + float(constant))

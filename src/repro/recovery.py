@@ -137,11 +137,11 @@ def snapshot_matcher(matcher: OpsStreamMatcher) -> MatcherSnapshot:
         run=matcher._run.capture_state(),
         pending_matches=tuple(
             (
-                match.start,
-                match.end,
-                tuple(zip(match.bounds, [bound - 1 for bound in match.bounds[1:]])),
+                bounds[0],
+                bounds[-1] - 1,
+                tuple(zip(bounds, [bound - 1 for bound in bounds[1:]])),
             )
-            for match in pending
+            for bounds in pending
         ),
         high_water=matcher.emitted_high_water,
         finished=matcher.finished,
@@ -200,9 +200,8 @@ def restore_matcher(
     window._rows = [dict(row) for row in snapshot.window_rows]
     window._base = snapshot.window_base
     matcher._run.restore_state(dict(snapshot.run))
-    names = pattern.spec.names
     matcher._run.matches = [
-        Match.from_bounds((start, *(span_end + 1 for _, span_end in spans)), names)
+        (start, *(span_end + 1 for _, span_end in spans))
         for start, _, spans in snapshot.pending_matches
     ]
     matcher._emitted = 0

@@ -40,8 +40,9 @@ reproduce it exactly.
 :func:`lower_select` lowers the SELECT list once per plan, into one
 function per item of a match's element boundaries (see
 :class:`~repro.match.base.Match`).  A column reference ``V.attr`` is one
-index computation and one row lookup; any other item goes through the
-same lowered expressions as the residuals.  The interpreted oracle is
+index computation and one row lookup, and projects a cluster's matches
+as one comprehension over their boundaries; any other item goes through
+the same lowered expressions as the residuals.  The interpreted oracle is
 :func:`~repro.sqlts.expressions.evaluate_expr` over the match's spans,
 with the same NULLs, errors and error order (match order, then SELECT
 order).
@@ -147,25 +148,37 @@ def _anchored_side(
 
 
 class LoweredSelect:
-    """A query's SELECT list as one :data:`LoweredItem` per column."""
+    """A query's SELECT list as one :data:`LoweredItem` per column.
 
-    __slots__ = ("items",)
+    ``gathers[k]`` is ``(edge, offset, attr)`` where item k is a column
+    reference, which reads ``attr`` of row ``bounds[edge] + offset`` (see
+    :func:`_gather`), and None for any other item.
+    """
 
-    def __init__(self, items: tuple[LoweredItem, ...]):
+    __slots__ = ("items", "gathers")
+
+    def __init__(self, items: tuple[LoweredItem, ...], gathers: tuple):
         self.items = items
+        self.gathers = gathers
 
-    def rows(self, rows: Sequence[Mapping[str, object]], matches) -> list[tuple]:
-        """The output tuples of a cluster's matches, in match order.
+    def rows(
+        self, rows: Sequence[Mapping[str, object]], all_bounds: Sequence[tuple[int, ...]]
+    ) -> list[tuple]:
+        """The output tuples of a cluster's matches, given by their
+        boundaries, in match order.
 
-        Values are gathered column by column.  If one raises, the tuples
-        are rebuilt match by match, which raises again, so the error that
+        Values are gathered column by column; a column reference is one
+        comprehension over the boundaries.  If one raises, the tuples are
+        rebuilt match by match, which raises again, so the error that
         escapes is the interpreter's first: in match order, then in
         SELECT order.
         """
         items = self.items
-        all_bounds = [match.bounds for match in matches]
         try:
-            columns = [[item(rows, bounds) for bounds in all_bounds] for item in items]
+            columns = [
+                _column(rows, all_bounds, item, gather)
+                for item, gather in zip(items, self.gathers)
+            ]
         except Exception:
             return [
                 tuple([item(rows, bounds) for item in items]) for bounds in all_bounds
@@ -173,17 +186,40 @@ class LoweredSelect:
         return list(zip(*columns))
 
 
+def _column(rows, all_bounds, item: LoweredItem, gather) -> list:
+    """One SELECT item's values for every match; a row without the
+    attribute raises KeyError, which sends :meth:`LoweredSelect.rows` to
+    the item's own error."""
+    if gather is None:
+        return [item(rows, bounds) for bounds in all_bounds]
+    edge, offset, attr = gather
+    n = len(rows)
+    return [
+        rows[position][attr] if 0 <= (position := bounds[edge] + offset) < n else None
+        for bounds in all_bounds
+    ]
+
+
 def lower_select(
     select: Sequence[ast.SelectItem], names: tuple[str, ...]
 ) -> LoweredSelect:
     """Lower SELECT items over the pattern variables ``names`` (in
     pattern order) to functions of a match's boundaries."""
-    return LoweredSelect(tuple(_lower_item(item.expr, names) for item in select))
+    items = []
+    gathers = []
+    for item in select:
+        expr = item.expr
+        if isinstance(expr, ast.VarPath):
+            gather = _gather_at(expr, names)
+            items.append(_gather(*gather))
+            gathers.append(gather)
+        else:
+            items.append(_lower_item(expr, names))
+            gathers.append(None)
+    return LoweredSelect(tuple(items), tuple(gathers))
 
 
 def _lower_item(expr: ast.Expr, names: tuple[str, ...]) -> LoweredItem:
-    if isinstance(expr, ast.VarPath):
-        return _gather(expr, names)
     try:
         lowered = _lower_expr(expr, None)
     except _Unsupported:
@@ -198,17 +234,20 @@ def _lower_item(expr: ast.Expr, names: tuple[str, ...]) -> LoweredItem:
     return evaluate
 
 
-def _gather(path: ast.VarPath, names: tuple[str, ...]) -> LoweredItem:
-    """``V.attr`` and ``FIRST(V).attr`` read row ``bounds[t-1] + offset``,
-    ``LAST(V).attr`` reads ``bounds[t] - 1 + offset``, for V the t-th
-    pattern variable."""
+def _gather_at(path: ast.VarPath, names: tuple[str, ...]) -> tuple[int, int, str]:
+    """``(edge, offset, attr)``: ``V.attr`` and ``FIRST(V).attr`` read row
+    ``bounds[t-1] + offset``, ``LAST(V).attr`` reads ``bounds[t] - 1 +
+    offset``, for V the t-th pattern variable."""
     t = names.index(path.var) + 1
     offset = sum(-1 if step == "previous" else 1 for step in path.navigation)
     if path.accessor == "last":
-        edge, offset = t, offset - 1
-    else:
-        edge = t - 1
-    attr = path.attr
+        return t, offset - 1, path.attr
+    return t - 1, offset, path.attr
+
+
+def _gather(edge: int, offset: int, attr: str) -> LoweredItem:
+    """The item that reads ``attr`` of row ``bounds[edge] + offset``:
+    None off the rows, an error for a row without the attribute."""
 
     def gather(rows, bounds):
         position = bounds[edge] + offset

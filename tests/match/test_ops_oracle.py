@@ -1,9 +1,9 @@
 """OPS against the interpreted naive oracle, with stars at any position.
 
-``_mismatch`` may let a *plain* element of the new attempt inherit a
-starred element's multi-row run; such an attempt would report its match
-from the run's first row.  The matcher restarts fresh at the shifted
-origin instead.  The regression screens below reported wrong match
+A shift/next transition may let a *plain* element of the new attempt
+inherit a starred element's multi-row run; such an attempt would report
+its match from the run's first row.  The matcher restarts fresh at the
+shifted origin instead.  The regression screens below reported wrong match
 starts before that guard; the property sweeps stars at every position,
 with and without truth arrays, and the stream matcher (which shares the
 batch runtime) alongside.

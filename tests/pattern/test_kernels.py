@@ -352,19 +352,21 @@ def test_truth_bytes_equal_the_interpreter_on_seeded_screens(paper_catalog):
 #: Cell values per column kind of the random-predicate sweep; None is a
 #: missing cell (the row has no such key).
 CELLS = {
-    "float": [-2.0, -0.5, 0.0, 0.5, 1.0, 1.5, 3.0],
-    "int": [-3, -1, 0, 1, 2, 3, 10**20],
+    "float": [-2.0, -0.5, 0.0, 0.5, 1.0, 1.5, 3.0, 2.0**53],
+    "int": [-3, -1, 0, 1, 2, 3, 10**20, 2**53],
     "mixed": [-2, -0.5, 0, 0.5, 1, 1.5, 3],
     "special": [math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, -1.5],
     "missing": [-1.0, 0.0, 0.5, 2.0, None],
 }
 COEFFICIENTS = (1.0, -1.0, 0.5, 2.0, 1.02, 0.0)
 CONSTANTS = (0.0, -0.0, 1.0, -1.5, 2.5, math.inf, -math.inf, math.nan)
+#: Int constants float64 cannot hold, for constant-only sides.
+BIG_INTS = (2**53 + 1, -(2**53 + 1), 3 * 2**60 + 7)
 
 
 def _random_term(rng):
     if rng.random() < 0.3:
-        return LinearTerm(0.0, None, rng.choice(CONSTANTS))
+        return LinearTerm(0.0, None, rng.choice(CONSTANTS + BIG_INTS))
     attr = Attr(rng.choice(("v", "w")), rng.randint(-2, 1))
     return LinearTerm(rng.choice(COEFFICIENTS), attr, rng.choice(CONSTANTS[:5]))
 
@@ -419,6 +421,20 @@ def test_truth_bytes_equal_the_interpreter_on_random_predicates(kind):
     # Only all-float columns vectorize; string equalities and constant
     # comparisons never do.
     assert ("numpy" in backends) == (kind in ("float", "special"))
+
+
+def test_a_constant_only_side_compares_the_exact_int():
+    """``v >= 2**53 + 1`` at ``v = 2.0**53`` is False on every path: the
+    interpreter no longer rounds a bare int constant to float64."""
+    condition = ComparisonCondition(
+        LinearTerm(1.0, Attr("v"), 0.0), Op.GE, LinearTerm(0.0, None, 2**53 + 1)
+    )
+    element = PatternElement("X", predicate(condition))
+    compiled = compile_pattern(PatternSpec([element]))
+    rows = [{"v": 2.0**53}]
+    assert not element.predicate.test(EvalContext(rows, 0))
+    assert not compiled.evaluators[0](rows, 0, {})
+    assert materialize_kernels(compiled, rows).truth[0] == b"\x00"
 
 
 def test_a_kept_store_serves_a_scalar_then_a_numpy_build():
