@@ -52,11 +52,6 @@ The gates, each a measurement and a pure check:
               uninstrumented columnar call returns the same matches.
               DJIA ``ops`` row time over columnar time, materialization
               included and repetitions interleaved, is at least 5.0.
-``parallel``  ``workers`` 2 and 4 return the serial rows and match count,
-              for naive and ``ops`` on the panel and for naive on the
-              single-cluster DJIA.  The best naive panel speedup is at
-              least 1.05 when more than one CPU is usable; with one, the
-              floor is skipped with a printed notice.
 ``serve``     Every concurrent reply equals serial execution; the
               measured tenants see no error and every request completes;
               the throttled tenant is rejected at least once, each
@@ -99,7 +94,6 @@ from repro.data.workloads import EXAMPLE_10
 from repro.engine.catalog import Catalog
 from repro.engine.columnar import materialize_kernels
 from repro.engine.executor import Executor
-from repro.engine.parallel import usable_cpus
 from repro.engine.table import Schema, Table
 from repro.match.base import Instrumentation
 from repro.match.naive import NaiveMatcher
@@ -121,8 +115,6 @@ TRACING_TOLERANCE = 0.02
 STABILITY_BOUND = 0.05
 #: DJIA ``ops``: instrumented row time over columnar time, at least.
 COLUMNAR_FLOOR = 5.0
-#: Best naive panel speedup over serial, when more than one CPU is usable.
-SCALING_FLOOR = 1.05
 #: Plan-cache misses allowed per distinct served query text.
 MISSES_PER_QUERY = 4
 #: Recorded runs whose median is a throughput rate.
@@ -138,7 +130,6 @@ SERVED = "served_mix"
 #: The fields ``--check`` compares exactly.
 EXACT_FIELDS = ("rows", "clusters", "matches", "tests", "result_rows")
 
-WORKER_COUNTS = (2, 4)
 #: A relaxed double bottom (down-run, recovery) per ticker.
 PANEL_QUERY = (
     "SELECT X.name, X.date, S.date FROM quote CLUSTER BY name "
@@ -271,10 +262,8 @@ class Run:
             self._catalogs[workload] = Catalog(tables)
         return self._catalogs[workload]
 
-    def executor(self, workload: str, matcher: str = "ops", workers: int = 1) -> Executor:
-        return Executor(
-            self.catalog(workload), domains=DOMAINS, matcher=matcher, workers=workers
-        )
+    def executor(self, workload: str, matcher: str = "ops") -> Executor:
+        return Executor(self.catalog(workload), domains=DOMAINS, matcher=matcher)
 
     def serial(self, workload: str, matcher: str) -> tuple:
         """The serial instrumented run's result and report."""
@@ -468,38 +457,6 @@ def measure_columnar(run: Run) -> None:
         run.results[workload]["columnar_speedup"] = speedup
 
 
-def measure_parallel(run: Run) -> None:
-    """Serial against ``workers`` 2 and 4; the timings of one repetition
-    run back to back, with no speed probe near a pool."""
-    for workload, matchers in ((PANEL, tuple(MATCHERS)), (DJIA, ("naive",))):
-        run.counts(workload)
-        speedup = {}
-        for name in matchers:
-            serial_result, serial_report = run.serial(workload, name)
-            executors = [run.executor(workload, name, workers) for workers in (1, *WORKER_COUNTS)]
-            for workers, executor in zip(WORKER_COUNTS, executors[1:]):
-                result, report = executor.execute_with_report(_query(workload))
-                run.expect(
-                    result.rows == serial_result.rows
-                    and report.matches == serial_report.matches,
-                    f"{workload}/{name}: workers={workers} changed the rows or "
-                    f"the match count ({serial_report.matches} -> {report.matches})",
-                )
-            best = [
-                _best(timings)
-                for timings in _timed(
-                    [partial(executor.execute, _query(workload)) for executor in executors],
-                    run.repetitions,
-                )
-            ]
-            speedup[name] = {
-                str(workers): round(best[0] / seconds, 3)
-                for workers, seconds in zip(WORKER_COUNTS, best[1:])
-            }
-        run.results[workload]["parallel_speedup"] = speedup
-    run.results[PANEL]["usable_cpus"] = usable_cpus()
-
-
 class _Client(threading.Thread):
     """One measured client: its own connection and request plan."""
 
@@ -657,23 +614,6 @@ def check_columnar(results: dict, recorded: dict) -> list[str]:
     return []
 
 
-def check_scaling(results: dict, recorded: dict) -> list[str]:
-    panel = results[PANEL]
-    if panel["usable_cpus"] <= 1:
-        print(
-            "SCALING FLOOR SKIPPED: one usable CPU, where no speedup is "
-            "possible.  The parallel identity checks still ran."
-        )
-        return []
-    best = max(panel["parallel_speedup"]["naive"].values())
-    if best < SCALING_FLOOR:
-        return [
-            f"{PANEL}/naive: best parallel speedup {best:.2f}x is below the "
-            f"{SCALING_FLOOR:.2f}x floor with {panel['usable_cpus']} usable CPUs"
-        ]
-    return []
-
-
 def check_serve(results: dict, recorded: dict) -> list[str]:
     served = results[SERVED]
     failures = []
@@ -705,7 +645,6 @@ GATES = {
     "compiled": (measure_compiled, check_throughput),
     "tracing": (measure_tracing, check_tracing),
     "columnar": (measure_columnar, check_columnar),
-    "parallel": (measure_parallel, check_scaling),
     "serve": (measure_serve, check_serve),
 }
 

@@ -236,7 +236,6 @@ def _command_query(args: argparse.Namespace, out) -> int:
         matcher=args.matcher,
         policy=args.on_error,
         limits=_limits_from_args(args),
-        workers=args.workers,
         evaluator=args.evaluator,
     )
     instrumentation = Instrumentation()
@@ -479,14 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"{EXIT_LIMIT_HIT} when the cap is hit",
     )
     query.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="partition-parallel workers (default 1: serial); output is "
-        "identical to serial execution — see docs/performance.md",
-    )
-    query.add_argument(
         "--evaluator",
         choices=["columnar", "row"],
         default="columnar",
@@ -691,13 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="query worker threads (default 4)",
     )
     serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="partition-parallel workers per query (default 1: serial)",
-    )
-    serve.add_argument(
         "--max-concurrent",
         type=_number(int, minimum=1),
         default=4,
@@ -894,14 +878,6 @@ def build_parser() -> argparse.ArgumentParser:
         "past failing statements",
     )
     script.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="partition-parallel workers for the script's queries "
-        "(default 1: serial)",
-    )
-    script.add_argument(
         "--diagnostics-json",
         metavar="PATH",
         default=None,
@@ -921,7 +897,6 @@ def _command_script(args: argparse.Namespace, out) -> int:
         domains=AttributeDomains(args.positive),
         matcher=args.matcher,
         policy=args.on_error,
-        workers=args.workers,
     )
     try:
         for result in session.run_script(text):
@@ -994,7 +969,6 @@ def _command_serve(args: argparse.Namespace, out) -> int:
         quotas=quotas,
         default_quota=default_quota,
         pool_workers=args.pool_workers,
-        query_workers=args.workers,
         checkpoint_dir=args.checkpoint_dir,
         drain_grace=args.drain_grace,
         host=args.host,

@@ -101,7 +101,7 @@ class _CachedPlan:
 
 @dataclass(frozen=True)
 class SearchPlan:
-    """What searching one cluster needs, in the serial loop or a work unit.
+    """What searching one cluster needs.
 
     ``matcher`` is the executor's own instance, or a fallback once a
     search has degraded; ``matcher_name`` names it in reports.
@@ -151,7 +151,6 @@ class Executor:
         fallback: Optional[str] = "naive",
         codegen: bool = True,
         plan_cache_size: int = 128,
-        workers: int = 1,
         metrics: Optional[MetricsRegistry] = None,
         evaluator: str = "columnar",
     ):
@@ -201,8 +200,6 @@ class Executor:
         self._query_seconds = self.metrics.histogram(
             "repro_query_seconds", "Query wall time in seconds"
         )
-        _check_workers(workers)
-        self._workers = workers
         if evaluator not in EVALUATOR_MODES:
             raise ExecutionError(
                 f"evaluator must be one of {EVALUATOR_MODES}, "
@@ -255,16 +252,12 @@ class Executor:
         cancel: Optional[Callable[[], Optional[str]]] = None,
         trace: Optional[Trace] = None,
     ) -> tuple[Result, ExecutionReport]:
-        """Execute ``query``, serially or partition-parallel.
+        """Execute ``query``: search each cluster as it is admitted.
 
-        ``workers`` overrides the executor-level worker count for this
-        call.  Both modes plan, admit clusters and report through the
-        same code: ``workers=1`` (the default) searches each cluster as
-        it is admitted; ``workers>1`` hands the admitted clusters to
-        :func:`repro.engine.parallel.execute_parallel`, whose work units
-        run the same per-cluster search and whose merge is deterministic
-        and — absent resource limits — byte-identical to serial
-        execution (see ``docs/performance.md``).
+        ``workers`` must be a positive int and changes nothing: every
+        query runs serially, and the keyword stays for callers that pass
+        a worker count (see "Serial execution" in
+        ``docs/performance.md``).
 
         ``limits`` overrides the executor-level :class:`ResourceLimits`
         for this call only — the serving layer uses it to apply
@@ -276,26 +269,22 @@ class Executor:
         with a limit diagnostic.
 
         ``trace`` (a :class:`~repro.obs.Trace`) turns on the flight
-        recorder for this call: spans cover planning, the cluster scan
-        (and the parallel pool), and the result carries an
-        EXPLAIN ANALYZE-style :class:`~repro.obs.QueryProfile` on
-        ``result.profile``.  With ``trace=None`` (the default) the
-        traced code paths are never entered — output is byte-identical
-        either way (asserted by the ``tracing`` gate of
-        ``repro.bench.gates``).
+        recorder for this call: spans cover planning and the cluster
+        scan, and the result carries an EXPLAIN ANALYZE-style
+        :class:`~repro.obs.QueryProfile` on ``result.profile``.  With
+        ``trace=None`` (the default) the traced code paths are never
+        entered — output is byte-identical either way (asserted by the
+        ``tracing`` gate of ``repro.bench.gates``).
         """
-        workers = self._workers if workers is None else workers
-        _check_workers(workers)
+        if workers is not None:
+            _check_workers(workers)
         started = time.perf_counter()
         if trace is None:
-            result, report = self._run(
-                query, instrumentation, workers, limits, cancel, None
-            )
+            result, report = self._run(query, instrumentation, limits, cancel, None)
         else:
-            mode = "serial" if workers == 1 else "parallel"
-            with trace.span("execute", mode=mode) as root:
+            with trace.span("execute") as root:
                 result, report = self._run(
-                    query, instrumentation, workers, limits, cancel, trace
+                    query, instrumentation, limits, cancel, trace
                 )
             root.annotate(
                 matcher=report.matcher,
@@ -312,7 +301,6 @@ class Executor:
         self,
         query: Union[str, ast.Query],
         instrumentation: Optional[Instrumentation],
-        workers: int,
         limits: Optional[ResourceLimits],
         cancel: Optional[Callable[[], Optional[str]]],
         trace: Optional[Trace],
@@ -340,33 +328,14 @@ class Executor:
         with (
             trace.span("scan") if trace is not None else nullcontext()
         ) as scan_span:
-            if workers == 1:
-                for key, rows, columns in admission:
-                    projected, plan = search_cluster(
-                        plan, key, rows, instrumentation, budget,
-                        diagnostics, trace, columns,
-                    )
-                    output_rows += projected
-                    if budget is not None and budget.tripped is not None:
-                        break
-            else:
-                admitted = list(admission)
-        if workers == 1:
-            matcher_name = plan.matcher_name
-        else:
-            from repro.engine import parallel
-
-            output_rows, matcher_name = parallel.execute_parallel(
-                plan,
-                admitted,
-                workers=workers,
-                query=query,
-                domains=self._domains,
-                instrumentation=instrumentation,
-                budget=budget,
-                diagnostics=diagnostics,
-                trace=trace,
-            )
+            for key, rows, columns in admission:
+                projected, plan = search_cluster(
+                    plan, key, rows, instrumentation, budget,
+                    diagnostics, trace, columns,
+                )
+                output_rows += projected
+                if budget is not None and budget.tripped is not None:
+                    break
         if scan_span is not None:
             scan = admission.scan
             scan_span.annotate(
@@ -382,7 +351,7 @@ class Executor:
             if budget is not None and budget.tripped is not None:
                 scan_span.annotate(tripped=budget.tripped)
         report = ExecutionReport(
-            matcher=matcher_name,
+            matcher=plan.matcher_name,
             clusters=admission.clusters,
             clusters_searched=admission.searched,
             rows_scanned=admission.scanned,
@@ -600,10 +569,8 @@ class _Admission:
     passes the hoisted cluster filter, where ``columns`` is the kernel
     column store the table's partition keeps with ``rows``; it checks
     the deadline before each cluster, charges its rows
-    check-then-charge, and counts as it goes.  The serial loop and the
-    parallel split both admit through it, so they search the same
-    clusters and report the same counts.  ``scan`` says which clusters
-    this execution grouped or sorted and which it reused.
+    check-then-charge, and counts as it goes.  ``scan`` says which
+    clusters this execution grouped or sorted and which it reused.
     """
 
     def __init__(
@@ -842,13 +809,11 @@ def search_cluster(
 ) -> tuple[list[tuple], SearchPlan]:
     """Search one admitted cluster and project its matches.
 
-    The one per-cluster path: the serial loop and every parallel work
-    unit (:mod:`repro.engine.parallel`) call it, so the two cannot drift
-    apart.  The cluster's kernels are materialized once, from
-    ``columns`` (the column store kept with ``rows``) when given.  A
-    PlanningError from the matcher degrades to the fallback under a
-    lenient policy, and the returned plan carries the fallback so later
-    clusters skip the failing attempt.  With ``trace``, the search is
+    The cluster's kernels are materialized once, from ``columns`` (the
+    column store kept with ``rows``) when given.  A PlanningError from
+    the matcher degrades to the fallback under a lenient policy, and the
+    returned plan carries the fallback so later clusters skip the
+    failing attempt.  With ``trace``, the search is
     one ``cluster`` span labelled with the cluster's key, with the
     projection of its matches as its ``project`` child; its ``replays``
     are the attempts the OPS replay walk settled.
@@ -995,7 +960,6 @@ def execute(
     limits: Optional[ResourceLimits] = None,
     fallback: Optional[str] = "naive",
     codegen: bool = True,
-    workers: int = 1,
     evaluator: str = "columnar",
 ) -> Result:
     """One-shot convenience wrapper around :class:`Executor`."""
@@ -1007,6 +971,5 @@ def execute(
         limits=limits,
         fallback=fallback,
         codegen=codegen,
-        workers=workers,
         evaluator=evaluator,
     ).execute(query, instrumentation)

@@ -55,7 +55,6 @@ class Session:
         matcher: Union[str, Matcher] = "ops",
         policy: Union[ErrorPolicy, str] = ErrorPolicy.RAISE,
         limits: Optional[ResourceLimits] = None,
-        workers: int = 1,
     ):
         self.catalog = catalog if catalog is not None else Catalog()
         self.policy = ErrorPolicy.coerce(policy)
@@ -67,7 +66,6 @@ class Session:
             matcher=matcher,
             policy=self.policy,
             limits=self.limits,
-            workers=workers,
         )
 
     def execute(
@@ -76,14 +74,13 @@ class Session:
         instrumentation: Optional[Instrumentation] = None,
         *,
         limits: Optional[ResourceLimits] = None,
-        workers: Optional[int] = None,
         cancel=None,
         trace=None,
     ) -> Optional[Result]:
         """Execute one statement; queries return a Result, DDL/DML None.
 
-        ``limits``, ``workers``, and ``cancel`` override the session's
-        executor configuration for this statement only (see
+        ``limits`` and ``cancel`` override the session's executor
+        configuration for this statement only (see
         :meth:`repro.engine.executor.Executor.execute_with_report`) —
         the serving layer uses them to apply per-tenant quotas and
         cooperative cancellation over one shared session.  ``trace``
@@ -102,7 +99,6 @@ class Session:
             statement,
             instrumentation,
             limits=limits,
-            workers=workers,
             cancel=cancel,
             trace=trace,
         )

@@ -74,7 +74,6 @@ KNOWN_SITES: Tuple[str, ...] = (
     "checkpoint.replica_write",  # each replica write of a checkpoint save
     "recovery.restore",        # checkpoint load during runner restore
     "serve.send_frame",        # every server->client NDJSON frame
-    "parallel.worker_start",   # entry of each parallel work unit
     "columnar.write",          # columnar file payload (torn-able)
     "columnar.fsync",          # columnar file fsync before rename (skippable)
     "columnar.rename",         # between columnar tmp write and final rename

@@ -226,21 +226,6 @@ class Instrumentation:
         self.skips += times
         self.skip_distance += distance * times
 
-    def merge(self, other: "Instrumentation") -> None:
-        """Add another run's counts to this one's; ``other``'s path curve
-        follows this one's, so merge runs in input order."""
-        self.tests += other.tests
-        self.skips += other.skips
-        self.skip_distance += other.skip_distance
-        self.replays += other.replays
-        if self.trace is not None and other.trace:
-            self.trace.extend(other.trace)
-        if self.tests_by_element is not None and other.tests_by_element:
-            for position, count in other.tests_by_element.items():
-                self.tests_by_element[position] = (
-                    self.tests_by_element.get(position, 0) + count
-                )
-
     def __repr__(self) -> str:
         traced = f", trace[{len(self.trace)}]" if self.trace is not None else ""
         skipped = f", skips={self.skips}" if self.skips else ""

@@ -5,9 +5,9 @@ Three complementary observability surfaces (``docs/observability.md``):
 - :class:`MetricsRegistry` — process-lifetime counters/gauges/histograms
   with Prometheus text exposition and a JSON snapshot (stdlib-only);
 - :class:`Trace` / :class:`Span` — the span tree of *one* query,
-  threaded through planning, scanning, the parallel pool, and the
-  recovery runner; rendered as a :class:`QueryProfile`
-  (EXPLAIN ANALYZE-style operator tree) on ``Result.profile``;
+  threaded through planning, scanning, and the recovery runner;
+  rendered as a :class:`QueryProfile` (EXPLAIN ANALYZE-style operator
+  tree) on ``Result.profile``;
 - :class:`SlowQueryLog` — threshold-gated JSON-lines logging in the
   serving layer.
 """

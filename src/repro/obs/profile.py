@@ -45,9 +45,6 @@ _ATTR_ORDER = (
     "skips",
     "skip_distance",
     "band_fused_elements",
-    "mode",
-    "workers",
-    "unit",
     "partition",
 )
 

@@ -2,27 +2,20 @@
 
 A :class:`Trace` is a lightweight tree of timed :class:`Span` objects,
 threaded from :meth:`repro.engine.session.Session.execute` through
-planning, the cluster scan, the parallel pool, and the recovery
-runner.  It is deliberately *not* a distributed-tracing client: there
-is no sampling, no export, no context variables — one ``Trace`` per
-query, owned by the caller, read by the profile renderer
-(:mod:`repro.obs.profile`).
+planning, the cluster scan, and the recovery runner.  It is
+deliberately *not* a distributed-tracing client: there is no sampling,
+no export, no context variables — one ``Trace`` per query, owned by
+the caller, read by the profile renderer (:mod:`repro.obs.profile`).
 
 Design constraints, in order:
 
 1. **Tracing off must cost nothing.**  Every call site guards with
    ``if trace is not None`` — no null-object indirection on the hot
    path, and the matcher inner loops are *never* spanned per element
-   (per-cluster and per-unit spans bound the span count to the
-   partition count, and :class:`~repro.match.base.Instrumentation`
-   carries the per-test counters the profile folds in afterwards).
-2. **Spans must cross the pickle boundary.**  The PR5 process pool
-   cannot ship live spans back (and ``time.perf_counter`` origins
-   differ across processes), so workers serialize span *dicts* —
-   name, duration, attributes, children — and the parent grafts them
-   into its tree with :meth:`Trace.attach`.  Such spans carry a
-   duration but no absolute start time.
-3. **Bounded memory.**  A pathological query over a million clusters
+   (per-cluster spans bound the span count to the partition count,
+   and :class:`~repro.match.base.Instrumentation` carries the per-test
+   counters the profile folds in afterwards).
+2. **Bounded memory.**  A pathological query over a million clusters
    must not materialize a million spans: past ``max_spans`` new spans
    are counted in :attr:`Trace.dropped` instead of recorded, and the
    profile says so.
@@ -51,9 +44,7 @@ MAX_SPANS = 10_000
 class Span:
     """One named, timed tree node with free-form attributes.
 
-    ``duration_s`` is ``None`` while the span is open; spans attached
-    from serialized worker payloads have a duration but ``start`` stays
-    ``None`` (their clock origin is another process).
+    ``duration_s`` is ``None`` while the span is open.
     """
 
     __slots__ = ("name", "attrs", "children", "start", "duration_s")
@@ -94,15 +85,6 @@ class Span:
             "children": [child.to_dict() for child in self.children],
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Span":
-        span = cls(str(payload["name"]), payload.get("attrs"))
-        duration = payload.get("duration_s")
-        span.duration_s = float(duration) if duration is not None else None
-        for child in payload.get("children", []):
-            span.children.append(cls.from_dict(child))
-        return span
-
     def __repr__(self) -> str:
         timing = (
             f"{self.duration_s * 1000.0:.3f}ms"
@@ -116,10 +98,8 @@ class Trace:
     """The span tree and open-span stack for one query execution.
 
     Single-threaded by contract: one trace belongs to one query, and the
-    serial executor, the parallel *parent*, and the recovery runner all
-    mutate it from the thread driving the query.  Work units never touch
-    it — each records into a private trace and reports its span dicts,
-    which the parent grafts in via :meth:`attach`.
+    executor and the recovery runner mutate it from the thread driving
+    the query.
     """
 
     __slots__ = ("roots", "dropped", "_stack", "_clock", "_max_spans", "_count")
@@ -178,34 +158,6 @@ class Trace:
             span.duration_s = self._clock() - span.start
             if admitted:
                 self._stack.pop()
-
-    def attach(self, parent: Optional[Span], payload: dict) -> Optional[Span]:
-        """Graft a serialized span dict (and its subtree) under ``parent``.
-
-        This is how per-WorkUnit spans recorded inside process workers
-        are merged back into the parent trace.  Returns the new span,
-        or ``None`` if the span budget is exhausted (the subtree is
-        counted as a single drop — its size is unknown until built, and
-        a trace over budget has already lost fidelity).
-        """
-        if not self._admit():
-            return None
-        span = Span.from_dict(payload)
-        # Children count toward the budget too; prune depth-first once
-        # the ceiling is hit.
-        for node in span.walk():
-            if node is span:
-                continue
-            if self._count >= self._max_spans:
-                self.dropped += 1
-                node.children.clear()
-            else:
-                self._count += 1
-        if parent is not None:
-            parent.children.append(span)
-        else:
-            self.roots.append(span)
-        return span
 
     def to_dict(self) -> dict:
         return {

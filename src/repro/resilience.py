@@ -138,10 +138,9 @@ class Diagnostics:
     A clean run leaves every list empty (``ok`` is True); callers that
     never look at diagnostics observe today's behavior untouched.
 
-    Mutation is internally locked: the parallel engine merges worker
-    outcomes into one shared record, and streaming runners may report
-    from a different thread than the reader, so every recording method
-    (and :meth:`merge`) is atomic.  Reads are lock-free — Python list
+    Mutation is internally locked: streaming runners may report from a
+    different thread than the reader, so every recording method (and
+    :meth:`merge`) is atomic.  Reads are lock-free — Python list
     append/extend are atomic enough for the monitoring views here.
     """
 
@@ -540,12 +539,6 @@ class Budget:
         if self._deadline is not None and self._clock() > self._deadline:
             return self.expire()
         return False
-
-    def remaining(self) -> Optional[float]:
-        """Seconds left before the wall-clock deadline; None without one."""
-        if self._deadline is None:
-            return None
-        return self._deadline - self._clock()
 
     def expire(self) -> bool:
         """Trip on the wall-clock deadline, naming the configured limit."""

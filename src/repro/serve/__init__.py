@@ -2,11 +2,12 @@
 
 The paper's optimized engine is meant to live *inside a database system*
 serving many queries at once; this package is that front door.  It
-composes the layers the previous PRs built — error policies and budgets
-(:mod:`repro.resilience`), crash-recoverable streaming
-(:mod:`repro.recovery`), and partition-parallel execution
-(:mod:`repro.engine.parallel`) — behind one long-lived asyncio server
-speaking a newline-delimited JSON protocol:
+composes the engine's layers — the executor and its plan cache
+(:mod:`repro.engine.executor`), error policies and budgets
+(:mod:`repro.resilience`), and crash-recoverable streaming
+(:mod:`repro.recovery`) — behind one long-lived asyncio server speaking
+a newline-delimited JSON protocol.  Each query runs serially on one
+executor thread; the server starts no processes:
 
 - :mod:`repro.serve.protocol` — the wire format: one JSON object per
   line, structured error payloads with stable codes and ``retry_after``

@@ -320,15 +320,12 @@ class ServeClient:
         *,
         timeout: Optional[float] = None,
         max_matches: Optional[int] = None,
-        workers: Optional[int] = None,
     ) -> QueryReply:
         fields: dict[str, Any] = {"sql": sql}
         if timeout is not None:
             fields["timeout"] = timeout
         if max_matches is not None:
             fields["max_matches"] = max_matches
-        if workers is not None:
-            fields["workers"] = workers
         reply = self.request("query", **fields)
         return QueryReply(
             columns=reply["columns"],

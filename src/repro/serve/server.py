@@ -130,7 +130,6 @@ class QueryServer:
         default_quota: Optional[TenantQuota] = None,
         pool_workers: int = 4,
         max_pending: Optional[int] = None,
-        query_workers: int = 1,
         checkpoint_dir: Optional[str] = None,
         checkpoint_replicas: int = 1,
         subscription_checkpoint_every: int = 256,
@@ -162,7 +161,6 @@ class QueryServer:
             policy=policy,
             metrics=self.metrics,
         )
-        self._query_workers = query_workers
         self._admission = AdmissionController(
             default_quota=default_quota, quotas=quotas
         )
@@ -647,12 +645,6 @@ class QueryServer:
                 writer, self._bad(rid, "'max_matches' must be a non-negative int")
             )
             return
-        workers = request.get("workers")
-        if workers is not None and (type(workers) is not int or workers < 1):
-            await self._send(
-                writer, self._bad(rid, "'workers' must be a positive int")
-            )
-            return
         request_key = request.get("request_key")
         if request_key is not None and (
             not isinstance(request_key, str) or not request_key
@@ -699,7 +691,6 @@ class QueryServer:
                     sql,
                     limits,
                     token,
-                    workers,
                 )
             except Exception as error:
                 response = error_for_exception(error, rid)
@@ -745,15 +736,12 @@ class QueryServer:
             self._ledger.put(tenant, request_key, dict(response))
         await self._send(writer, response)
 
-    def _run_query(self, tenant, sql, limits, token, workers):
+    def _run_query(self, tenant, sql, limits, token):
         """Worker-thread body of one query (the chaos hook lives here)."""
         if self._fault_injector is not None:
             self._fault_injector("query", tenant, sql)
         return self._executor.execute_with_report(
-            sql,
-            limits=limits,
-            cancel=token,
-            workers=workers if workers is not None else self._query_workers,
+            sql, limits=limits, cancel=token
         )
 
     # -- subscriptions ---------------------------------------------------

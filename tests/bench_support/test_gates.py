@@ -90,16 +90,6 @@ def test_a_columnar_ratio_of_4_9_fails():
     assert gates.check_columnar(results, {}) == []
 
 
-def test_a_panel_speedup_of_1_04_fails_with_two_cpus_and_is_skipped_with_one(capsys):
-    panel = {"parallel_speedup": {"naive": {"2": 1.04, "4": 0.9}}, "usable_cpus": 2}
-    assert gates.check_scaling({PANEL: panel}, {})
-    assert "SKIPPED" not in capsys.readouterr().out
-    assert gates.check_scaling({PANEL: dict(panel, usable_cpus=1)}, {}) == []
-    assert "SCALING FLOOR SKIPPED" in capsys.readouterr().out
-    panel["parallel_speedup"]["naive"]["4"] = 1.05
-    assert gates.check_scaling({PANEL: panel}, {}) == []
-
-
 SERVED_OK = {
     "requests": 160,
     "completed": 160,
@@ -138,8 +128,9 @@ def test_recording_keeps_the_median_of_the_first_five_runs():
 
 
 def test_unknown_gates_and_smoke_recordings_are_refused(capsys):
-    with pytest.raises(SystemExit):
-        gates.main(["--check", "speed"])
+    for gate in ("speed", "parallel"):
+        with pytest.raises(SystemExit):
+            gates.main(["--check", gate])
     with pytest.raises(SystemExit):
         gates.main(["--profile", "smoke", "serve"])
     assert "record with the full profile" in capsys.readouterr().err

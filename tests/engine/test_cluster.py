@@ -27,7 +27,6 @@ from repro.engine.executor import Executor
 from repro.engine.table import Table
 from repro.errors import ExecutionError
 from repro.resilience import Diagnostics, ErrorPolicy
-from tests.conftest import parallel_path
 
 
 def quote_table(rows):
@@ -138,17 +137,16 @@ class TestHoistedClusterFilter:
         "WHERE X.name = 'IBM' AND Y.price > X.price"
     )
 
-    def run(self, policy, workers=1):
+    def run(self, policy):
         table = quote_table(ROWS)
         table.rows[:] = [CountingRow(row) for row in table.rows]
-        executor = Executor(Catalog([table]), policy=policy, workers=workers)
+        executor = Executor(Catalog([table]), policy=policy)
         result, report = executor.execute_with_report(self.QUERY)
         intc = [row for row in table.rows if row["name"] == "INTC"]
         return result, report, [row.date_reads for row in intc]
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_rejected_cluster_is_never_sorted(self, workers):
-        result, report, intc_reads = self.run("raise", workers)
+    def test_rejected_cluster_is_never_sorted(self):
+        result, report, intc_reads = self.run("raise")
         assert intc_reads == [0, 0, 0]
         assert list(result.rows) == [(d(26),)]
         assert (report.clusters, report.clusters_searched) == (2, 1)
@@ -213,8 +211,8 @@ class TestPartitionMemo:
         # a price cell, one per match.
         assert reads_of(table, "price") == len(warm.rows)
 
-    def test_a_warm_inline_parallel_query_builds_no_column(self, monkeypatch):
-        """In-line work units read the columns the partition keeps."""
+    def test_a_warm_query_builds_no_column(self, monkeypatch):
+        """A warm query's kernels read the columns the partition keeps."""
         built = []
 
         class CountingColumn(columnar._Column):
@@ -225,12 +223,11 @@ class TestPartitionMemo:
                 super().__init__(rows, name)
 
         monkeypatch.setattr(columnar, "_Column", CountingColumn)
-        executor = Executor(Catalog([quote_table(ROWS)]), workers=2)
-        with parallel_path("inline"):
-            cold = executor.execute(self.QUERY)
-            assert built == ["price", "price"]
-            built.clear()
-            warm = executor.execute(self.QUERY)
+        executor = Executor(Catalog([quote_table(ROWS)]))
+        cold = executor.execute(self.QUERY)
+        assert built == ["price", "price"]
+        built.clear()
+        warm = executor.execute(self.QUERY)
         assert warm.rows == cold.rows == ((60.0,), (80.5,))
         assert built == []
 

@@ -1,8 +1,8 @@
 """Differential suite: the columnar evaluator must be bit-identical to row.
 
 The tentpole contract of the columnar storage + vectorized-kernel path
-(see ``docs/performance.md``): for every query, dataset, matcher, and
-worker count, executing with ``evaluator="columnar"`` — against an
+(see ``docs/performance.md``): for every query, dataset and matcher,
+executing with ``evaluator="columnar"`` — against an
 in-memory table or an out-of-core mmap'd ``.rcol`` file — produces the
 same :class:`~repro.engine.result.Result`, the same instrumented
 predicate-test counts, the same skip accounting, the same diagnostics,
@@ -32,7 +32,6 @@ from repro.errors import ExecutionError
 from repro.match.base import Instrumentation
 from repro.pattern.predicates import AttributeDomains
 from repro.resilience import ResourceLimits
-from tests.conftest import parallel_path
 
 DOMAINS = AttributeDomains.prices()
 VARS = "ABCD"
@@ -130,7 +129,7 @@ def build_table(steps_by_ticker) -> Table:
     return table
 
 
-def run(catalog, sql, *, matcher="ops", evaluator="row", workers=1, limits=None):
+def run(catalog, sql, *, matcher="ops", evaluator="row", limits=None):
     instrumentation = Instrumentation()
     instrumentation.enable_detail()
     executor = Executor(
@@ -138,21 +137,14 @@ def run(catalog, sql, *, matcher="ops", evaluator="row", workers=1, limits=None)
         domains=DOMAINS,
         matcher=matcher,
         evaluator=evaluator,
-        workers=workers,
         limits=limits,
     )
-    with parallel_path("inline"):
-        result, report = executor.execute_with_report(sql, instrumentation)
+    result, report = executor.execute_with_report(sql, instrumentation)
     return result, report, instrumentation
 
 
-def fingerprint(result, report, instrumentation, detail=True):
-    """Everything the equivalence contract pins, as one comparable value.
-
-    ``detail=False`` drops the per-element test histogram: parallel
-    workers only record it under tracing, so it is a serial-only part of
-    the contract (true of the row path just the same).
-    """
+def fingerprint(result, report, instrumentation):
+    """Everything the equivalence contract pins, as one comparable value."""
     return (
         result.columns,
         tuple(result.rows),
@@ -162,7 +154,7 @@ def fingerprint(result, report, instrumentation, detail=True):
         report.rows_scanned,
         instrumentation.skips,
         instrumentation.skip_distance,
-        dict(instrumentation.tests_by_element or {}) if detail else None,
+        dict(instrumentation.tests_by_element or {}),
         tuple(report.diagnostics.downgrades),
         tuple(report.diagnostics.limits_hit),
     )
@@ -186,17 +178,6 @@ def assert_equivalent(table, sql, matchers=MATCHERS):
                     *run(mapped_catalog, sql, matcher=matcher, evaluator="columnar")
                 )
                 assert mmapped == oracle, (matcher, "mmap")
-                parallel = fingerprint(
-                    *run(
-                        catalog, sql, matcher=matcher, evaluator="columnar",
-                        workers=4,
-                    ),
-                    detail=False,
-                )
-                oracle_nodetail = fingerprint(
-                    *run(catalog, sql, matcher=matcher), detail=False
-                )
-                assert parallel == oracle_nodetail, (matcher, "workers=4")
         finally:
             mapped.close()
 
@@ -241,20 +222,6 @@ def test_budget_spend_parity_under_max_matches():
         *run(Catalog([table]), sql, evaluator="columnar", limits=limits)
     )
     assert got == oracle
-    # Parallel: compare against the parallel row path (workers may test
-    # more predicates than serial finding capped-away matches, but row
-    # and columnar workers must agree with each other exactly).
-    row_parallel = fingerprint(
-        *run(Catalog([table]), sql, limits=limits, workers=4), detail=False
-    )
-    columnar_parallel = fingerprint(
-        *run(
-            Catalog([table]), sql, evaluator="columnar", limits=limits,
-            workers=4,
-        ),
-        detail=False,
-    )
-    assert columnar_parallel == row_parallel
 
 
 def test_interpreted_oracle_stays_kernel_free():

@@ -33,7 +33,6 @@ from repro.engine.executor import Executor
 from repro.engine.table import Schema, Table
 from repro.errors import ColumnarFormatError, ExecutionError, FailpointError
 from repro.resilience import Diagnostics
-from tests.conftest import parallel_path
 
 SCHEMA = [("name", "str"), ("date", "date"), ("price", "float"), ("volume", "int")]
 
@@ -71,6 +70,8 @@ def test_round_trip_preserves_rows_and_schema(tmp_path):
         assert loaded.schema.columns == table.schema.columns
         assert len(loaded) == len(table.rows)
         assert [dict(row) for row in loaded] == table.rows
+        # A row pickles as the dict of its values, not as the mapping.
+        assert pickle.loads(pickle.dumps(loaded.rows[3])) == table.rows[3]
     finally:
         loaded.close()
 
@@ -200,28 +201,6 @@ def test_load_table_serves_rcol_directly(tmp_path):
         assert [dict(row) for row in loaded] == table.rows
     finally:
         loaded.close()
-
-
-def test_rcol_table_runs_in_process_workers(tmp_path):
-    """Rows of a mmapped table reach pool processes as plain dicts (the
-    mapping itself cannot be pickled), so a process-parallel query over
-    ``.rcol`` returns the serial in-memory rows."""
-    table = sample_table(rows=40)
-    path = str(tmp_path / "quote.rcol")
-    write_columnar(table, path)
-    loaded = load_columnar(path)
-    sql = (
-        "SELECT X.name, X.date, Y.price FROM quote CLUSTER BY name "
-        "SEQUENCE BY date AS (X, Y) WHERE Y.price > X.price"
-    )
-    try:
-        assert pickle.loads(pickle.dumps(loaded.rows[3])) == table.rows[3]
-        with parallel_path("process"):
-            parallel = Executor(Catalog([loaded]), workers=2).execute(sql)
-    finally:
-        loaded.close()
-    serial = Executor(Catalog([table])).execute(sql)
-    assert serial.rows and parallel.rows == serial.rows
 
 
 def test_load_table_rcol_schema_mismatch_raises(tmp_path):

@@ -9,7 +9,6 @@ from repro.data.quotes import quote_table
 from repro.data.workloads import EXAMPLE_2
 from repro.engine.catalog import Catalog
 from repro.engine.executor import Executor, execute
-from repro.engine.session import Session
 from repro.engine.table import Table
 from repro.errors import ExecutionError
 from repro.match.base import Instrumentation
@@ -218,12 +217,8 @@ class TestReport:
 class TestWorkerCount:
     @pytest.mark.parametrize(
         "call",
-        [
-            lambda catalog: Executor(catalog, workers=True),
-            lambda catalog: Executor(catalog).execute(EXAMPLE1, workers=True),
-            lambda catalog: Session(catalog, workers=True),
-        ],
-        ids=["Executor", "execute", "Session"],
+        [lambda catalog: Executor(catalog).execute(EXAMPLE1, workers=True)],
+        ids=["execute"],
     )
     def test_a_bool_is_refused(self, call):
         # True is an int to Python, but no worker count a caller means.

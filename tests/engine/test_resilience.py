@@ -14,6 +14,7 @@ from repro.match.naive import NaiveMatcher
 from repro.match.ops import OpsMatcher
 from repro.match.ops_star import OpsStarMatcher
 from repro.match.streaming import OpsStreamMatcher
+from repro.obs import Trace
 from repro.pattern.compiler import compile_pattern, degraded_pattern
 from repro.pattern.predicates import ElementPredicate, ResidualCondition, comparison
 from repro.pattern.spec import PatternElement, PatternSpec
@@ -397,10 +398,18 @@ STAR_QUERY = (
 )
 
 
-def sawtooth_catalog():
+def sawtooth_catalog(names=("IBM",)):
     prices = [10, 12, 11, 10, 9, 13, 12, 10, 14, 13, 15]
     return Catalog(
-        [quote_table([quote_row("IBM", day, p) for day, p in enumerate(prices)])]
+        [
+            quote_table(
+                [
+                    quote_row(name, day, p)
+                    for name in names
+                    for day, p in enumerate(prices)
+                ]
+            )
+        ]
     )
 
 
@@ -411,13 +420,31 @@ class TestGracefulDegradation:
             executor.execute(STAR_QUERY)
 
     def test_matcher_mismatch_falls_back(self):
-        catalog = sawtooth_catalog()
+        catalog = sawtooth_catalog(("IBM", "ACME", "INTC"))
         degraded = Executor(catalog, matcher="ops-nonstar", policy="collect")
         result, report = degraded.execute_with_report(STAR_QUERY)
         reference = Executor(catalog, matcher="naive").execute(STAR_QUERY)
         assert result.rows == reference.rows
-        assert report.degraded
-        assert any("falling back" in d for d in result.diagnostics.downgrades)
+        assert report.degraded and report.matcher == "naive"
+        # The first cluster finds the mismatch; the rest start on naive.
+        [downgrade] = result.diagnostics.downgrades
+        assert "falling back" in downgrade
+
+    def test_raise_surfaces_the_first_failing_cluster(self):
+        def error(corrupt):
+            # Corrupt after insert: schema validation passes, and the
+            # matcher meets the bad cell in the middle of its cluster.
+            catalog = sawtooth_catalog(("IBM", "ACME", "INTC"))
+            for row in catalog.table("quote"):
+                if row["day"] == 5 and row["name"] in corrupt:
+                    row["price"] = corrupt[row["name"]]
+            with pytest.raises(TypeError) as info:
+                Executor(catalog, matcher="naive").execute(STAR_QUERY)
+            return str(info.value)
+
+        first = error({"ACME": "bogus"})
+        assert error({"INTC": None}) != first
+        assert error({"ACME": "bogus", "INTC": None}) == first
 
     def test_compile_failure_falls_back(self, monkeypatch):
         def broken_compile(spec, use_equivalence=True, codegen=True):
@@ -466,7 +493,7 @@ class TestExecutorLimits:
             catalog, limits=ResourceLimits(max_matches=1)
         ).execute(STAR_QUERY)
         assert limited.rows == full.rows[:1]
-        assert limited.diagnostics.limit_hit
+        assert limited.diagnostics.limits_hit == ["max_matches (1) reached"]
 
     def test_max_rows_scanned_skips_clusters(self):
         table = quote_table(
@@ -567,10 +594,14 @@ class TestMatcherNameNormalization:
         assert report.matcher == "ops"
 
     def test_configured_instance_keeps_its_key(self):
-        _, report = Executor(
+        result, report = Executor(
             sawtooth_catalog(), matcher=NaiveMatcher(overlapping=True)
         ).execute_with_report(STAR_QUERY)
         assert report.matcher == "naive"
+        # The search runs on the configured instance, not on a fresh one
+        # built from its key: overlapping search finds more.
+        default = Executor(sawtooth_catalog(), matcher="naive").execute(STAR_QUERY)
+        assert len(result.rows) > len(default.rows)
 
     def test_subclass_keeps_its_own_name(self):
         from repro.engine.executor import resolve_matcher
@@ -581,3 +612,16 @@ class TestMatcherNameNormalization:
         name, matcher = resolve_matcher(TracingMatcher())
         assert name == "TracingMatcher"
         assert isinstance(matcher, TracingMatcher)
+        # It runs under the caller's limits, cancel hook and trace.
+        executor = Executor(sawtooth_catalog(), matcher=matcher)
+        calls = []
+        traced = executor.execute(
+            STAR_QUERY, cancel=lambda: calls.append(1), trace=Trace()
+        )
+        assert calls and traced.profile.matcher == "TracingMatcher"
+        reference = Executor(sawtooth_catalog(), matcher="naive").execute(STAR_QUERY)
+        assert traced.rows == reference.rows
+        expired = executor.execute(
+            STAR_QUERY, limits=ResourceLimits(wall_clock_deadline=0.0)
+        )
+        assert expired.rows == () and expired.diagnostics.limit_hit

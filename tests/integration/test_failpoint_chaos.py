@@ -268,7 +268,7 @@ class TestFailpointsOff:
         failpoints.activate_spec(
             "checkpoint.write=torn;checkpoint.fsync=skip;"
             "checkpoint.rename=raise;serve.send_frame=raise;"
-            "recovery.restore=raise;parallel.worker_start=raise"
+            "recovery.restore=raise"
         )
         failpoints.reset()
         assert failpoints.armed() is False

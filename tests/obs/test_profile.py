@@ -1,7 +1,5 @@
 """EXPLAIN ANALYZE profiles: traced runs change nothing but gain a tree."""
 
-import pytest
-
 from repro.data.djia import djia_table
 from repro.data.quotes import quote_table
 from repro.data.workloads import EXAMPLE_2, EXAMPLE_8, EXAMPLE_10
@@ -10,7 +8,6 @@ from repro.engine.executor import Executor
 from repro.match.base import Instrumentation
 from repro.obs import MetricsRegistry, Trace
 from repro.pattern.predicates import AttributeDomains
-from tests.conftest import parallel_path
 
 CLUSTER_QUERY = (
     "SELECT X.name FROM quote CLUSTER BY name SEQUENCE BY date AS (X, Y, Z) "
@@ -29,21 +26,13 @@ def _executor(**kwargs) -> Executor:
 class TestTracedIdentity:
     def test_serial_traced_rows_byte_identical(self):
         executor = _executor()
-        untraced = executor.execute(EXAMPLE_10)
-        traced = executor.execute(EXAMPLE_10, trace=Trace())
-        assert traced.rows == untraced.rows
-        assert traced.columns == untraced.columns
-        assert untraced.profile is None
-        assert traced.profile is not None
-
-    def test_parallel_traced_rows_byte_identical(self):
-        executor = _executor(workers=2)
-        with parallel_path("inline"):
-            untraced = executor.execute(CLUSTER_QUERY)
-            traced = executor.execute(CLUSTER_QUERY, trace=Trace())
-        assert traced.rows == untraced.rows
-        assert untraced.profile is None
-        assert traced.profile is not None
+        for query in (EXAMPLE_10, CLUSTER_QUERY):
+            untraced = executor.execute(query)
+            traced = executor.execute(query, trace=Trace())
+            assert traced.rows == untraced.rows
+            assert traced.columns == untraced.columns
+            assert untraced.profile is None
+            assert traced.profile is not None
 
     def test_profile_counters_agree_with_report(self):
         executor = _executor()
@@ -64,7 +53,7 @@ class TestSerialSpanTree:
         result = executor.execute(EXAMPLE_10, trace=trace)
         root = trace.root
         assert root.name == "execute"
-        assert root.attrs["mode"] == "serial"
+        assert set(root.attrs) == {"matcher", "matches", "rows_scanned", "tests"}
         assert [child.name for child in root.children] == ["plan", "scan"]
         scan = trace.find("scan")
         assert scan.attrs["rows_scanned"] == result.profile.rows_scanned
@@ -93,41 +82,6 @@ class TestSerialSpanTree:
         assert "IBM" in partitions
 
 
-class TestParallelSpanTree:
-    def test_worker_unit_spans_are_grafted(self):
-        executor = _executor(workers=2)
-        trace = Trace()
-        with parallel_path("inline"):
-            executor.execute(CLUSTER_QUERY, trace=trace)
-        root = trace.root
-        assert root.attrs["mode"] == "parallel"
-        pool = trace.find("parallel")
-        assert pool is not None
-        assert pool.attrs["workers"] == 2
-        units = trace.find_all("unit")
-        assert units, "worker spans must be serialized back and attached"
-        clusters = trace.find_all("cluster")
-        assert all(span.duration_s is not None for span in clusters)
-
-    def test_parallel_profile_matches_serial_counters(self):
-        serial = _executor()
-        parallel = _executor(workers=2)
-        serial_trace, parallel_trace = Trace(), Trace()
-        serial_result = serial.execute(CLUSTER_QUERY, trace=serial_trace)
-        with parallel_path("inline"):
-            parallel_result = parallel.execute(
-                CLUSTER_QUERY, trace=parallel_trace
-            )
-        assert parallel_result.rows == serial_result.rows
-        assert (
-            parallel_result.profile.matches == serial_result.profile.matches
-        )
-        assert (
-            parallel_result.profile.predicate_tests
-            == serial_result.profile.predicate_tests
-        )
-
-
 def assert_project_children(trace: Trace) -> None:
     """Every cluster span ends in a ``project`` child, after ``kernels``,
     that projected the cluster's matches."""
@@ -151,13 +105,6 @@ class TestProjectSpan:
         assert sum(
             span.attrs["matches"] for span in trace.find_all("project")
         ) == len(result.rows)
-
-    def test_pool_unit_cluster_spans_have_a_project_child(self):
-        trace = Trace()
-        with parallel_path("inline"):
-            _executor(workers=2).execute(EXAMPLE_8, trace=trace)
-        assert trace.find_all("unit")
-        assert_project_children(trace)
 
 
 class TestResidualSpans:
@@ -188,13 +135,11 @@ class TestResidualSpans:
 class TestPartitionSpan:
     """The scan span says whether a query paid for partitioning."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_a_second_query_reuses_the_first_ones_sorts(self, workers):
-        executor = _executor(workers=workers)
+    def test_a_second_query_reuses_the_first_ones_sorts(self):
+        executor = _executor()
         first, second = Trace(), Trace()
-        with parallel_path("inline"):
-            cold = executor.execute(CLUSTER_QUERY, trace=first)
-            warm = executor.execute(CLUSTER_QUERY, trace=second)
+        cold = executor.execute(CLUSTER_QUERY, trace=first)
+        warm = executor.execute(CLUSTER_QUERY, trace=second)
         assert warm.rows == cold.rows
         clusters = first.find("scan").attrs["clusters"]
         assert clusters > 1

@@ -1,8 +1,8 @@
-"""Span trees: nesting, budgets, and cross-process grafting."""
+"""Span trees: nesting and budgets."""
 
 import pytest
 
-from repro.obs import Span, Trace
+from repro.obs import Trace
 
 
 class FakeClock:
@@ -78,42 +78,3 @@ class TestSpanBudget:
         with pytest.raises(ValueError, match="max_spans"):
             Trace(max_spans=0)
 
-
-class TestAttach:
-    def test_worker_payload_grafts_under_parent(self):
-        trace = Trace(clock=FakeClock())
-        payload = {
-            "name": "unit",
-            "duration_s": 0.5,
-            "attrs": {"unit": 0},
-            "children": [
-                {
-                    "name": "cluster",
-                    "duration_s": 0.4,
-                    "attrs": {"partition": 1, "rows": 100},
-                    "children": [],
-                }
-            ],
-        }
-        with trace.span("parallel") as pool:
-            pass
-        grafted = trace.attach(pool, payload)
-        assert grafted.name == "unit"
-        assert grafted.start is None  # foreign clock origin
-        assert grafted.duration_s == 0.5
-        assert pool.children[0].children[0].attrs["rows"] == 100
-        assert trace.span_count == 3
-
-    def test_attach_respects_budget(self):
-        trace = Trace(max_spans=1, clock=FakeClock())
-        with trace.span("root"):
-            pass
-        assert trace.attach(trace.root, {"name": "unit"}) is None
-        assert trace.dropped == 1
-
-    def test_roundtrip_through_dict(self):
-        span = Span("unit", {"unit": 3})
-        span.duration_s = 1.5
-        span.children.append(Span("cluster", {"rows": 7}))
-        restored = Span.from_dict(span.to_dict())
-        assert restored.to_dict() == span.to_dict()

@@ -99,18 +99,27 @@ class TestQueries:
                 {"sql": 42},
                 {"sql": RISING_QUERY, "timeout": "soon"},
                 {"sql": RISING_QUERY, "max_matches": -1},
-                {"sql": RISING_QUERY, "workers": 0},
             ):
                 with pytest.raises(ServeError) as info:
                     client.request("query", **fields)
                 assert info.value.code == "bad_request"
+
+    def test_a_workers_field_changes_nothing(self, run_server):
+        # Every query runs serially: like any field the server does not
+        # read, a worker count is ignored, whatever its value.
+        handle = run_server()
+        with ServeClient(*handle.address) as client:
+            plain = client.request("query", sql=RISING_QUERY)
+            for workers in (2, 0, True):
+                reply = client.request("query", sql=RISING_QUERY, workers=workers)
+                assert reply["ok"] and reply["rows"] == plain["rows"]
+                assert reply["matches"] == plain["matches"]
 
     @pytest.mark.parametrize(
         "op, field",
         [
             ("query", "timeout"),
             ("query", "max_matches"),
-            ("query", "workers"),
             ("subscribe", "after_seq"),
         ],
     )

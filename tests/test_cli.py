@@ -5,7 +5,6 @@ import io
 import pytest
 
 from repro.cli import main
-from tests.conftest import parallel_path
 
 
 QUERY = (
@@ -234,6 +233,17 @@ class TestResilienceFlags:
         )
         assert code == 0
         assert "(1 rows)" in output
+
+    def test_tiny_timeout_exits_3_with_a_partial_result(self, capsys):
+        # Grouping and sorting the cold demo table outlasts the deadline,
+        # so the scan stops before its first cluster.
+        code, output = run_cli(
+            "query", "--demo-data", *self.TABLE_FLAGS, "--timeout", "0.00001",
+            RISING,
+        )
+        assert code == 3
+        assert "(0 rows)" in output
+        assert "wall_clock_deadline" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["query", "stream"])
     def test_nan_timeout_is_rejected(self, command, capsys):
@@ -551,59 +561,3 @@ class TestDiagnosticsJson:
 
         payload = json.loads(report.read_text())
         assert payload["counters"]["quarantined_rows"] == 1
-
-
-class TestWorkers:
-    def test_workers_output_identical_to_serial(self, quotes_csv):
-        argv = [
-            "query",
-            "--table",
-            f"quote={quotes_csv}:name:str,date:date,price:float",
-            "--positive",
-            "price",
-            "--stats",
-            QUERY,
-        ]
-        serial_code, serial_out = run_cli(*argv)
-        parallel_code, parallel_out = run_cli(*argv, "--workers", "2")
-        assert (serial_code, serial_out) == (parallel_code, parallel_out)
-
-    def test_workers_process_mode(self, quotes_csv):
-        argv = [
-            "query",
-            "--table",
-            f"quote={quotes_csv}:name:str,date:date,price:float",
-            "--positive",
-            "price",
-            QUERY,
-        ]
-        _, serial_out = run_cli(*argv)
-        with parallel_path("process"):
-            code, parallel_out = run_cli(*argv, "--workers", "2")
-        assert code == 0 and parallel_out == serial_out
-
-    def test_invalid_workers_is_clean_error(self, quotes_csv, capsys):
-        code, _ = run_cli(
-            "query",
-            "--table",
-            f"quote={quotes_csv}:name:str,date:date,price:float",
-            "--workers",
-            "0",
-            QUERY,
-        )
-        assert code == 1
-        assert "workers" in capsys.readouterr().err
-
-    def test_script_workers(self, tmp_path):
-        script = tmp_path / "session.sql"
-        script.write_text(
-            "CREATE TABLE q ( name Varchar(8), date Int, price Real );\n"
-            "INSERT INTO q VALUES ('IBM', 1, 100.0), ('IBM', 2, 120.0), "
-            "('ACME', 1, 50.0), ('ACME', 2, 70.0);\n"
-            "SELECT X.name FROM q CLUSTER BY name SEQUENCE BY date "
-            "AS (X, Y) WHERE Y.price > 1.1 * X.price;"
-        )
-        serial = run_cli("script", str(script))
-        parallel = run_cli("script", str(script), "--workers", "2")
-        assert serial == parallel
-        assert serial[0] == 0 and "(2 rows)" in serial[1]
