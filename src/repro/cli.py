@@ -482,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["columnar", "row"],
         default="columnar",
         help="predicate path: columnar (default) materializes vectorized "
-        "truth arrays per cluster, row keeps the per-row closures; "
+        "truth arrays per cluster, row keeps the per-row evaluators; "
         "matches are byte-identical in both modes (see "
         "docs/performance.md)",
     )

@@ -6,7 +6,7 @@ Two cooperating halves, both behind the existing engine API:
 ``predicate.conditions`` and turn them, for one cluster's rows, into a
 per-element **truth array**: one byte per input position, 1 where the
 element predicate holds.  Matchers substitute ``truth[i]`` for the
-compiled closure call, and the OPS scan advances star runs and mismatch
+evaluator call, and the OPS scan advances star runs and mismatch
 self-loops with C-speed ``bytes.find`` scans whose tests it charges as
 one sum.  Because the truth value at every position equals what the row
 evaluator would have returned there, matches, test counts, skip
@@ -18,9 +18,10 @@ interpreted :meth:`~repro.pattern.predicates.ElementPredicate.test`.
 
 :func:`plan_kernels` decides once per compiled pattern which elements
 lower and which share one truth array.  An element lowers when each of
-its conditions is a comparison, a string equality, an OR of those, or a
-residual that carries an anchored program.  Any other element keeps its
-row evaluator: fallback is per element, never per query.
+its conditions is a comparison, an OR of comparisons, or a residual
+that carries an anchored program.  Any other element (a string
+equality, say) keeps its row evaluator: fallback is per element, never
+per query.
 
 An element with anchored comparisons (a residual that compares the row
 under test with an earlier element's boundary row, see
@@ -28,30 +29,18 @@ under test with an earlier element's boundary row, see
 answer depends on the attempt.  Each side of such a comparison becomes
 one Python list per cluster instead, with None where navigation leaves
 the cluster, and the OPS scan compares ``lhs[i]`` with ``rhs[anchor]``.
-The sides are built with NumPy float64 only where that reproduces the
-residual closure's Python float arithmetic bit for bit: every column
-read is all-``float``, every literal passes ``_np_exact``, and no side
-divides.  Anywhere else the element keeps its closure, so a string,
-int or missing cell raises the closure's error at the same match.
 
-Each comparison's truth bytes come from one of two kernels:
-
-- NumPy: whole-column float64 arithmetic, used wherever every column
-  the comparison reads is all-``float`` and every literal is exact in
-  float64.  Python floats are IEEE doubles, so the results are
-  bit-identical to the scalar computation;
-- a scalar loop for every other cell (ints, dates, strings, missing
-  cells, inexact literals): it evaluates the *identical* expression the
-  row closure evaluates (``op(a * value + b, c)``) on the identical
-  cell objects, so parity is automatic for every value type.
-
-NumPy is a declared dependency, imported on the first materialization
-(the stream path never materializes, so it never loads it).
-
-Materialization is conservative: any exception while building one
-element's truth (a non-numeric cell, an overflow, a pathological
-``__mul__``) silently drops that element back to the row evaluator, so
-errors surface — or don't — exactly where the row path surfaces them.
+Truth bytes and anchored sides are built with NumPy float64 only, and
+only where that reproduces the interpreter's Python arithmetic bit for
+bit: every column read is all-``float`` (a Python float *is* an IEEE
+double) and every literal is exact in float64.  Anywhere else (an int,
+date or string cell, a row without the column, a literal float64
+cannot hold) building the element raises, and so does anything else
+the batch evaluation trips over; :func:`materialize_kernels` then
+leaves that element on its row evaluator, which raises, or
+short-circuits past the cell, exactly where the row path does.  NumPy
+is a declared dependency, imported on the first materialization (the
+stream path never materializes, so it never loads it).
 
 **Out-of-core columnar files**: a single-file binary format (magic,
 JSON header, CRC32-checksummed little-endian column blobs) written
@@ -85,7 +74,6 @@ from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
 from repro import failpoints
-from repro.constraints.atoms import Op
 from repro.engine.table import Schema
 from repro.errors import ColumnarFormatError, ExecutionError
 from repro.pattern.predicates import (
@@ -95,13 +83,7 @@ from repro.pattern.predicates import (
     LinearTerm,
     OrCondition,
     ResidualCondition,
-    StringEqualityCondition,
 )
-
-#: Marks a (row, column) cell whose row has no such key.  The row
-#: evaluators turn a missing column into False (KeyError caught); the
-#: kernels do the same by leaving the truth byte 0.
-_MISSING = object()
 
 
 # ----------------------------------------------------------------------
@@ -109,49 +91,8 @@ _MISSING = object()
 # ----------------------------------------------------------------------
 
 
-class _Column:
-    """One column's cells for a cluster, plus vectorization eligibility."""
-
-    __slots__ = ("values", "floats_only", "_f8")
-
-    def __init__(self, rows: Sequence, name: str):
-        values = []
-        floats_only = True
-        for row in rows:
-            try:
-                value = row[name]
-            except KeyError:
-                value = _MISSING
-                floats_only = False
-            else:
-                if type(value) is not float:
-                    floats_only = False
-            values.append(value)
-        self.values = values
-        self.floats_only = floats_only
-        self._f8 = None
-
-    def f8(self, np):
-        """float64 ndarray of this column, or None when not exact.
-
-        Only all-``float`` columns vectorize: a Python float *is* an
-        IEEE double, so float64 arithmetic reproduces the scalar
-        computation bit-for-bit.  Ints (arbitrary precision), dates,
-        strings, and missing cells stay on the scalar loops.  The array
-        is built once and kept read-only, since later queries of the
-        cluster share it.
-        """
-        if not self.floats_only:
-            return None
-        if self._f8 is None:
-            array = np.asarray(self.values, dtype=np.float64)
-            array.flags.writeable = False
-            self._f8 = array
-        return self._f8
-
-
 class ColumnStore:
-    """Lazily-built columns over one cluster's rows.
+    """Lazily-built float64 columns over one cluster's rows.
 
     A sorted cluster of a table's partition (:mod:`repro.engine.cluster`)
     keeps its store, so a column is read from the rows once per table,
@@ -164,14 +105,37 @@ class ColumnStore:
     def __init__(self, rows: Sequence):
         self.rows = rows
         self.n = len(rows)
-        self._columns: dict[str, _Column] = {}
+        self._columns: dict = {}
 
-    def column(self, name: str) -> _Column:
-        column = self._columns.get(name)
-        if column is None:
-            column = _Column(self.rows, name)
-            self._columns[name] = column
-        return column
+    def column(self, name: str, np):
+        """The column as a read-only float64 array (later queries of the
+        cluster share it).
+
+        Raises ValueError where a cell is not a ``float``: an int
+        (arbitrary precision), a date, a string, or a row without the
+        column.  Only a Python float converts to float64 exactly.
+        """
+        try:
+            array = self._columns[name]
+        except KeyError:
+            array = self._columns[name] = _float_column(self.rows, name, np)
+        if array is None:
+            raise ValueError(f"column {name!r} is not all float")
+        return array
+
+
+def _float_column(rows: Sequence, name: str, np):
+    """``row[name]`` of every row as a read-only float64 array, or None
+    where one is missing or not a ``float``."""
+    try:
+        values = [row[name] for row in rows]
+    except KeyError:
+        return None
+    if not {float}.issuperset(map(type, values)):
+        return None
+    array = np.asarray(values, dtype=np.float64)
+    array.flags.writeable = False
+    return array
 
 
 # ----------------------------------------------------------------------
@@ -215,12 +179,13 @@ def _shape(conditions: Sequence[Condition]) -> Optional[tuple]:
 
 
 def _has_truth(condition: Condition) -> bool:
-    """True for the condition types :func:`_condition_truth` reads."""
+    """True for a comparison or an OR of comparisons, the condition
+    types :func:`_condition_truth` reads."""
     if isinstance(condition, OrCondition):
         return all(
             _has_truth(leaf) for branch in condition.branches for leaf in branch
         )
-    return isinstance(condition, (ComparisonCondition, StringEqualityCondition))
+    return isinstance(condition, ComparisonCondition)
 
 
 # ----------------------------------------------------------------------
@@ -241,16 +206,14 @@ class ClusterKernels:
     ``rhs[start + counts[edge] + delta]`` are not None and
     ``holds(lhs[i], rhs[...])``.  An element with neither fell back to
     the row evaluator.  Elements that share a shape share one entry
-    (Example 10's repeated shapes).  ``backend`` is ``"numpy"`` when
-    NumPy built any of them, else ``"python"``.
+    (Example 10's repeated shapes).
     """
 
-    __slots__ = ("truth", "anchored", "backend", "lowered")
+    __slots__ = ("truth", "anchored", "lowered")
 
-    def __init__(self, truth: tuple, anchored: tuple, backend: str):
+    def __init__(self, truth: tuple, anchored: tuple):
         self.truth = truth
         self.anchored = anchored
-        self.backend = backend
         self.lowered = sum(
             1 for t, a in zip(truth, anchored) if t is not None or a is not None
         )
@@ -262,8 +225,8 @@ def materialize_kernels(
     """Build truth arrays for ``rows`` from a compiled pattern's plan.
 
     Returns None when nothing lowered (interpreted oracle plans,
-    patterns whose every element keeps a closure, or every element
-    failing materialization) — the caller then runs the plain row path.
+    patterns whose every element keeps its evaluator, or every element
+    declining here) — the caller then runs the plain row path.
     ``columns`` is the store kept with ``rows`` (a partition's sorted
     cluster); without one the columns are read from the rows.  The truth
     arrays and anchored side lists are built per call: they depend on
@@ -281,49 +244,41 @@ def materialize_kernels(
     store = columns if columns is not None else ColumnStore(rows)
     n = store.n
     built: list[tuple] = []
-    used_numpy = False
     for conditions, anchored in shapes:
         try:
-            entry, vectorized = _shape_kernel(conditions, anchored, store, n, np)
+            built.append(_shape_kernel(conditions, anchored, store, n, np))
         except Exception:
-            # Anything the batch evaluation trips over (non-numeric
-            # cells, overflow, exotic operators) is left to the row
-            # evaluator, which raises — or short-circuits past it —
-            # exactly as the row path always did.
-            entry, vectorized = (None, None), False
-        used_numpy = used_numpy or vectorized
-        built.append(entry)
+            # A cell or literal float64 cannot hold exactly (ValueError),
+            # or anything else the batch evaluation trips over, leaves
+            # the element on its row evaluator, which raises — or
+            # short-circuits past it — exactly as the row path does.
+            built.append((None, None))
     truth = tuple(None if slot is None else built[slot][0] for slot in slots)
     anchored = tuple(None if slot is None else built[slot][1] for slot in slots)
     if all(t is None for t in truth) and all(a is None for a in anchored):
         return None
-    return ClusterKernels(truth, anchored, "numpy" if used_numpy else "python")
+    return ClusterKernels(truth, anchored)
 
 
 def _shape_kernel(
     conditions: tuple, anchored: tuple, store: ColumnStore, n: int, np
-) -> tuple[tuple, bool]:
-    """``((truth, None), used_numpy)`` for a shape without anchored
-    comparisons, ``((None, (gate, comparisons)), True)`` for one with
-    them (see :class:`ClusterKernels`)."""
+) -> tuple:
+    """``(truth, None)`` for a shape without anchored comparisons,
+    ``(None, (gate, comparisons))`` for one with them (see
+    :class:`ClusterKernels`)."""
     if not anchored:
-        truth, vectorized = _conjunction_truth(conditions, store, n, np)
-        return (truth, None), vectorized
+        return _conjunction_truth(conditions, store, n, np), None
     comparisons = tuple(
         _anchored_comparison(compare, store, n, np) for compare in anchored
     )
-    gate = _conjunction_truth(conditions, store, n, np)[0] if conditions else None
-    return (None, (gate, comparisons)), True
+    gate = _conjunction_truth(conditions, store, n, np) if conditions else None
+    return None, (gate, comparisons)
 
 
 def _anchored_comparison(
     compare: AnchoredCompare, store: ColumnStore, n: int, np
 ) -> tuple:
-    """``(lhs, holds, rhs, edge, delta)`` of one anchored comparison.
-
-    Raises ValueError where the lists could differ from the residual
-    closure's arithmetic, which leaves the element on its closure.
-    """
+    """``(lhs, holds, rhs, edge, delta)`` of one anchored comparison."""
     if compare.last:
         edge, delta = compare.element, -1
     else:
@@ -341,34 +296,27 @@ def _side_values(program: tuple, store: ColumnStore, n: int, np) -> list:
     """One side's value at every row ``i`` of the cluster, None where its
     navigation leaves the cluster.
 
-    Only all-``float`` columns and exact literals qualify: a Python float
-    is an IEEE double, so float64 arithmetic reproduces
-    ``_require_number``'s, operation by operation in the same order.
+    float64 arithmetic reproduces ``_require_number``'s, operation by
+    operation in the same order.
     """
     offsets: list[int] = []
-    _side_reads(program, store, offsets)
+    _side_offsets(program, offsets)
     lo, hi = _valid_range(n, *offsets)
     lo, hi = min(lo, n), min(hi, n)
     with np.errstate(all="ignore"):
         values = _eval_side(
-            program, lambda name, off: store.column(name).f8(np)[lo + off : hi + off]
+            program, lambda name, off: store.column(name, np)[lo + off : hi + off]
         ).tolist()
     return [None] * lo + values + [None] * (n - hi)
 
 
-def _side_reads(program: tuple, store: ColumnStore, offsets: list[int]) -> None:
-    """Collect the side's offsets; raise ValueError where it is not exact."""
+def _side_offsets(program: tuple, offsets: list[int]) -> None:
     kind = program[0]
     if kind == "col":
-        if not store.column(program[1]).floats_only:
-            raise ValueError(f"column {program[1]!r} is not all float")
         offsets.append(program[2])
-    elif kind == "num":
-        if not _np_exact(program[1]):
-            raise ValueError(f"literal {program[1]!r} is not exact in float64")
-    else:
+    elif kind != "num":
         for operand in program[1:]:
-            _side_reads(operand, store, offsets)
+            _side_offsets(operand, offsets)
 
 
 def _eval_side(program: tuple, read):
@@ -376,7 +324,7 @@ def _eval_side(program: tuple, read):
     if kind == "col":
         return read(program[1], program[2])
     if kind == "num":
-        return float(program[1])
+        return float(_exact(program[1]))
     if kind == "neg":
         return -_eval_side(program[1], read)
     left = _eval_side(program[1], read)
@@ -390,32 +338,20 @@ def _eval_side(program: tuple, read):
 
 def _conjunction_truth(
     conditions: Sequence[Condition], store: ColumnStore, n: int, np
-) -> tuple[bytes, bool]:
-    """AND the conditions' truths; returns (truth, used_numpy)."""
-    truths = []
-    used_numpy = False
-    for condition in conditions:
-        truth, vectorized = _condition_truth(condition, store, n, np)
-        used_numpy = used_numpy or vectorized
-        truths.append(truth)
-    return _and_all(truths, n), used_numpy
-
-
-def _condition_truth(
-    condition: Condition, store: ColumnStore, n: int, np
-) -> tuple[bytes, bool]:
-    if isinstance(condition, ComparisonCondition):
-        return _comparison_truth(condition, store, n, np)
-    if isinstance(condition, StringEqualityCondition):
-        return _string_equality_truth(condition, store, n), False
-    # An OrCondition: plan_kernels lets no other type through.
-    branches = [
-        _conjunction_truth(branch, store, n, np) for branch in condition.branches
-    ]
-    return (
-        _or_all([truth for truth, _ in branches], n),
-        any(vectorized for _, vectorized in branches),
+) -> bytes:
+    return _and_all(
+        [_condition_truth(condition, store, n, np) for condition in conditions], n
     )
+
+
+def _condition_truth(condition: Condition, store: ColumnStore, n: int, np) -> bytes:
+    if isinstance(condition, OrCondition):
+        return _or_all(
+            [_conjunction_truth(branch, store, n, np) for branch in condition.branches],
+            n,
+        )
+    # A ComparisonCondition: plan_kernels lets no other type through.
+    return _comparison_truth(condition, store, n, np)
 
 
 def _and_all(truths: list[bytes], n: int) -> bytes:
@@ -448,114 +384,53 @@ def _valid_range(n: int, *offsets: int) -> tuple[int, int]:
     return lo, max(lo, hi)
 
 
-def _np_exact(value) -> bool:
-    """True when float64 arithmetic with ``value`` matches Python's."""
+def _exact(value):
+    """``value``, where float64 arithmetic with it matches Python's;
+    raises ValueError elsewhere (an int float64 cannot hold)."""
     if type(value) is float:
-        return True
+        return value
     if isinstance(value, int) and not isinstance(value, bool):
         try:
-            return float(value) == value
+            if float(value) == value:
+                return value
         except OverflowError:
-            return False
-    return False
+            pass
+    raise ValueError(f"literal {value!r} is not exact in float64")
 
 
 def _comparison_truth(
     condition: ComparisonCondition, store: ColumnStore, n: int, np
-) -> tuple[bytes, bool]:
-    """Truth bytes of ``left op right``; returns (truth, used_numpy).
+) -> bytes:
+    """Truth bytes of ``left op right``.
 
     Each side is a constant or ``coefficient * column[i + offset] +
-    constant``, computed as the row closure computes it.
+    constant``, computed as the interpreter computes it.
     """
     left, right = condition.left, condition.right
     holds = condition.op.operator
     if left.attr is None and right.attr is None:
-        return (b"\x01" * n if holds(left.constant, right.constant) else bytes(n)), False
+        return b"\x01" * n if holds(left.constant, right.constant) else bytes(n)
     lo, hi = _valid_range(
         n, *(term.attr.offset for term in (left, right) if term.attr is not None)
     )
     with np.errstate(all="ignore"):
         lhs = _f8_term(left, store, lo, hi, np)
-        rhs = None if lhs is None else _f8_term(right, store, lo, hi, np)
-        if rhs is not None:
-            out = np.zeros(n, dtype=np.uint8)
-            out[lo:hi] = holds(lhs, rhs)
-            return out.tobytes(), True
-    return _scalar_comparison_truth(left, holds, right, store, n, lo, hi), False
+        rhs = _f8_term(right, store, lo, hi, np)
+        out = np.zeros(n, dtype=np.uint8)
+        out[lo:hi] = holds(lhs, rhs)
+    return out.tobytes()
 
 
 def _f8_term(term: LinearTerm, store: ColumnStore, lo: int, hi: int, np):
-    """``term`` at rows ``lo..hi`` in float64 (a scalar for a constant),
-    or None where float64 arithmetic could differ from Python's."""
+    """``term`` at rows ``lo..hi`` in float64 (a scalar for a constant)."""
     if term.attr is None:
-        return term.constant if _np_exact(term.constant) else None
-    if not (_np_exact(term.coefficient) and _np_exact(term.constant)):
-        return None
-    column = store.column(term.attr.name).f8(np)
-    if column is None:
-        return None
+        return _exact(term.constant)
+    column = store.column(term.attr.name, np)
     off = term.attr.offset
-    return term.coefficient * column[lo + off : hi + off] + term.constant
-
-
-def _scalar_comparison_truth(
-    left: LinearTerm, holds, right: LinearTerm, store: ColumnStore, n, lo, hi
-) -> bytes:
-    out = bytearray(n)
-    if left.attr is not None and right.attr is not None:
-        left_values = store.column(left.attr.name).values
-        right_values = store.column(right.attr.name).values
-        left_off, right_off = left.attr.offset, right.attr.offset
-        la, lb = left.coefficient, left.constant
-        ra, rb = right.coefficient, right.constant
-        for i in range(lo, hi):
-            left_value = left_values[i + left_off]
-            if left_value is _MISSING:
-                continue
-            # Complete the left term before reading the right cell,
-            # exactly like the row closure, so a non-numeric left value
-            # raises here (and drops the element to the row path)
-            # regardless of the right side.
-            lhs = la * left_value + lb
-            right_value = right_values[i + right_off]
-            if right_value is _MISSING:
-                continue
-            if holds(lhs, ra * right_value + rb):
-                out[i] = 1
-        return bytes(out)
-    term, c = (left, right.constant) if right.attr is None else (right, left.constant)
-    values = store.column(term.attr.name).values
-    off, a, b = term.attr.offset, term.coefficient, term.constant
-    if right.attr is None:
-        for i in range(lo, hi):
-            value = values[i + off]
-            if value is not _MISSING and holds(a * value + b, c):
-                out[i] = 1
-    else:
-        for i in range(lo, hi):
-            value = values[i + off]
-            if value is not _MISSING and holds(c, a * value + b):
-                out[i] = 1
-    return bytes(out)
-
-
-def _string_equality_truth(
-    condition: StringEqualityCondition, store: ColumnStore, n: int
-) -> bytes:
-    off = condition.attr.offset
-    values = store.column(condition.attr.name).values
-    lo, hi = _valid_range(n, off)
-    out = bytearray(n)
-    expected = condition.value
-    equals = condition.op is Op.EQ
-    for i in range(lo, hi):
-        value = values[i + off]
-        if value is _MISSING:
-            continue
-        if (value == expected) if equals else (value != expected):
-            out[i] = 1
-    return bytes(out)
+    return (
+        _exact(term.coefficient) * column[lo + off : hi + off]
+        + _exact(term.constant)
+    )
 
 
 # ----------------------------------------------------------------------

@@ -873,7 +873,7 @@ def _cluster_kernels(
 
     Engagement policy (see :data:`EVALUATOR_MODES`): never for
     ``"row"``; ``"columnar"`` always attempts.  The plan must have
-    compiled closures — ``use_codegen=False`` is the interpreted
+    ``use_codegen`` set — ``use_codegen=False`` is the interpreted
     differential oracle and stays kernel-free end to end.
     """
     compiled = plan.compiled
@@ -892,7 +892,6 @@ def _cluster_kernels(
                 lowered=kernels.lowered,
                 anchored=sum(1 for entry in kernels.anchored if entry is not None),
                 elements=compiled.m,
-                backend=kernels.backend,
                 rows=len(rows),
             )
     return kernels

@@ -79,7 +79,7 @@ _UNBOUND: dict = {}
 _EVALUATOR, _TRUTH, _ANCHORED = 0, 1, 2
 
 #: How a replay decides element j on the failed row (see ``ScanProgram``).
-_FAILS, _MOVING, _CLOSURE = 0, 1, 2
+_FAILS, _MOVING, _EVALUATE = 0, 1, 2
 
 
 class OpsStarMatcher:
@@ -148,8 +148,8 @@ class ScanProgram:
       plain_middle, star_middle)``.  ``verdict`` is ``_FAILS`` (every
       replay fails as the walked attempt did), ``_MOVING`` (anchored
       comparisons, ``fixed`` as ``(index, edge, delta)`` and ``moving``
-      as ``(index, offset)`` from the replay's start) or ``_CLOSURE``
-      (the residual closure, on each replay's bindings); elements
+      as ``(index, offset)`` from the replay's start) or ``_EVALUATE``
+      (the residual's evaluator, on each replay's bindings); elements
       3..j-1 are ``plain_middle`` plain ones and the starred
       ``star_middle``.
     """
@@ -256,7 +256,7 @@ class ScanProgram:
         A truth byte, and an anchored comparison whose anchor lies past
         the start of element 2, read the same rows in every replay.  An
         anchor on element 1 or on the start of element 2 sits ``0`` or
-        ``1`` rows past the replay's start.  A residual closure gets
+        ``1`` rows past the replay's start.  A residual's evaluator gets
         each replay's bindings.
         """
         middle = range(3, j)
@@ -276,7 +276,7 @@ class ScanProgram:
             if moving:
                 return (_MOVING, fixed, moving, plain_middle, star_middle)
         elif kind == _EVALUATOR and self.reads_bindings[j]:
-            return (_CLOSURE, (), (), plain_middle, star_middle)
+            return (_EVALUATE, (), (), plain_middle, star_middle)
         return (_FAILS, (), (), plain_middle, star_middle)
 
 
@@ -334,7 +334,7 @@ class _Run:
         self.program = scan_program(pattern, kernels)
         # Per-element tables, indexed by j (entry 0 is padding).  The
         # truth arrays and anchored comparisons come from the columnar
-        # backend; either replaces the evaluator call where present (see
+        # kernels; either replaces the evaluator call where present (see
         # :mod:`repro.engine.columnar`).
         self.evaluators = (None,) + tuple(pattern.evaluators)
         if kernels is None:
@@ -441,7 +441,7 @@ class _Run:
         j = self.j
         inherited = self.inherited
         tests = skips = distance = 0
-        # The residual closures' bindings, kept while the attempt and
+        # The residual evaluators' bindings, kept while the attempt and
         # the pattern position stay put.
         bound = bound_start = bound_j = None
         try:
@@ -701,9 +701,9 @@ class _Run:
                         if right is None or not holds(left, right):
                             held = False
                             break
-                elif verdict == _CLOSURE:
+                elif verdict == _EVALUATE:
                     try:
-                        held = self._replay_closure(walked, i, j, a)
+                        held = self._replay_evaluator(walked, i, j, a)
                     except BaseException:
                         # The stepwise loop counts the test before the
                         # evaluator raises.
@@ -785,8 +785,8 @@ class _Run:
         if not held:
             trace.append((i + 1, j))
 
-    def _replay_closure(self, walked, i, j, a):
-        """Element j's residual closure on row ``i``, with the bindings of
+    def _replay_evaluator(self, walked, i, j, a):
+        """Element j's evaluator on row ``i``, with the bindings of
         the replay at ``a``: element 1 on ``a``, element 2 on ``a + 1 ..
         walked[2] - 1``, elements 3 .. j-1 as walked."""
         bounds = [a, a + 1, *walked[2:j]]

@@ -1,12 +1,15 @@
-"""Compiled predicate evaluation: lowering predicates to closures.
+"""Compiled predicate evaluation: lowering comparisons to closures.
 
 The paper's whole contribution is minimizing *how many* predicate tests a
-pattern search performs; this module minimizes what each test *costs*.
-The interpreted path (:meth:`~repro.pattern.predicates.ElementPredicate.test`)
+pattern search performs; this module minimizes what each test *costs*
+where no truth bytes exist: on the row path (``evaluator="row"``), in
+the stream, and for an element the columnar kernels decline.  The
+interpreted path (:meth:`~repro.pattern.predicates.ElementPredicate.test`)
 allocates a fresh :class:`~repro.pattern.predicates.EvalContext` and walks
 the condition objects through dynamic dispatch for every (tuple, element)
-pair.  :func:`lower_predicate` instead specializes each element predicate
-once, at pattern-compile time, into a plain Python closure
+pair.  :func:`lower_predicate` instead specializes an element predicate
+whose every condition is a comparison once, at pattern-compile time,
+into a plain Python closure
 
     evaluator(rows, index, bindings) -> bool
 
@@ -25,31 +28,22 @@ interpreted evaluator as the oracle):
   identical ``coefficient * value + constant`` computation rather than
   shortcutting it, so type errors surface on the same inputs;
 - conditions are evaluated in declaration order with the same
-  short-circuiting as ``all()`` / ``any()``.
+  short-circuiting as ``all()``.
 
-Coverage and fallback: comparisons, string equalities, and Section 8
-disjunctions always lower.  A residual condition lowers only when its
-builder attached a pre-lowered fast form (the SQL-TS analyzer does this
-for every WHERE residual via :mod:`repro.sqlts.codegen`); an opaque
-residual — e.g. a hand-written lambda — makes :func:`lower_predicate`
-return ``None``, and :class:`~repro.pattern.compiler.CompiledPattern`
-gives that element a wrapper around the interpreted ``predicate.test``
-instead.  Fallback is per-element, never per-query.
+Coverage and fallback: an element lowers when every condition is a
+comparison.  Any other element (a string equality, a Section 8
+disjunction, a WHERE residual, an opaque lambda) makes
+:func:`lower_predicate` return ``None``, and
+:class:`~repro.pattern.compiler.CompiledPattern` gives that element a
+wrapper around the interpreted ``predicate.test`` instead.  Fallback is
+per-element, never per-query.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Mapping, Optional, Sequence
 
-from repro.constraints.atoms import Op
-from repro.pattern.predicates import (
-    ComparisonCondition,
-    Condition,
-    ElementPredicate,
-    OrCondition,
-    ResidualCondition,
-    StringEqualityCondition,
-)
+from repro.pattern.predicates import ComparisonCondition, ElementPredicate
 
 #: The evaluator signature every matcher calls:
 #: (rows, index, bindings) -> bool.
@@ -59,33 +53,26 @@ CompiledEvaluator = Callable[
 
 
 def lower_predicate(predicate: ElementPredicate) -> Optional[CompiledEvaluator]:
-    """Lower a full element predicate, or None when it must fall back."""
+    """Lower an element predicate whose every condition is a comparison,
+    or return None: the element then runs interpreted."""
     conditions = predicate.conditions
-    if (
-        len(conditions) == 2
-        and isinstance(conditions[0], ComparisonCondition)
-        and isinstance(conditions[1], ComparisonCondition)
-    ):
+    if not all(isinstance(condition, ComparisonCondition) for condition in conditions):
+        return None
+    if len(conditions) == 2:
         # Band predicates (lo < t.price AND t.price < hi over the same
         # cells) are common enough to deserve a fused closure that
         # fetches each input cell once for both comparisons.
-        fused = _fuse_comparisons(conditions[0], conditions[1])
+        fused = _fuse_comparisons(*conditions)
         if fused is not None:
             return fused
-    evaluators = []
-    for condition in conditions:
-        lowered = lower_condition(condition)
-        if lowered is None:
-            return None
-        evaluators.append(lowered)
+    evaluators = tuple(lower_comparison(condition) for condition in conditions)
     if not evaluators:
         return _always_true
     if len(evaluators) == 1:
         return evaluators[0]
-    evaluator_tuple = tuple(evaluators)
 
     def evaluate(rows, index, bindings):
-        for conjunct in evaluator_tuple:
+        for conjunct in evaluators:
             if not conjunct(rows, index, bindings):
                 return False
         return True
@@ -93,27 +80,12 @@ def lower_predicate(predicate: ElementPredicate) -> Optional[CompiledEvaluator]:
     return evaluate
 
 
-def lower_condition(condition: Condition) -> Optional[CompiledEvaluator]:
-    """Lower one condition, or None for forms codegen does not cover."""
-    if isinstance(condition, ComparisonCondition):
-        return _lower_comparison(condition)
-    if isinstance(condition, StringEqualityCondition):
-        return _lower_string_equality(condition)
-    if isinstance(condition, OrCondition):
-        return _lower_disjunction(condition)
-    if isinstance(condition, ResidualCondition):
-        # The SQL-TS analyzer attaches a pre-lowered closure to every
-        # WHERE residual; residuals built from opaque callables have
-        # none and force the interpreted path.
-        return condition.fast
-    return None
-
-
 def _always_true(rows, index, bindings):
     return True
 
 
-def _lower_comparison(condition: ComparisonCondition) -> CompiledEvaluator:
+def lower_comparison(condition: ComparisonCondition) -> CompiledEvaluator:
+    """The closure of one comparison."""
     left, right = condition.left, condition.right
     holds = condition.op.operator
     if left.attr is None and right.attr is None:
@@ -243,46 +215,4 @@ def _fuse_comparisons(
     # Marker the flight recorder reads to attribute band fusion per
     # element in query profiles; no effect on evaluation.
     evaluate.band_fused = True
-    return evaluate
-
-
-def _lower_string_equality(condition: StringEqualityCondition) -> CompiledEvaluator:
-    name, off = condition.attr.name, condition.attr.offset
-    expected = condition.value
-    equals = condition.op is Op.EQ
-
-    def evaluate(rows, index, bindings):
-        position = index + off
-        if position < 0 or position >= len(rows):
-            return False
-        try:
-            actual = rows[position][name]
-        except KeyError:
-            return False
-        return (actual == expected) if equals else (actual != expected)
-
-    return evaluate
-
-
-def _lower_disjunction(condition: OrCondition) -> Optional[CompiledEvaluator]:
-    branches = []
-    for branch in condition.branches:
-        lowered_branch = []
-        for leaf in branch:
-            lowered = lower_condition(leaf)
-            if lowered is None:
-                return None
-            lowered_branch.append(lowered)
-        branches.append(tuple(lowered_branch))
-    branch_tuple = tuple(branches)
-
-    def evaluate(rows, index, bindings):
-        for branch in branch_tuple:
-            for leaf in branch:
-                if not leaf(rows, index, bindings):
-                    break
-            else:
-                return True
-        return False
-
     return evaluate

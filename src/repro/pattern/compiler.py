@@ -63,7 +63,7 @@ class CompiledPattern:
 
         Entry ``j - 1`` is the element's compiled closure (see
         :mod:`repro.pattern.codegen`).  With ``use_codegen=False``, or for
-        a predicate codegen cannot lower (an opaque residual), it wraps
+        a predicate with any condition other than a comparison, it wraps
         the interpreted ``predicate.test`` instead.
         """
         from repro.pattern.codegen import lower_predicate

@@ -114,7 +114,7 @@ class LinearTerm:
     def value(self, resolve: Callable[[Attr], float]) -> float:
         # A bare constant is returned as it is: ``0.0 + constant`` would
         # round an int that float64 cannot hold, which the compiled
-        # closures and the kernels compare exactly.
+        # closures compare exactly and the kernels decline.
         if self.attr is None:
             return self.constant
         return self.coefficient * resolve(self.attr) + self.constant
@@ -354,7 +354,7 @@ class AnchoredCompare:
     At run time the anchor is ``attempt_start + counts[element - 1]``, or
     ``attempt_start + counts[element] - 1`` for the end (see
     :mod:`repro.match.ops_star`).  Navigation off either end makes the
-    comparison False for every operator, as in the residual closure.
+    comparison False for every operator, as in the interpreted residual.
     """
 
     lhs: tuple
@@ -369,27 +369,19 @@ class ResidualCondition(Condition):
     """An opaque condition evaluated by a callable (cross-element references).
 
     The SQL-TS layer wraps binding-dependent WHERE conjuncts in these; the
-    matrix analysis sees them only through ``has_residual``.
-
-    ``fast``, when present, is a pre-lowered form of the same condition
-    with the direct ``(rows, index, bindings) -> bool`` signature used by
-    :mod:`repro.pattern.codegen`; builders that can compile their
-    condition (the SQL-TS analyzer, via :mod:`repro.sqlts.codegen`)
-    attach it so the compiled fast path covers residuals too.  It must be
-    observationally identical to ``func`` and is therefore excluded from
-    equality.
+    matrix analysis sees them only through ``has_residual``.  The
+    interpreter runs ``func`` on every test, on the row path and in the
+    stream alike.
 
     ``anchored``, when present, is the same condition as an
     :class:`AnchoredCompare` program, which the columnar kernels
-    evaluate in place of ``fast`` (see :mod:`repro.engine.columnar`);
-    like ``fast``, it is excluded from equality.
+    evaluate in place of ``func`` (see :mod:`repro.engine.columnar`);
+    it must be observationally identical to ``func`` and is therefore
+    excluded from equality.
     """
 
     func: Callable[[EvalContext], bool]
     description: str = "<residual>"
-    fast: Optional[
-        Callable[[Sequence[Mapping[str, object]], int, Mapping[str, tuple[int, int]]], bool]
-    ] = field(default=None, compare=False)
     anchored: Optional[AnchoredCompare] = field(default=None, compare=False)
 
     def evaluate(self, ctx: EvalContext) -> bool:

@@ -85,11 +85,18 @@ class ResourceLimits:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            # A bool is an int to Python but no limit a caller means.
-            if isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, got {value}")
+            if value is None:
+                continue
+            # A bool is an int to Python but no limit a caller means, and
+            # 2.5 matches or 1e3 rows is no count.
+            count = name != "wall_clock_deadline"
+            if isinstance(value, bool) or not isinstance(
+                value, int if count else (int, float)
+            ):
+                kind = "an integer" if count else "a number"
+                raise ValueError(f"{name} must be {kind}, got {value!r}")
             # ``not value >= 0`` also rejects NaN, which no clock exceeds.
-            if value is not None and not value >= 0:
+            if not value >= 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")
 
     @property

@@ -51,12 +51,7 @@ from repro.pattern.predicates import (
 )
 from repro.pattern.spec import PatternElement, PatternSpec
 from repro.sqlts import ast
-from repro.sqlts.codegen import (
-    LoweredSelect,
-    lower_anchored,
-    lower_residual,
-    lower_select,
-)
+from repro.sqlts.codegen import LoweredSelect, lower_anchored, lower_select
 from repro.sqlts.expressions import evaluate_condition
 
 
@@ -405,10 +400,9 @@ def _residual(
     The current element is temporarily bound to the tuple under test, so
     references to it (bare or via previous/next) resolve against the
     cursor position, while earlier elements resolve through their spans.
-    A pre-lowered fast form (see :mod:`repro.sqlts.codegen`) is attached
-    so the compiled evaluation path covers the residual too, and, for a
-    comparison with an earlier element's boundary row, an anchored
-    program for the columnar kernels.
+    A comparison with an earlier element's boundary row also gets an
+    anchored program for the columnar kernels (see
+    :mod:`repro.sqlts.codegen`).
     """
 
     def evaluate(ctx: EvalContext) -> bool:
@@ -419,6 +413,5 @@ def _residual(
     return ResidualCondition(
         evaluate,
         description=str(conjunct),
-        fast=lower_residual(conjunct, element_var),
         anchored=lower_anchored(conjunct, element_var, positions),
     )

@@ -214,15 +214,13 @@ class TestPartitionMemo:
     def test_a_warm_query_builds_no_column(self, monkeypatch):
         """A warm query's kernels read the columns the partition keeps."""
         built = []
+        build = columnar._float_column
 
-        class CountingColumn(columnar._Column):
-            __slots__ = ()
+        def counting(rows, name, np):
+            built.append(name)
+            return build(rows, name, np)
 
-            def __init__(self, rows, name):
-                built.append(name)
-                super().__init__(rows, name)
-
-        monkeypatch.setattr(columnar, "_Column", CountingColumn)
+        monkeypatch.setattr(columnar, "_float_column", counting)
         executor = Executor(Catalog([quote_table(ROWS)]))
         cold = executor.execute(self.QUERY)
         assert built == ["price", "price"]

@@ -27,10 +27,11 @@ from repro.pattern.predicates import AttributeDomains
 
 DOMAINS = AttributeDomains.prices()
 
-#: How the panel query's elements are held: X and *Y on truth arrays,
-#: S on anchored comparisons, or on its residual closure.
+#: How the panel query's elements are held: X and *Y on truth arrays and
+#: S on anchored comparisons, or, in a cluster with an int price, *Y and
+#: S on their evaluators.
 LOWERED = (ops_star._TRUTH, ops_star._TRUTH, ops_star._ANCHORED)
-DECLINED = (ops_star._TRUTH, ops_star._TRUTH, ops_star._EVALUATOR)
+DECLINED = (ops_star._TRUTH, ops_star._EVALUATOR, ops_star._EVALUATOR)
 
 
 def _panel(tickers: int, days: int, int_cell=None) -> Table:
@@ -90,9 +91,10 @@ def test_the_row_evaluator_builds_one_program(built):
 
 
 def test_a_cluster_that_declines_an_element_gets_its_own_program(built):
-    """An int price in T01 keeps S on its closure in that cluster only;
-    each cluster scans with the program of its own kernels, and the
-    query agrees with the interpreted naive oracle and the row path."""
+    """An int price in T01 keeps *Y and S on their evaluators in that
+    cluster only; each cluster scans with the program of its own
+    kernels, and the query agrees with the interpreted naive oracle and
+    the row path."""
     catalog = Catalog([_panel(3, 300, int_cell=(1, 40))])
     executor = Executor(catalog, domains=DOMAINS)
     columnar = Instrumentation()

@@ -1,17 +1,17 @@
 """Unit tests for the compiled predicate fast path (repro.pattern.codegen).
 
-The contract under test: for every covered condition form, the lowered
-closure is observationally identical to the interpreted ``evaluate`` —
-same booleans, same False on off-end navigation and missing columns,
-same ``TypeError`` on non-numeric arithmetic — and uncovered forms make
-``lower_predicate`` return None (the compiled pattern then interprets
-that element).
+The contract under test: a comparison's lowered closure is
+observationally identical to the interpreted ``evaluate`` — same
+booleans, same False on off-end navigation and missing columns, same
+``TypeError`` on non-numeric arithmetic — and every other condition
+(string equalities, disjunctions, residuals) makes ``lower_predicate``
+return None, so the compiled pattern interprets that element.
 """
 
 import pytest
 
 from repro.constraints.atoms import Op
-from repro.pattern.codegen import lower_condition, lower_predicate
+from repro.pattern.codegen import lower_comparison, lower_predicate
 from repro.pattern.compiler import compile_pattern
 from repro.pattern.predicates import (
     Attr,
@@ -33,8 +33,7 @@ ROWS = price_rows(50, 48, 52, 47, 47)
 
 def assert_parity(condition, rows, indices=None, bindings=None):
     """The lowered closure agrees with interpreted evaluate everywhere."""
-    lowered = lower_condition(condition)
-    assert lowered is not None
+    lowered = lower_comparison(condition)
     bindings = bindings or {}
     for index in indices if indices is not None else range(-2, len(rows) + 2):
         expected = condition.evaluate(EvalContext(rows, index, bindings))
@@ -53,15 +52,15 @@ class TestComparisonLowering:
     def test_ground_comparison_is_constant(self):
         true_cond = comparison(1, "<", 2)
         false_cond = comparison(2, "<", 1)
-        assert lower_condition(true_cond)([], 0, {}) is True
-        assert lower_condition(false_cond)([], 0, {}) is False
+        assert lower_comparison(true_cond)([], 0, {}) is True
+        assert lower_comparison(false_cond)([], 0, {}) is False
 
     def test_linear_terms(self):
         assert_parity(comparison(2 * PRICE + 1, "<", 3 * PREV - 4), ROWS)
 
     def test_off_end_navigation_is_false(self):
         condition = comparison(PRICE, "<", PREV)
-        lowered = lower_condition(condition)
+        lowered = lower_comparison(condition)
         assert lowered(ROWS, 0, {}) is False  # previous of row 0
         assert lowered(ROWS, -1, {}) is False
         assert lowered(ROWS, len(ROWS), {}) is False
@@ -74,7 +73,7 @@ class TestComparisonLowering:
     def test_type_error_parity_on_strings(self):
         rows = [{"price": "not-a-number"}]
         condition = comparison(PRICE, ">", 0)
-        lowered = lower_condition(condition)
+        lowered = lower_comparison(condition)
         with pytest.raises(TypeError):
             condition.evaluate(EvalContext(rows, 0, {}))
         with pytest.raises(TypeError):
@@ -117,15 +116,31 @@ class TestBandFusion:
             assert lowered(ROWS, index, {}) == pred.test(EvalContext(ROWS, index, {}))
 
 
+def assert_interpreted(condition, rows, bindings=None):
+    """An element holding ``condition`` does not lower: its evaluator
+    runs the interpreter, and agrees with ``evaluate`` everywhere."""
+    element = PatternElement("A", predicate(condition, domains=DOMAINS))
+    assert lower_predicate(element.predicate) is None
+    (evaluator,) = compile_pattern(PatternSpec([element])).evaluators
+    bindings = bindings or {}
+    for index in range(-2, len(rows) + 2):
+        expected = condition.evaluate(EvalContext(rows, index, bindings))
+        assert evaluator(rows, index, bindings) == expected, (condition, index)
+
+
 class TestStringEquality:
     ROWS = [{"name": "IBM"}, {"name": "ACME"}, {"volume": 1}]
 
     def test_eq_and_ne(self):
-        assert_parity(StringEqualityCondition(Attr("name", 0), Op.EQ, "IBM"), self.ROWS)
-        assert_parity(StringEqualityCondition(Attr("name", 0), Op.NE, "IBM"), self.ROWS)
+        assert_interpreted(
+            StringEqualityCondition(Attr("name", 0), Op.EQ, "IBM"), self.ROWS
+        )
+        assert_interpreted(
+            StringEqualityCondition(Attr("name", 0), Op.NE, "IBM"), self.ROWS
+        )
 
     def test_offset_and_missing_column(self):
-        assert_parity(
+        assert_interpreted(
             StringEqualityCondition(Attr("name", -1), Op.EQ, "IBM"), self.ROWS
         )
 
@@ -138,7 +153,7 @@ class TestDisjunctionLowering:
                 [comparison(PRICE, ">", 50), comparison(PRICE, "<", 53)],
             ]
         )
-        assert_parity(condition, ROWS)
+        assert_interpreted(condition, ROWS)
 
     def test_or_with_opaque_branch_falls_back(self):
         condition = OrCondition(
@@ -147,7 +162,7 @@ class TestDisjunctionLowering:
                 [ResidualCondition(lambda ctx: True, "opaque")],
             ]
         )
-        assert lower_condition(condition) is None
+        assert_interpreted(condition, ROWS)
 
 
 class TestFallback:
@@ -158,14 +173,6 @@ class TestFallback:
             domains=DOMAINS,
         )
         assert lower_predicate(pred) is None
-
-    def test_residual_with_fast_form_lowers(self):
-        fast = lambda rows, index, bindings: True
-        pred = predicate(
-            ResidualCondition(lambda ctx: True, "opaque", fast=fast),
-            domains=DOMAINS,
-        )
-        assert lower_predicate(pred) is not None
 
     def test_empty_predicate_lowers_to_true(self):
         pred = predicate(domains=DOMAINS)
@@ -225,45 +232,26 @@ class TestCompiledPatternEvaluators:
         self.assert_evaluators_agree_with_predicates(compiled)
 
 
-class TestSemanticResidualFastForms:
-    def test_analyzer_attaches_fast_forms(self):
-        # Z.price > 1.5 * X.price reaches across a star: it stays a
-        # residual, and the analyzer must attach a compiled fast form.
-        query = parse_query(
-            """
-            SELECT X.price FROM quote CLUSTER BY name SEQUENCE BY date
-            AS (X, *Y, Z) WHERE Y.price < Y.previous.price
-            AND Z.price > X.price * 1.5
-            """
-        )
-        analyzed = analyze(query, DOMAINS)
-        residuals = [
-            condition
-            for element in analyzed.spec.elements
-            for condition in element.predicate.conditions
-            if isinstance(condition, ResidualCondition)
-        ]
-        assert residuals
-        assert all(condition.fast is not None for condition in residuals)
+class TestSemanticResiduals:
+    QUERY = """
+        SELECT X.price FROM quote CLUSTER BY name SEQUENCE BY date
+        AS (X, *Y, Z) WHERE Y.price < Y.previous.price
+        AND Z.price > X.price * 1.5
+        """
 
-    def test_residual_fast_parity_with_bindings(self):
-        query = parse_query(
-            """
-            SELECT X.price FROM quote CLUSTER BY name SEQUENCE BY date
-            AS (X, *Y, Z) WHERE Y.price < Y.previous.price
-            AND Z.price > X.price * 1.5
-            """
+    def test_analyzer_residuals_run_interpreted(self):
+        # Z.price > 1.5 * X.price reaches across a star: it stays a
+        # residual, with an anchored program for the kernels, and its
+        # element's evaluator runs the interpreter.
+        analyzed = analyze(parse_query(self.QUERY), DOMAINS)
+        (residual,) = analyzed.spec.elements[2].predicate.conditions
+        assert isinstance(residual, ResidualCondition)
+        assert residual.anchored is not None
+        assert lower_predicate(analyzed.spec.elements[2].predicate) is None
+
+    def test_residual_parity_with_bindings(self):
+        analyzed = analyze(parse_query(self.QUERY), DOMAINS)
+        (residual,) = analyzed.spec.elements[2].predicate.conditions
+        assert_interpreted(
+            residual, price_rows(50, 48, 46, 80), {"X": (0, 0), "Y": (1, 2)}
         )
-        analyzed = analyze(query, DOMAINS)
-        predicate_z = analyzed.spec.elements[2].predicate
-        residual = next(
-            condition
-            for condition in predicate_z.conditions
-            if isinstance(condition, ResidualCondition)
-        )
-        rows = price_rows(50, 48, 46, 80)
-        for index in range(len(rows)):
-            bindings = {"X": (0, 0), "Y": (1, 2)}
-            assert residual.fast(rows, index, bindings) == residual.evaluate(
-                EvalContext(rows, index, bindings)
-            )

@@ -8,9 +8,13 @@ comparison, no truth array), kernel sharing across Example 10's
 repeated shapes, and a seeded sweep that holds every truth byte to the
 interpreted :meth:`~repro.pattern.predicates.ElementPredicate.test`
 over the paper examples, screens of the ``adhoc_screens`` shape and
-random predicates on every kind of cell.  Anchored comparisons must
-decline wherever they could differ from the residual closure, and then
-raise the closure's error or give its rows.
+random predicates on every kind of cell.  The kernels build with NumPy
+only, where every column read is all-``float`` and every literal exact
+in float64; every other element declines (no truth array, no anchored
+comparison), and its evaluator must then equal the interpreter.
+Anchored comparisons are held to the residual's interpreted
+``evaluate``, and where they decline the scan must raise the
+interpreter's error or give its rows.
 """
 
 from __future__ import annotations
@@ -161,7 +165,7 @@ def test_nan_cells_are_false_on_both_paths():
     compiled = prepare(DOWN_UP)
     rows = price_rows([50.0, float("nan"), 45.0, 50.0, 52.0])
     kernels = materialize_kernels(compiled, rows)
-    assert kernels is not None and kernels.backend == "numpy"
+    assert kernels is not None and kernels.lowered == compiled.m
     truth_matches_evaluators(compiled, rows, kernels)
     # NaN fails every comparison: positions touching the NaN cell are 0
     # in both the < and > kernels.
@@ -182,11 +186,15 @@ def test_non_numeric_cell_falls_back_to_row_evaluator():
 
 
 def test_missing_column_cell_is_false():
+    """A row without the column declines every element that reads it;
+    the row evaluator makes each test that touches the cell False."""
     compiled = prepare(DOWN_UP)
     rows = price_rows([50.0, 45.0, 50.0, 52.0])
     del rows[1]["price"]
     kernels = materialize_kernels(compiled, rows)
-    assert kernels is not None
+    assert kernels.truth[1] is None and kernels.truth[2] is None
+    for evaluator in compiled.evaluators[1:]:
+        assert not evaluator(rows, 1, {}) and not evaluator(rows, 2, {})
     truth_matches_evaluators(compiled, rows, kernels)
 
 
@@ -216,7 +224,7 @@ def test_band_fused_element_lowers_with_flag():
     rows = price_rows([50.0, 49.5, 49.0, 51.0, 50.8])
     kernels = materialize_kernels(compiled, rows)
     assert kernels.truth[1] == bytes([0, 1, 1, 0, 1])
-    assert kernels.lowered == 2 and kernels.backend == "numpy"
+    assert kernels.lowered == 2
     truth_matches_evaluators(compiled, rows, kernels)
 
 
@@ -308,18 +316,17 @@ def test_example_10_repeated_shapes_share_truth():
     assert kernels.truth[1] is not kernels.truth[3]
 
 
-def test_int_cells_use_python_backend_exactly():
-    """Int columns (exact Python semantics) stay off the float fast path
-    but still produce correct truth."""
+def test_int_cells_decline_to_the_exact_closure():
+    """An int column (arbitrary precision) does not vectorize: the
+    element declines, and its closure compares the ints exactly."""
     sql = (
         "SELECT X.date FROM djia SEQUENCE BY date AS (X) WHERE X.price > 50"
     )
     compiled = prepare(sql)
     rows = [{"price": p, "date": i} for i, p in enumerate([49, 50, 51, 10**40])]
-    kernels = materialize_kernels(compiled, rows)
-    assert kernels.truth[0] == bytes([0, 0, 1, 1])
-    assert kernels.backend == "python"
-    truth_matches_evaluators(compiled, rows, kernels)
+    assert materialize_kernels(compiled, rows) is None
+    evaluator = compiled.evaluators[0]
+    assert [evaluator(rows, i, {}) for i in range(4)] == [False, False, True, True]
 
 
 # ----------------------------------------------------------------------
@@ -331,7 +338,7 @@ def test_int_cells_use_python_backend_exactly():
 def test_truth_bytes_equal_the_interpreter_on_paper_examples(paper_catalog, name):
     executor = Executor(paper_catalog, domains=DOMAINS)
     for compiled, rows, kernels in captured_kernels(executor, ALL_EXAMPLES[name]):
-        assert kernels.lowered == compiled.m and kernels.backend == "numpy"
+        assert kernels.lowered == compiled.m
         truth_matches_interpreter(compiled, rows, kernels)
 
 
@@ -403,24 +410,62 @@ def _random_rows(rng, kind, n=40):
     return rows
 
 
+def _exact(value) -> bool:
+    return type(value) is float or float(value) == value
+
+
+def _vectorizes(condition, rows) -> bool:
+    """Whether NumPy can build ``condition``: every column it reads is
+    all-``float`` and every literal next to a column read is exact."""
+    if isinstance(condition, OrCondition):
+        return all(
+            _vectorizes(leaf, rows) for branch in condition.branches for leaf in branch
+        )
+    if isinstance(condition, StringEqualityCondition):
+        return False
+    terms = (condition.left, condition.right)
+    if all(term.attr is None for term in terms):
+        return True
+    for term in terms:
+        if term.attr is None:
+            if not _exact(term.constant):
+                return False
+        elif not all(type(row.get(term.attr.name)) is float for row in rows):
+            return False
+    return True
+
+
 @pytest.mark.parametrize("kind", sorted(CELLS))
 def test_truth_bytes_equal_the_interpreter_on_random_predicates(kind):
     """One-element predicates: constants on either side, offsets -2..+1,
-    OR conditions and string equalities, over every kind of cell."""
+    OR conditions and string equalities, over every kind of cell.  Where
+    each column read is all-``float`` and each literal exact, the truth
+    bytes equal the interpreter; anywhere else the element declines and
+    its evaluator equals the interpreter at every row."""
     rng = random.Random(f"kernels-{kind}")
-    backends = set()
+    lowered = declined = 0
     for _ in range(150):
         conditions = [_random_condition(rng) for _ in range(rng.randint(1, 3))]
         element = PatternElement("X", predicate(*conditions))
         compiled = compile_pattern(PatternSpec([element]))
         rows = _random_rows(rng, kind)
         kernels = materialize_kernels(compiled, rows)
-        assert kernels is not None and kernels.lowered == 1
-        backends.add(kernels.backend)
-        truth_matches_interpreter(compiled, rows, kernels)
-    # Only all-float columns vectorize; string equalities and constant
-    # comparisons never do.
-    assert ("numpy" in backends) == (kind in ("float", "special"))
+        if all(_vectorizes(condition, rows) for condition in conditions):
+            lowered += 1
+            assert kernels is not None and kernels.lowered == 1
+            truth_matches_interpreter(compiled, rows, kernels)
+            continue
+        declined += 1
+        assert kernels is None
+        evaluator = compiled.evaluators[0]
+        for index in range(len(rows)):
+            expected = element.predicate.test(EvalContext(rows, index))
+            assert evaluator(rows, index, {}) == expected, (element, index)
+    # Constant-only predicates lower over any cells; string equalities
+    # and inexact literals decline over any.
+    assert lowered and declined
+    if kind in ("float", "special"):
+        assert lowered > declined
 
 
 def test_a_constant_only_side_compares_the_exact_int():
@@ -434,13 +479,15 @@ def test_a_constant_only_side_compares_the_exact_int():
     rows = [{"v": 2.0**53}]
     assert not element.predicate.test(EvalContext(rows, 0))
     assert not compiled.evaluators[0](rows, 0, {})
-    assert materialize_kernels(compiled, rows).truth[0] == b"\x00"
+    # float64 cannot hold the int: the element declines.
+    assert materialize_kernels(compiled, rows) is None
 
 
-def test_a_kept_store_serves_a_scalar_then_a_numpy_build():
-    """A cluster's kept store is shared by every later query: a scalar
-    build (an int literal float64 cannot hold) must not stop a later
-    query from vectorizing, and the kept float64 array stays unchanged."""
+def test_a_kept_store_serves_a_decline_then_a_numpy_build():
+    """A cluster's kept store is shared by every later query: a query
+    that declines (an int literal float64 cannot hold) must not stop a
+    later query from vectorizing, and the kept float64 array stays
+    unchanged."""
     prices = [50.0 + math.sin(i / 3.0) * 5.0 + (i % 7) * 0.3 for i in range(200)]
     rows = price_rows(prices)
     store = ColumnStore(rows)
@@ -448,17 +495,16 @@ def test_a_kept_store_serves_a_scalar_then_a_numpy_build():
     inexact = ComparisonCondition(
         LinearTerm(2**53 + 1, price, 0.0), Op.GT, LinearTerm(0.0, None, 4.9e17)
     )
-    scalar = compile_pattern(PatternSpec([PatternElement("X", predicate(inexact))]))
+    declined = compile_pattern(PatternSpec([PatternElement("X", predicate(inexact))]))
     vector = prepare(EXAMPLE_10)
-    first = materialize_kernels(scalar, rows, columns=store)
+    assert materialize_kernels(declined, rows, columns=store) is None
+    assert 0 < sum(declined.evaluators[0](rows, i, {}) for i in range(200)) < 200
     second = materialize_kernels(vector, rows, columns=store)
     again = materialize_kernels(vector, rows, columns=store)
-    assert (first.backend, second.backend) == ("python", "numpy")
-    assert 0 < sum(first.truth[0]) < len(rows)
-    truth_matches_interpreter(scalar, rows, first)
+    assert second.lowered == vector.m
     truth_matches_interpreter(vector, rows, second)
     assert second.truth == again.truth
-    kept = store.column("price").f8(numpy)
+    kept = store.column("price", numpy)
     assert not kept.flags.writeable
     assert kept.tolist() == prices
 
@@ -487,13 +533,16 @@ def scan_outcome(compiled, rows, kernels):
 
 
 def assert_declined_like_row(compiled, rows, error=None):
-    """Z keeps its residual closure: the scan gives the row path's
-    matches, or raises its error after the same tests."""
+    """Z keeps its evaluator, the interpreted residual: the scan gives
+    the row path's and the interpreted plan's matches, or raises their
+    error after the same tests."""
     kernels = materialize_kernels(compiled, rows)
-    assert kernels is not None and kernels.truth[1] is not None
+    assert kernels is not None and kernels.truth[0] is not None
     assert kernels.truth[2] is None and kernels.anchored[2] is None
     got = scan_outcome(compiled, rows, kernels)
     assert got == scan_outcome(compiled, rows, None)
+    interpreted = dataclasses.replace(compiled, use_codegen=False)
+    assert got == scan_outcome(interpreted, rows, None)
     if error is not None:
         assert got[0] == error
 
@@ -502,8 +551,9 @@ SLIDE = [50.0, 48.0, 47.0, 45.0, 52.0, 51.0, 49.0, 48.5, 60.0, 58.0]
 
 
 def test_anchored_sides_equal_the_closure():
-    """Every (row, anchor) pair gives the closure's verdict, with NaN
-    cells and navigation off both ends."""
+    """Every (row, anchor) pair gives the verdict of the residual's
+    interpreted ``evaluate``, with NaN cells and navigation off both
+    ends."""
     rng = random.Random(4)
     prices = [rng.choice([40.0, 41.5, 43.0, 44.25, math.nan]) for _ in range(40)]
     rows = price_rows(prices)
@@ -514,9 +564,8 @@ def test_anchored_sides_equal_the_closure():
         "Z.price - 2 = FIRST(Y).price",
     ):
         compiled = prepare(ANCHORED.format(condition))
-        evaluator = compiled.evaluators[2]
+        (residual,) = compiled.spec.elements[2].predicate.conditions
         kernels = materialize_kernels(compiled, rows)
-        assert kernels.backend == "numpy"
         (gate, ((lhs, holds, rhs, edge, delta),)) = kernels.anchored[2]
         assert gate is None
         for start in range(len(rows) - 2):
@@ -524,7 +573,7 @@ def test_anchored_sides_equal_the_closure():
             anchor = start + counts[edge] + delta
             for index in range(start + 2, len(rows)):
                 bindings = {"X": (start, start), "Y": (start + 1, start + 1)}
-                expected = evaluator(rows, index, bindings)
+                expected = residual.evaluate(EvalContext(rows, index, bindings))
                 got = (
                     lhs[index] is not None
                     and rhs[anchor] is not None
@@ -546,8 +595,11 @@ def test_anchored_element_keeps_its_ordinary_steps():
 
 
 def test_int_column_keeps_the_closure():
+    """An int column declines Y's truth array as well as Z's anchored
+    comparison."""
     compiled = prepare(ANCHORED.format("Z.price > 1.01 * X.price"))
     rows = price_rows([int(price) for price in SLIDE * 3])
+    assert materialize_kernels(compiled, rows).truth[1] is None
     assert_declined_like_row(compiled, rows)
     assert scan_outcome(compiled, rows, None)[0]
 
@@ -577,7 +629,7 @@ def test_unknown_attribute_keeps_the_closure():
 def test_division_keeps_the_closure():
     compiled = prepare(ANCHORED.format("Z.price > X.price / 0.9"))
     (residual,) = compiled.spec.elements[2].predicate.conditions
-    assert residual.anchored is None and residual.fast is not None
+    assert residual.anchored is None
     assert_declined_like_row(compiled, price_rows(SLIDE * 3))
 
 

@@ -1,6 +1,7 @@
 """The command-line interface."""
 
 import io
+import json
 
 import pytest
 
@@ -144,6 +145,21 @@ class TestNumericFlagBounds:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert "usage:" in err and flag[0] in err
+        assert "Traceback" not in err
+
+    def test_a_quota_with_a_fractional_count_is_refused(self, tmp_path, capsys):
+        # 2.5 matches would stop after 3, and 5e4 rows would stay a float.
+        quotas = tmp_path / "quotas.json"
+        quotas.write_text(
+            json.dumps({"team": {"max_matches": 2.5, "max_rows_scanned": 5e4}})
+        )
+        code = main(["serve", "--demo-data", "--quota-json", str(quotas)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert (
+            "bad quota for tenant 'team': max_matches must be an integer, got 2.5"
+            in err
+        )
         assert "Traceback" not in err
 
     def test_negative_max_rows_is_a_usage_error(self, capsys):
