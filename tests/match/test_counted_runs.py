@@ -11,7 +11,7 @@ test counts, skips, per-element counts, path trace and budget spend.
 
 The second half holds the two fast paths for residuals to the same
 contract: anchored comparisons, tested with list lookups instead of the
-residual closure, and the replay walk, which settles the attempts that
+interpreted residual, and the replay walk, which settles the attempts that
 re-walk one star run (see ``ANCHORED``).
 """
 
@@ -289,8 +289,8 @@ ANCHORED = {
         _rows(*SLIDES),
         True,
     ),
-    # Not an anchored shape: element j keeps its residual closure, which
-    # each replay calls with its own bindings.
+    # Not an anchored shape: element j keeps its evaluator, the
+    # interpreted residual, which each replay calls with its own bindings.
     "closure_verdict": (
         "X, *Y, Z",
         "Y.price < 0.995 * Y.previous.price AND Z.price - X.price > 0.5",
@@ -365,7 +365,7 @@ def test_replays_settle_most_attempts():
 
 
 def test_closure_raising_in_a_walk_matches_row():
-    """A residual closure that raises on a replay's bindings raises the
+    """A residual evaluator that raises on a replay's bindings raises the
     row path's error, after the same tests."""
     plan = _sql_plan("X, *Y, Z", "Y.vol > Y.previous.vol AND Z.price - X.price > 0")
     rows = [{"day": day, "price": 50.0 - day, "vol": float(day)} for day in range(8)]
