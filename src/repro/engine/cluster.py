@@ -3,22 +3,26 @@
 "Rows are grouped by their CLUSTER BY attribute(s) (not necessarily
 ordered), and data in each group are sorted by their SEQUENCE BY
 attribute(s)."  Clusters are yielded in first-appearance order of their
-key; with no CLUSTER BY the whole table is a single cluster.  Keys are
-C-level ``itemgetter`` lookups, so no Python callable runs per row.
+key; with no CLUSTER BY the whole table is a single cluster.  A cluster
+is a vector of row positions in the table, its ``index``: grouping
+reads only the CLUSTER BY columns (one dict lookup and one append per
+row) and sorting only the SEQUENCE BY columns (``sorted`` keyed by the
+column's C-level ``__getitem__``), so no Python function runs per row
+and no row dict is built.
 
 The grouping depends only on the table, so each table keeps it: the
 first query that asks for a (CLUSTER BY, SEQUENCE BY, error policy)
 triple groups the rows, and the partition stays on the table
-(:attr:`~repro.engine.table.Table.partitions`) until a mutation drops
-it.  A cluster is sorted only when a scan first reaches it, and a
+(:attr:`~repro.engine.table.BaseTable.partitions`) until a mutation
+drops it.  A cluster is sorted only when a scan first reaches it, and a
 ``keep`` test (the query's hoisted cluster filter) runs before that
 sort, so a cluster it rejects is not sorted unless the lenient audit
-below sorts it.  The sorted list replaces the grouped one whole, and so
-does a cluster's kernel column store (:class:`~repro.engine.columnar.
-ColumnStore`), built with it and filled by the first kernels that read
-it.  The table's ``partition_lock`` guards the grouping and every sort,
-so threads sharing a table build each once and never see a cluster
-mid-sort.
+below sorts it.  The sorted index replaces the grouped one whole.  A
+cluster also keeps what its readers derive from it, each built on first
+use: the float64 columns of its kernels (``np.take`` of the table's),
+and its rows as dicts, for a reader that needs mappings.  The table's
+``partition_lock`` guards the grouping and every sort, so threads
+sharing a table build each once and never see a cluster mid-sort.
 
 The stable re-sort is part of the language semantics.  Under a lenient
 :class:`~repro.resilience.ErrorPolicy` the grouping additionally audits
@@ -37,7 +41,7 @@ from collections import defaultdict
 from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from repro.engine.table import Table
+from repro.engine.table import BaseTable, float_array
 from repro.errors import ExecutionError
 from repro.resilience import Diagnostics, ErrorPolicy
 
@@ -48,21 +52,90 @@ class ClusterScan:
     ``grouped`` counts the clusters this scan grouped (all of them when
     it built the partition), ``sorted`` those it sorted or audited (with
     no SEQUENCE BY: took as grouped), and ``reused`` those an earlier
-    scan had sorted.  ``columns`` is the kernel column store of the
-    last cluster the scan yielded rows for.
+    scan had sorted.
     """
 
-    __slots__ = ("grouped", "sorted", "reused", "columns")
+    __slots__ = ("grouped", "sorted", "reused")
 
     def __init__(self) -> None:
         self.grouped = 0
         self.sorted = 0
         self.reused = 0
-        self.columns = None
+
+
+class Cluster:
+    """One sorted cluster, as a scan hands it to its readers.
+
+    ``index`` holds the table positions of the cluster's rows in
+    SEQUENCE BY order.  Each reader takes what it needs: the kernels
+    :meth:`floats`, the lowered SELECT a table :meth:`column` read
+    through ``index``, and a reader that needs mappings (a row
+    evaluator, the interpreted oracle, a SELECT item that is not a
+    column reference, a custom matcher) :attr:`rows`.  Indexing and
+    iterating the cluster read :attr:`rows` too.  What is built is kept
+    with the table's partition and shared by later scans: it is
+    read-only, as the table's columns are.
+    """
+
+    __slots__ = ("key", "index", "_table", "_group")
+
+    def __init__(self, table: BaseTable, group: "_Group") -> None:
+        self.key = group.key
+        self.index = group.index
+        self._table = table
+        self._group = group
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, position):
+        return self.rows[position]
+
+    def __iter__(self) -> Iterator[dict[str, object]]:
+        return iter(self.rows)
+
+    def column(self, name: str) -> Sequence[object]:
+        """The table's column ``name``: row ``i`` of the cluster is at
+        ``index[i]``."""
+        return self._table.column(name)
+
+    @property
+    def rows(self) -> list[dict[str, object]]:
+        """The cluster's rows as the table's row dicts, in order."""
+        group = self._group
+        rows = group.rows
+        if rows is None:
+            rows = group.rows = list(map(self._table.rows.__getitem__, self.index))
+        return rows
+
+    def floats(self, name: str, np):
+        """Column ``name`` over the cluster as a read-only float64 array.
+
+        Raises ValueError where a value of the column in the cluster is
+        not a ``float``.  Where every value in the table is one
+        (:meth:`~repro.engine.table.BaseTable.float_column`), the array
+        is taken from the table's; otherwise the cluster's own values
+        decide.
+        """
+        arrays = self._group.floats
+        try:
+            array = arrays[name]
+        except KeyError:
+            array = self._table.float_column(name, np)
+            if array is None:
+                values = self._table.column(name)
+                array = float_array(list(map(values.__getitem__, self.index)), np)
+            else:
+                array = array.take(self.index)
+                array.flags.writeable = False
+            array = arrays.setdefault(name, array)
+        if array is None:
+            raise ValueError(f"column {name!r} is not all float")
+        return array
 
 
 def clusters_of(
-    table: Table,
+    table: BaseTable,
     cluster_by: Sequence[str],
     sequence_by: Sequence[str],
     *,
@@ -70,133 +143,152 @@ def clusters_of(
     diagnostics: Optional[Diagnostics] = None,
     keep: Optional[Callable[[list[dict[str, object]]], bool]] = None,
     scan: Optional[ClusterScan] = None,
-) -> Iterator[tuple[tuple[object, ...], Optional[list[dict[str, object]]]]]:
-    """Yield ``(key, sorted_rows)`` per cluster.
+) -> Iterator[tuple[tuple[object, ...], Optional[Cluster]]]:
+    """Yield ``(key, cluster)`` per cluster.
 
     ``key`` is the tuple of CLUSTER BY values (empty tuple when there is
     no CLUSTER BY clause).  A cluster is sorted only when it is reached.
-    ``keep`` is tested on each cluster's rows; a cluster it rejects is
-    yielded as ``(key, None)`` without being sorted.  Under a lenient
-    policy every cluster is still audited first, so the diagnostics do
-    not depend on ``keep``.  ``scan``, when given, counts the work.
-
-    The yielded lists belong to the table's partition and are shared by
-    later queries: they are read-only, as ``Table.rows`` is.
+    ``keep`` is tested on a one-row list whose row maps each CLUSTER BY
+    column to the cluster's value (a hoisted cluster filter reads
+    nothing else); a cluster it rejects is yielded as ``(key, None)``
+    without being sorted.  Under a lenient policy every cluster is still
+    audited first, so the diagnostics do not depend on ``keep``.
+    ``scan``, when given, counts the work.
     """
     policy = ErrorPolicy.coerce(policy)
     _require_columns(table, (*cluster_by, *sequence_by))
     if scan is None:
         scan = ClusterScan()
     partition = _partition(table, tuple(cluster_by), tuple(sequence_by), policy, scan)
-    for cluster in partition.clusters:
+    for group in partition.groups:
         if partition.audit:
-            rows = partition.settle(cluster, scan)
+            partition.settle(group, table, scan)
             if diagnostics is not None:
-                for record, args in cluster.audit:
+                for record, args in group.audit:
                     record(diagnostics, *args)
-            if keep is not None and not keep(rows):
-                yield cluster.key, None
+            if keep is not None and not keep(partition.head(group)):
+                yield group.key, None
                 continue
         else:
-            if keep is not None and not keep(cluster.rows):
-                yield cluster.key, None
+            if keep is not None and not keep(partition.head(group)):
+                yield group.key, None
                 continue
-            rows = partition.settle(cluster, scan)
-        scan.columns = cluster.columns
-        yield cluster.key, rows
+            partition.settle(group, table, scan)
+        yield group.key, Cluster(table, group)
 
 
-def sequenced(table: Table, sequence_by: Sequence[str]) -> list:
+def sequenced(table: BaseTable, sequence_by: Sequence[str]) -> list:
     """The table's rows stably sorted by SEQUENCE BY: the single-cluster order."""
     _require_columns(table, sequence_by)
     return sorted(table, key=itemgetter(*sequence_by)) if sequence_by else list(table)
 
 
-class _Cluster:
+class _Group:
     """One cluster of a partition.
 
-    Until ``ready``, ``rows`` is the cluster's rows in table order; the
-    sort then publishes the sorted list, its recorded ``audit``
-    diagnostics as ``(Diagnostics method, args)`` pairs, and its kernel
-    column store, and sets ``ready`` last.
+    Until ``ready``, ``index`` is the cluster's positions in table
+    order; the sort then publishes the sorted index and its recorded
+    ``audit`` diagnostics as ``(Diagnostics method, args)`` pairs, and
+    sets ``ready`` last.  ``floats``, ``rows`` and ``head`` are kept
+    for :class:`Cluster` and the ``keep`` test.
     """
 
-    __slots__ = ("key", "rows", "ready", "audit", "columns")
+    __slots__ = ("key", "index", "ready", "audit", "floats", "rows", "head")
 
-    def __init__(self, key: tuple, rows: list) -> None:
+    def __init__(self, key: tuple, index: list[int]) -> None:
         self.key = key
-        self.rows = rows
+        self.index = index
         self.ready = False
         self.audit: tuple = ()
-        self.columns = None
+        self.floats: dict = {}
+        self.rows: Optional[list] = None
+        self.head: Optional[list] = None
 
 
 class _Partition:
     """A table's clusters for one (CLUSTER BY, SEQUENCE BY, policy) triple.
 
-    ``lock`` is the table's ``partition_lock``.
+    ``lock`` is the table's ``partition_lock``.  Nothing here points
+    back at the table, so a dropped table is freed by reference
+    counting.
     """
 
-    __slots__ = ("table_name", "sequence_by", "policy", "audit", "lock", "clusters")
+    __slots__ = (
+        "table_name", "cluster_by", "sequence_by", "policy", "audit", "lock", "groups",
+    )
 
     def __init__(
         self,
-        table: Table,
+        table: BaseTable,
         cluster_by: tuple[str, ...],
         sequence_by: tuple[str, ...],
         policy: ErrorPolicy,
     ) -> None:
         self.table_name = table.name
+        self.cluster_by = cluster_by
         self.sequence_by = sequence_by
         self.policy = policy
         self.audit = bool(sequence_by) and policy.lenient
         self.lock = table.partition_lock
-        if cluster_by:
-            key_of = itemgetter(*cluster_by)
-            groups = defaultdict(list)
-            for row in table:
-                groups[key_of(row)].append(row)
-            if len(cluster_by) == 1:
-                self.clusters = [_Cluster((key,), rows) for key, rows in groups.items()]
-            else:
-                self.clusters = [_Cluster(key, rows) for key, rows in groups.items()]
+        length = len(table)
+        if not cluster_by:
+            self.groups = [_Group((), list(range(length)))] if length else []
+            return
+        if len(cluster_by) == 1:
+            keys = table.column(cluster_by[0])
         else:
-            rows = list(table)
-            self.clusters = [_Cluster((), rows)] if rows else []
+            keys = zip(*map(table.column, cluster_by))
+        groups: defaultdict = defaultdict(list)
+        for position, key in zip(range(length), keys):
+            groups[key].append(position)
+        if len(cluster_by) == 1:
+            self.groups = [_Group((key,), index) for key, index in groups.items()]
+        else:
+            self.groups = [_Group(key, index) for key, index in groups.items()]
 
-    def settle(self, cluster: _Cluster, scan: ClusterScan) -> list:
-        """The cluster's sorted rows, sorting them if no scan has yet."""
-        if not cluster.ready:
+    def head(self, group: _Group) -> list[dict[str, object]]:
+        """What ``keep`` is tested on: a one-row list of the cluster's
+        CLUSTER BY values."""
+        head = group.head
+        if head is None:
+            head = group.head = [dict(zip(self.cluster_by, group.key))]
+        return head
+
+    def settle(self, group: _Group, table: BaseTable, scan: ClusterScan) -> None:
+        """Sort the cluster if no scan has yet."""
+        if not group.ready:
             with self.lock:
-                if not cluster.ready:
-                    self._sort(cluster)
+                if not group.ready:
+                    self._sort(group, table)
                     scan.sorted += 1
-                    return cluster.rows
+                    return
         scan.reused += 1
-        return cluster.rows
 
-    def _sort(self, cluster: _Cluster) -> None:
+    def _sort(self, group: _Group, table: BaseTable) -> None:
         """Sort (or audit) one cluster and publish it, under the lock."""
-        rows = cluster.rows
+        index = group.index
         audit: tuple = ()
         if self.audit:
-            rows, audit = _audit_sequence(
-                self.table_name, cluster.key, rows, self.sequence_by, self.policy
+            index, audit = _audit_sequence(
+                self.table_name, group.key, index, table, self.sequence_by, self.policy
             )
         elif self.sequence_by:
-            rows = sorted(rows, key=itemgetter(*self.sequence_by))
-        # Imported here: the stream path never partitions, and the
-        # columnar module is no part of it.
-        from repro.engine.columnar import ColumnStore
+            columns = [table.column(name) for name in self.sequence_by]
+            if len(columns) == 1:
+                index = sorted(index, key=columns[0].__getitem__)
+            else:
+                keys = zip(*(map(column.__getitem__, index) for column in columns))
+                index = [position for _, position in sorted(zip(keys, index), key=_FIRST)]
+        group.audit = audit
+        group.index = index
+        group.ready = True
 
-        cluster.audit = audit
-        cluster.columns = ColumnStore(rows)
-        cluster.rows = rows
-        cluster.ready = True
+
+_FIRST = itemgetter(0)
 
 
 def _partition(
-    table: Table,
+    table: BaseTable,
     cluster_by: tuple[str, ...],
     sequence_by: tuple[str, ...],
     policy: ErrorPolicy,
@@ -215,11 +307,11 @@ def _partition(
                 partition = partitions[key] = _Partition(
                     table, cluster_by, sequence_by, policy
                 )
-                scan.grouped += len(partition.clusters)
+                scan.grouped += len(partition.groups)
     return partition
 
 
-def _require_columns(table: Table, names: Sequence[str]) -> None:
+def _require_columns(table: BaseTable, names: Sequence[str]) -> None:
     for name in names:
         if name not in table.schema:
             raise ExecutionError(
@@ -231,18 +323,21 @@ def _require_columns(table: Table, names: Sequence[str]) -> None:
 def _audit_sequence(
     table_name: str,
     key: tuple[object, ...],
-    rows: list[dict[str, object]],
+    index: list[int],
+    table: BaseTable,
     sequence_by: Sequence[str],
     policy: ErrorPolicy,
-) -> tuple[list[dict[str, object]], tuple]:
-    """Sort one cluster, recording out-of-order and duplicate keys.
+) -> tuple[list[int], tuple]:
+    """Sort one cluster's positions, recording out-of-order and
+    duplicate keys.
 
-    Returns the sorted rows and the diagnostics a fresh audit reports,
-    as ``(Diagnostics method, args)`` pairs in reporting order.
+    Returns the sorted positions and the diagnostics a fresh audit
+    reports, as ``(Diagnostics method, args)`` pairs in reporting order.
     """
-    keys = [tuple(row[name] for name in sequence_by) for row in rows]
+    columns = [table.column(name) for name in sequence_by]
+    keys = list(zip(*(map(column.__getitem__, index) for column in columns)))
     out_of_order = any(a > b for a, b in zip(keys, keys[1:]))
-    ordered = sorted(zip(keys, rows), key=lambda pair: pair[0])
+    ordered = sorted(zip(keys, index), key=_FIRST)
     label = f"cluster {key!r}" if key else "the single cluster"
     audit: list = []
     if out_of_order:
@@ -257,9 +352,10 @@ def _audit_sequence(
     duplicates = sum(a == b for (a, _), (b, _) in zip(ordered, ordered[1:]))
     if duplicates:
         if policy is ErrorPolicy.SKIP:
-            deduped: list[dict[str, object]] = []
+            row_columns = [table.column(name) for name in table.schema.names]
+            deduped: list[int] = []
             last_key: object = object()
-            for sort_key, row in ordered:
+            for sort_key, position in ordered:
                 if sort_key == last_key:
                     audit.append((
                         Diagnostics.quarantine,
@@ -267,12 +363,12 @@ def _audit_sequence(
                             f"table {table_name!r}",
                             0,
                             f"{label}: duplicate SEQUENCE BY key {sort_key!r}",
-                            tuple(row.values()),
+                            tuple(column[position] for column in row_columns),
                         ),
                     ))
                     continue
                 last_key = sort_key
-                deduped.append(row)
+                deduped.append(position)
             return deduped, tuple(audit)
         audit.append((
             Diagnostics.warn,
@@ -282,4 +378,4 @@ def _audit_sequence(
                 "relative order",
             ),
         ))
-    return [row for _, row in ordered], tuple(audit)
+    return [position for _, position in ordered], tuple(audit)

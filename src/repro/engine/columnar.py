@@ -34,24 +34,27 @@ Truth bytes and anchored sides are built with NumPy float64 only, and
 only where that reproduces the interpreter's Python arithmetic bit for
 bit: every column read is all-``float`` (a Python float *is* an IEEE
 double) and every literal is exact in float64.  Anywhere else (an int,
-date or string cell, a row without the column, a literal float64
-cannot hold) building the element raises, and so does anything else
-the batch evaluation trips over; :func:`materialize_kernels` then
-leaves that element on its row evaluator, which raises, or
-short-circuits past the cell, exactly where the row path does.  NumPy
-is a declared dependency, imported on the first materialization (the
-stream path never materializes, so it never loads it).
+date or string cell, a literal float64 cannot hold) building the
+element raises, and so does anything else the batch evaluation trips
+over; :func:`materialize_kernels` then leaves that element on its row
+evaluator, which raises, or short-circuits past the cell, exactly where
+the row path does.  The columns come from the cluster
+(:meth:`~repro.engine.cluster.Cluster.floats`): ``np.take`` of the
+table's float64 column, whose all-``float`` verdict is decided once per
+table.  NumPy is a declared dependency, imported on the first
+materialization (the stream path never materializes, so it never loads
+it).
 
 **Out-of-core columnar files**: a single-file binary format (magic,
 JSON header, CRC32-checksummed little-endian column blobs) written
 atomically and loaded through ``mmap``, so a table larger than memory
 is paged in by the OS instead of materialized as row dicts.
-:class:`ColumnarTable` exposes the mapped data through the same
-``name`` / ``schema`` / iteration surface as
-:class:`~repro.engine.table.Table`; each row is a lazy
-:class:`RowView` mapping.  Loading validates magic, version, blob
-extents, and checksums — a torn write or partial file raises
-:class:`~repro.errors.ColumnarFormatError` and
+:class:`ColumnarTable` serves the mapped blobs through the column
+accessor every :class:`~repro.engine.table.BaseTable` has: a column is
+decoded into a list the first time a query reads it, and a ``float``
+column becomes float64 straight from its blob.  Loading validates
+magic, version, blob extents, and checksums — a torn write or partial
+file raises :class:`~repro.errors.ColumnarFormatError` and
 :func:`load_table` falls back to CSV ingest with a diagnostic, which is
 what the failpoint-driven crash-consistency suite pins
 (``tests/engine/test_columnar_file.py``).
@@ -69,12 +72,11 @@ import os
 import struct
 import threading
 import zlib
-from collections.abc import Mapping as _MappingABC
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro import failpoints
-from repro.engine.table import Schema
+from repro.engine.table import BaseTable, Schema
 from repro.errors import ColumnarFormatError, ExecutionError
 from repro.pattern.predicates import (
     AnchoredCompare,
@@ -84,58 +86,6 @@ from repro.pattern.predicates import (
     OrCondition,
     ResidualCondition,
 )
-
-
-# ----------------------------------------------------------------------
-# Column store (per cluster, kept with a table's partition)
-# ----------------------------------------------------------------------
-
-
-class ColumnStore:
-    """Lazily-built float64 columns over one cluster's rows.
-
-    A sorted cluster of a table's partition (:mod:`repro.engine.cluster`)
-    keeps its store, so a column is read from the rows once per table,
-    not once per query.  Two threads may both build a missing column;
-    each gets a complete one, and either may be the one kept.
-    """
-
-    __slots__ = ("rows", "n", "_columns")
-
-    def __init__(self, rows: Sequence):
-        self.rows = rows
-        self.n = len(rows)
-        self._columns: dict = {}
-
-    def column(self, name: str, np):
-        """The column as a read-only float64 array (later queries of the
-        cluster share it).
-
-        Raises ValueError where a cell is not a ``float``: an int
-        (arbitrary precision), a date, a string, or a row without the
-        column.  Only a Python float converts to float64 exactly.
-        """
-        try:
-            array = self._columns[name]
-        except KeyError:
-            array = self._columns[name] = _float_column(self.rows, name, np)
-        if array is None:
-            raise ValueError(f"column {name!r} is not all float")
-        return array
-
-
-def _float_column(rows: Sequence, name: str, np):
-    """``row[name]`` of every row as a read-only float64 array, or None
-    where one is missing or not a ``float``."""
-    try:
-        values = [row[name] for row in rows]
-    except KeyError:
-        return None
-    if not {float}.issuperset(map(type, values)):
-        return None
-    array = np.asarray(values, dtype=np.float64)
-    array.flags.writeable = False
-    return array
 
 
 # ----------------------------------------------------------------------
@@ -219,18 +169,17 @@ class ClusterKernels:
         )
 
 
-def materialize_kernels(
-    compiled, rows: Sequence, columns: Optional[ColumnStore] = None
-) -> Optional[ClusterKernels]:
-    """Build truth arrays for ``rows`` from a compiled pattern's plan.
+def materialize_kernels(compiled, columns) -> Optional[ClusterKernels]:
+    """Build one cluster's truth arrays from a compiled pattern's plan.
 
-    Returns None when nothing lowered (interpreted oracle plans,
-    patterns whose every element keeps its evaluator, or every element
-    declining here) — the caller then runs the plain row path.
-    ``columns`` is the store kept with ``rows`` (a partition's sorted
-    cluster); without one the columns are read from the rows.  The truth
-    arrays and anchored side lists are built per call: they depend on
-    the query's constants.
+    ``columns`` is the cluster (:class:`~repro.engine.cluster.Cluster`):
+    its length, and ``columns.floats(name, np)``, a column over its rows
+    as float64, which raises ValueError where the column is not all
+    ``float``.  Returns None when nothing lowered (interpreted oracle
+    plans, patterns whose every element keeps its evaluator, or every
+    element declining here) — the caller then runs the plain row path.
+    The truth arrays and anchored side lists are built per call: they
+    depend on the query's constants.
     """
     shapes, slots = compiled.kernel_plan
     if not shapes:
@@ -241,12 +190,11 @@ def materialize_kernels(
     # materializes kernels.
     import numpy as np
 
-    store = columns if columns is not None else ColumnStore(rows)
-    n = store.n
+    n = len(columns)
     built: list[tuple] = []
     for conditions, anchored in shapes:
         try:
-            built.append(_shape_kernel(conditions, anchored, store, n, np))
+            built.append(_shape_kernel(conditions, anchored, columns, n, np))
         except Exception:
             # A cell or literal float64 cannot hold exactly (ValueError),
             # or anything else the batch evaluation trips over, leaves
@@ -261,22 +209,22 @@ def materialize_kernels(
 
 
 def _shape_kernel(
-    conditions: tuple, anchored: tuple, store: ColumnStore, n: int, np
+    conditions: tuple, anchored: tuple, columns, n: int, np
 ) -> tuple:
     """``(truth, None)`` for a shape without anchored comparisons,
     ``(None, (gate, comparisons))`` for one with them (see
     :class:`ClusterKernels`)."""
     if not anchored:
-        return _conjunction_truth(conditions, store, n, np), None
+        return _conjunction_truth(conditions, columns, n, np), None
     comparisons = tuple(
-        _anchored_comparison(compare, store, n, np) for compare in anchored
+        _anchored_comparison(compare, columns, n, np) for compare in anchored
     )
-    gate = _conjunction_truth(conditions, store, n, np) if conditions else None
+    gate = _conjunction_truth(conditions, columns, n, np) if conditions else None
     return None, (gate, comparisons)
 
 
 def _anchored_comparison(
-    compare: AnchoredCompare, store: ColumnStore, n: int, np
+    compare: AnchoredCompare, columns, n: int, np
 ) -> tuple:
     """``(lhs, holds, rhs, edge, delta)`` of one anchored comparison."""
     if compare.last:
@@ -284,15 +232,15 @@ def _anchored_comparison(
     else:
         edge, delta = compare.element - 1, 0
     return (
-        _side_values(compare.lhs, store, n, np),
+        _side_values(compare.lhs, columns, n, np),
         compare.op.operator,
-        _side_values(compare.rhs, store, n, np),
+        _side_values(compare.rhs, columns, n, np),
         edge,
         delta,
     )
 
 
-def _side_values(program: tuple, store: ColumnStore, n: int, np) -> list:
+def _side_values(program: tuple, columns, n: int, np) -> list:
     """One side's value at every row ``i`` of the cluster, None where its
     navigation leaves the cluster.
 
@@ -305,7 +253,7 @@ def _side_values(program: tuple, store: ColumnStore, n: int, np) -> list:
     lo, hi = min(lo, n), min(hi, n)
     with np.errstate(all="ignore"):
         values = _eval_side(
-            program, lambda name, off: store.column(name, np)[lo + off : hi + off]
+            program, lambda name, off: columns.floats(name, np)[lo + off : hi + off]
         ).tolist()
     return [None] * lo + values + [None] * (n - hi)
 
@@ -337,21 +285,21 @@ def _eval_side(program: tuple, read):
 
 
 def _conjunction_truth(
-    conditions: Sequence[Condition], store: ColumnStore, n: int, np
+    conditions: Sequence[Condition], columns, n: int, np
 ) -> bytes:
     return _and_all(
-        [_condition_truth(condition, store, n, np) for condition in conditions], n
+        [_condition_truth(condition, columns, n, np) for condition in conditions], n
     )
 
 
-def _condition_truth(condition: Condition, store: ColumnStore, n: int, np) -> bytes:
+def _condition_truth(condition: Condition, columns, n: int, np) -> bytes:
     if isinstance(condition, OrCondition):
         return _or_all(
-            [_conjunction_truth(branch, store, n, np) for branch in condition.branches],
+            [_conjunction_truth(branch, columns, n, np) for branch in condition.branches],
             n,
         )
     # A ComparisonCondition: plan_kernels lets no other type through.
-    return _comparison_truth(condition, store, n, np)
+    return _comparison_truth(condition, columns, n, np)
 
 
 def _and_all(truths: list[bytes], n: int) -> bytes:
@@ -399,7 +347,7 @@ def _exact(value):
 
 
 def _comparison_truth(
-    condition: ComparisonCondition, store: ColumnStore, n: int, np
+    condition: ComparisonCondition, columns, n: int, np
 ) -> bytes:
     """Truth bytes of ``left op right``.
 
@@ -414,18 +362,18 @@ def _comparison_truth(
         n, *(term.attr.offset for term in (left, right) if term.attr is not None)
     )
     with np.errstate(all="ignore"):
-        lhs = _f8_term(left, store, lo, hi, np)
-        rhs = _f8_term(right, store, lo, hi, np)
+        lhs = _f8_term(left, columns, lo, hi, np)
+        rhs = _f8_term(right, columns, lo, hi, np)
         out = np.zeros(n, dtype=np.uint8)
         out[lo:hi] = holds(lhs, rhs)
     return out.tobytes()
 
 
-def _f8_term(term: LinearTerm, store: ColumnStore, lo: int, hi: int, np):
+def _f8_term(term: LinearTerm, columns, lo: int, hi: int, np):
     """``term`` at rows ``lo..hi`` in float64 (a scalar for a constant)."""
     if term.attr is None:
         return _exact(term.constant)
-    column = store.column(term.attr.name, np)
+    column = columns.floats(term.attr.name, np)
     off = term.attr.offset
     return (
         _exact(term.coefficient) * column[lo + off : hi + off]
@@ -452,13 +400,13 @@ _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
 
-def write_columnar(table, path: Union[str, Path]) -> None:
+def write_columnar(table: BaseTable, path: Union[str, Path]) -> None:
     """Serialize a table to the columnar format, atomically.
 
-    ``table`` is anything with ``name``, ``schema``, and row iteration —
-    :class:`~repro.engine.table.Table` or :class:`ColumnarTable`.  The
-    payload is assembled fully, passed through the ``columnar.write``
-    failpoint (torn-write injection), written to ``<path>.tmp``, fsynced
+    ``table`` is a :class:`~repro.engine.table.Table` or a
+    :class:`ColumnarTable`, read column by column.  The payload is
+    assembled fully, passed through the ``columnar.write`` failpoint
+    (torn-write injection), written to ``<path>.tmp``, fsynced
     (``columnar.fsync``), and renamed into place (``columnar.rename``) —
     a crash at any point leaves either the old file or no file, never a
     half-written one the loader would trust.
@@ -483,15 +431,9 @@ def write_columnar(table, path: Union[str, Path]) -> None:
         raise
 
 
-def _serialize(table) -> bytes:
+def _serialize(table: BaseTable) -> bytes:
     schema: Schema = table.schema
-    names = schema.names
-    columns_values: dict[str, list] = {name: [] for name in names}
-    rows = 0
-    for row in table:
-        rows += 1
-        for name in names:
-            columns_values[name].append(row[name])
+    rows = len(table)
     blobs: list[bytes] = []
     column_entries: list[dict] = []
     offset = 0
@@ -508,7 +450,7 @@ def _serialize(table) -> bytes:
         return entry
 
     for column in schema.columns:
-        values = columns_values[column.name]
+        values = table.column(column.name)[:rows]
         kind = _KIND_BY_TYPE[column.type]
         entry: dict = {"name": column.name, "type": column.type, "kind": kind}
         if kind == "f8":
@@ -550,7 +492,8 @@ def _serialize(table) -> bytes:
 
 
 class _StoredColumn:
-    """One mmap-backed column: typed view plus a value decoder."""
+    """One mmap-backed column: a typed view, decoded a whole column at a
+    time."""
 
     __slots__ = ("kind", "data", "aux")
 
@@ -559,104 +502,67 @@ class _StoredColumn:
         self.data = data
         self.aux = aux
 
-    def value(self, index: int):
+    def values(self) -> list:
+        """Every cell: dates as ``datetime.date``, strings as ``str``."""
         if self.kind == "f8" or self.kind == "i8":
-            return self.data[index]
+            return self.data.tolist()
         if self.kind == _DATE_KIND:
-            return _dt.date.fromordinal(self.data[index])
-        start, end = self.aux[index], self.aux[index + 1]
-        return bytes(self.data[start:end]).decode("utf-8")
+            return list(map(_dt.date.fromordinal, self.data.tolist()))
+        data = bytes(self.data)
+        offsets = self.aux.tolist()
+        return [data[start:end].decode("utf-8") for start, end in zip(offsets, offsets[1:])]
 
 
-class RowView(_MappingABC):
-    """A lazy row over a :class:`ColumnarTable` position.
-
-    Behaves like the plain dict rows of :class:`~repro.engine.table.Table`
-    — ``row[name]`` decodes the cell on access (dates come back as
-    ``datetime.date``, strings as ``str``), missing names raise
-    ``KeyError``, and equality/iteration follow the Mapping protocol —
-    so matchers, projection, and the kernels treat both storage layouts
-    identically.
-    """
-
-    __slots__ = ("_table", "_index")
-
-    def __init__(self, table: "ColumnarTable", index: int):
-        self._table = table
-        self._index = index
-
-    def __getitem__(self, name: str):
-        column = self._table._columns.get(name)
-        if column is None:
-            raise KeyError(name)
-        return column.value(self._index)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._table.schema.names)
-
-    def __len__(self) -> int:
-        return len(self._table.schema.names)
-
-    def __repr__(self) -> str:
-        return f"RowView({dict(self)!r})"
-
-    def __reduce__(self):
-        # The mapping cannot cross a process boundary; the row's values can.
-        return (dict, (dict(self),))
-
-
-class ColumnarTable:
+class ColumnarTable(BaseTable):
     """A table read from a columnar file via ``mmap``.
 
-    Duck-compatible with :class:`~repro.engine.table.Table` everywhere
-    the engine reads one: ``name``, ``schema``, ``__iter__`` /
-    ``__len__`` over row mappings, a ``rows`` list, and the
-    ``partitions`` its queries asked for.  Column data stays in the
-    mapping until a cell is touched.  The table is immutable, so only
-    :meth:`close` drops the partitions.
+    Column data stays in the mapping until a query reads the column:
+    :meth:`column` decodes it whole into a list, kept with the table,
+    and a ``float`` column's float64 array is copied straight from its
+    blob.  The table is immutable, so only :meth:`close` drops what is
+    kept and the partitions.
     """
 
-    __slots__ = (
-        "name", "schema", "_columns", "_length", "_mmap", "_file", "_rows",
-        "partitions", "partition_lock",
-    )
+    __slots__ = ("_stored", "_mmap", "_file")
 
     def __init__(self, name, schema, columns, length, mapped, handle):
         self.name = name
         self.schema = schema
-        self._columns = columns
+        self._stored = columns
         self._length = length
         self._mmap = mapped
         self._file = handle
-        self._rows: Optional[list[RowView]] = None
+        self._kept: dict = {}
         self.partitions: dict = {}
         self.partition_lock = threading.Lock()
 
-    @property
-    def rows(self) -> list[RowView]:
-        if self._rows is None:
-            if self._mmap.closed:
-                raise ExecutionError(f"table {self.name!r} is closed")
-            self._rows = [RowView(self, i) for i in range(self._length)]
-        return self._rows
+    def column(self, name: str) -> list:
+        kept = self._kept
+        key = ("column", name)
+        values = kept.get(key)
+        if values is None:
+            values = kept.setdefault(key, self._mapped(name).values())
+        return values
 
-    def __len__(self) -> int:
-        return self._length
+    def _float_array(self, name: str, np):
+        stored = self._mapped(name)
+        if stored.kind != "f8":
+            return None
+        array = np.array(stored.data, dtype=np.float64)
+        array.flags.writeable = False
+        return array
 
-    def __iter__(self) -> Iterator[RowView]:
-        return iter(self.rows)
+    def _mapped(self, name: str) -> _StoredColumn:
+        if self._mmap.closed:
+            raise ExecutionError(f"table {self.name!r} is closed")
+        return self._stored[name]
 
     def close(self) -> None:
-        """Release the mapping; iterating or querying the table then
-        raises :class:`~repro.errors.ExecutionError`.
-
-        Dropping the row views and the partitions also breaks their
-        reference cycles through ``RowView``, so the table is freed
-        without waiting for the collector.
-        """
-        self._rows = None
+        """Release the mapping; reading or querying the table then
+        raises :class:`~repro.errors.ExecutionError`."""
+        self._kept = {}
         self.partitions = {}
-        self._columns = {}
+        self._stored = {}
         self._mmap.close()
         self._file.close()
 
@@ -885,7 +791,7 @@ def _main(argv: Optional[list[str]] = None) -> int:
     table = load_csv(args.csv, args.name, Schema(columns))
     output = args.output if args.output is not None else sidecar_path(args.csv)
     write_columnar(table, output)
-    print(f"wrote {output} ({len(table.rows)} rows)")
+    print(f"wrote {output} ({len(table)} rows)")
     return 0
 
 

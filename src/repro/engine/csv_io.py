@@ -38,11 +38,12 @@ _MISSING = object()
 #: Key DictReader files extra trailing cells under.
 _EXTRA = "__extra_cells__"
 
-#: Data records :func:`load_csv` converts and checks at a time.  One
-#: block for the whole file is as fast, but holds every cell at once:
-#: loading a 64k-row panel then peaked at 58 MB RSS, against 43 MB in
-#: 4096-row blocks and 42 MB row by row.
-BLOCK_ROWS = 4096
+#: Data records :func:`load_csv` converts and checks at a time.  A
+#: block's records are lists the collector tracks, and it starts a
+#: collection every 700 net allocations: in 4096-record blocks, loading
+#: the 64k-row panel ran 145 of them, in 512-record blocks 2, and the
+#: cold panel query took 0.82x the time (docs/performance.md, "Storage").
+BLOCK_ROWS = 512
 
 #: How a CSV cell becomes a value of each schema type.
 _CONVERTERS = {
@@ -286,8 +287,9 @@ def _convert_record(
 
 def save_csv(table: Table, path: Union[str, Path]) -> None:
     """Write a table to CSV with a header row."""
+    names = table.schema.names
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(table.schema.names)
-        for row in table:
-            writer.writerow([_render(row[name]) for name in table.schema.names])
+        writer.writerow(names)
+        for cells in zip(*map(table.column, names)):
+            writer.writerow([_render(value) for value in cells])

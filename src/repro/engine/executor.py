@@ -30,10 +30,10 @@ from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Callable, Iterator, Mapping, Optional, Tuple, Union
 
 from repro.engine.catalog import Catalog
-from repro.engine.cluster import ClusterScan, clusters_of
+from repro.engine.cluster import Cluster, ClusterScan, clusters_of
 from repro.engine.result import Result
 from repro.errors import ExecutionError, PlanningError
 from repro.match.backtracking import BacktrackingMatcher
@@ -61,9 +61,6 @@ from repro.sqlts.expressions import evaluate_condition
 from repro.sqlts.expressions import evaluate_expr
 from repro.sqlts.parser import parse_query
 from repro.sqlts.semantic import AnalyzedQuery, analyze
-
-if TYPE_CHECKING:
-    from repro.engine.columnar import ColumnStore
 
 MATCHERS: dict[str, type] = {
     "ops": OpsStarMatcher,
@@ -328,10 +325,9 @@ class Executor:
         with (
             trace.span("scan") if trace is not None else nullcontext()
         ) as scan_span:
-            for key, rows, columns in admission:
+            for key, cluster in admission:
                 projected, plan = search_cluster(
-                    plan, key, rows, instrumentation, budget,
-                    diagnostics, trace, columns,
+                    plan, key, cluster, instrumentation, budget, diagnostics, trace
                 )
                 output_rows += projected
                 if budget is not None and budget.tripped is not None:
@@ -565,12 +561,12 @@ class Executor:
 class _Admission:
     """The clusters one execution searches, in first-appearance order.
 
-    Iterating yields ``(key, rows, columns)`` for every cluster that
-    passes the hoisted cluster filter, where ``columns`` is the kernel
-    column store the table's partition keeps with ``rows``; it checks
-    the deadline before each cluster, charges its rows
-    check-then-charge, and counts as it goes.  ``scan`` says which
-    clusters this execution grouped or sorted and which it reused.
+    Iterating yields ``(key, cluster)`` for every cluster that passes
+    the hoisted cluster filter (a :class:`~repro.engine.cluster.Cluster`
+    of the table's partition); it checks the deadline before each
+    cluster, charges its rows check-then-charge, and counts as it goes.
+    ``scan`` says which clusters this execution grouped or sorted and
+    which it reused.
     """
 
     def __init__(
@@ -588,7 +584,7 @@ class _Admission:
             analyzed.sequence_by,
             policy=policy,
             diagnostics=diagnostics,
-            keep=partial(_cluster_passes, analyzed),
+            keep=partial(_cluster_passes, analyzed) if analyzed.cluster_filter else None,
             scan=self.scan,
         )
         self._budget = budget
@@ -596,22 +592,19 @@ class _Admission:
         self.searched = 0
         self.scanned = 0
 
-    def __iter__(
-        self,
-    ) -> Iterator[tuple[tuple, list[dict[str, object]], Optional[ColumnStore]]]:
+    def __iter__(self) -> Iterator[tuple[tuple, Cluster]]:
         budget = self._budget
-        scan = self.scan
-        for key, rows in self._clusters:
+        for key, cluster in self._clusters:
             self.clusters += 1
             if budget is not None and budget.check_deadline():
                 return
-            if rows is None:
+            if cluster is None:
                 continue
-            if budget is not None and budget.add_rows(len(rows)):
+            if budget is not None and budget.add_rows(len(cluster)):
                 return
             self.searched += 1
-            self.scanned += len(rows)
-            yield key, rows, scan.columns
+            self.scanned += len(cluster)
+            yield key, cluster
 
 
 @dataclass
@@ -800,20 +793,18 @@ def apply_aggregate(*args, **kwargs) -> None:
 def search_cluster(
     plan: SearchPlan,
     key: tuple,
-    rows: list[dict[str, object]],
+    cluster: Cluster,
     instrumentation: Instrumentation,
     budget: Optional[Budget],
     diagnostics: Diagnostics,
     trace: Optional[Trace] = None,
-    columns: Optional[ColumnStore] = None,
 ) -> tuple[list[tuple], SearchPlan]:
     """Search one admitted cluster and project its matches.
 
-    The cluster's kernels are materialized once, from ``columns`` (the
-    column store kept with ``rows``) when given.  A PlanningError from
-    the matcher degrades to the fallback under a lenient policy, and the
-    returned plan carries the fallback so later clusters skip the
-    failing attempt.  With ``trace``, the search is
+    The cluster's kernels are materialized once, from its kept columns.
+    A PlanningError from the matcher degrades to the fallback under a
+    lenient policy, and the returned plan carries the fallback so later
+    clusters skip the failing attempt.  With ``trace``, the search is
     one ``cluster`` span labelled with the cluster's key, with the
     projection of its matches as its ``project`` child; its ``replays``
     are the attempts the OPS replay walk settled.
@@ -823,10 +814,14 @@ def search_cluster(
     with (
         trace.span("cluster") if trace is not None else nullcontext()
     ) as span:
-        kernels = _cluster_kernels(rows, plan, trace, columns)
+        kernels = _cluster_kernels(cluster, plan, trace)
         try:
             matches = plan.matcher.find_matches(
-                rows, plan.compiled, instrumentation, budget, kernels=kernels
+                _scanned(plan, cluster, kernels),
+                plan.compiled,
+                instrumentation,
+                budget,
+                kernels=kernels,
             )
         except PlanningError as error:
             if not plan.policy.lenient or plan.fallback is None:
@@ -841,20 +836,24 @@ def search_cluster(
                 matcher=MATCHERS[plan.fallback](),
             )
             matches = plan.matcher.find_matches(
-                rows, plan.compiled, instrumentation, budget, kernels=kernels
+                _scanned(plan, cluster, kernels),
+                plan.compiled,
+                instrumentation,
+                budget,
+                kernels=kernels,
             )
         if trace is None:
-            projected = _project_cluster(plan, rows, matches)
+            projected = _project_cluster(plan, cluster, matches)
         else:
             with trace.span("project") as project_span:
-                projected = _project_cluster(plan, rows, matches)
+                projected = _project_cluster(plan, cluster, matches)
             project_span.annotate(
                 matches=len(matches), columns=len(plan.analyzed.select)
             )
     if span is not None:
         span.annotate(
             partition=_cluster_label(key),
-            rows=len(rows),
+            rows=len(cluster),
             tests=instrumentation.tests - tests_before,
             replays=instrumentation.replays - replays_before,
             matches=len(projected),
@@ -863,12 +862,26 @@ def search_cluster(
     return projected, plan
 
 
-def _cluster_kernels(
-    rows: list[dict[str, object]],
-    plan: SearchPlan,
-    trace: Optional[Trace],
-    columns: Optional[ColumnStore] = None,
-):
+#: Matchers that read an element's truth array, where it has one, in
+#: place of its evaluator; the OPS scan also reads anchored comparisons.
+_TRUTH_READERS = (NaiveMatcher, OpsMatcher, BacktrackingMatcher)
+
+
+def _scanned(plan: SearchPlan, cluster: Cluster, kernels):
+    """What the matcher scans: the cluster itself where the kernels hold
+    every element the matcher tests, so that only its length is read,
+    and otherwise the cluster's row dicts, for the evaluators."""
+    if kernels is not None:
+        kind = type(plan.matcher)
+        if kind is OpsStarMatcher:
+            if kernels.lowered == len(kernels.truth):
+                return cluster
+        elif kind in _TRUTH_READERS and None not in kernels.truth:
+            return cluster
+    return cluster.rows
+
+
+def _cluster_kernels(cluster: Cluster, plan: SearchPlan, trace: Optional[Trace]):
     """Materialize columnar truth arrays for one cluster, or None.
 
     Engagement policy (see :data:`EVALUATOR_MODES`): never for
@@ -877,22 +890,22 @@ def _cluster_kernels(
     differential oracle and stays kernel-free end to end.
     """
     compiled = plan.compiled
-    if plan.evaluator == "row" or not rows or not compiled.use_codegen:
+    if plan.evaluator == "row" or not len(cluster) or not compiled.use_codegen:
         return None
     from repro.engine.columnar import materialize_kernels
 
     if trace is None:
-        return materialize_kernels(compiled, rows, columns=columns)
+        return materialize_kernels(compiled, cluster)
     with trace.span("kernels") as span:
-        kernels = materialize_kernels(compiled, rows, columns=columns)
+        kernels = materialize_kernels(compiled, cluster)
         if kernels is None:
-            span.annotate(lowered=0, anchored=0, rows=len(rows))
+            span.annotate(lowered=0, anchored=0, rows=len(cluster))
         else:
             span.annotate(
                 lowered=kernels.lowered,
                 anchored=sum(1 for entry in kernels.anchored if entry is not None),
                 elements=compiled.m,
-                rows=len(rows),
+                rows=len(cluster),
             )
     return kernels
 
@@ -900,14 +913,10 @@ def _cluster_kernels(
 def _cluster_passes(analyzed: AnalyzedQuery, rows: list[dict[str, object]]) -> bool:
     """Evaluate the hoisted cluster-invariant conditions on this cluster.
 
-    The conditions only reference bare CLUSTER BY attributes, which are
-    constant within the cluster, so binding every pattern variable to the
-    first row is exact whether or not the rows are sorted yet.
+    The conditions only reference bare CLUSTER BY attributes, constant
+    within the cluster, so ``rows`` is one row of the cluster's CLUSTER
+    BY values, and every pattern variable is bound to it.
     """
-    if not analyzed.cluster_filter:
-        return True
-    if not rows:
-        return False
     bindings = {name: (0, 0) for name in analyzed.spec.names}
     return all(
         evaluate_condition(condition, rows, bindings)
@@ -916,17 +925,20 @@ def _cluster_passes(analyzed: AnalyzedQuery, rows: list[dict[str, object]]) -> b
 
 
 def _project_cluster(
-    plan: SearchPlan, rows: list[dict[str, object]], matches: list[Match]
+    plan: SearchPlan, cluster: Cluster, matches: list[Match]
 ) -> list[tuple]:
     """One output tuple per match, in match order.
 
     The plan's lowered SELECT gathers each value from the matches'
-    boundaries, column by column.  ``codegen=False`` is the interpreted
-    oracle: each item goes through ``evaluate_expr`` over the match's
-    spans.
+    boundaries, column by column through the cluster's index.
+    ``codegen=False`` is the interpreted oracle: each item goes through
+    ``evaluate_expr`` over the cluster's rows and the match's spans.
     """
     if plan.compiled.use_codegen:
-        return plan.analyzed.projection.rows(rows, Match.all_bounds(matches))
+        return plan.analyzed.projection.rows(cluster, Match.all_bounds(matches))
+    if not matches:
+        return []
+    rows = cluster.rows
     select = plan.analyzed.select
     projected = []
     for match in matches:

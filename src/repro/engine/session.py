@@ -200,10 +200,14 @@ class Session:
         table = self.catalog.table(parsed.table)
         schema = table.schema
         columns = parsed.columns if parsed.columns is not None else schema.names
+        # Every row is checked before any goes in: under ``raise`` a bad
+        # row leaves the table as it was, and under ``skip``/``collect``
+        # the good rows go in and each bad one is quarantined.
+        rows = []
         for row_number, row_values in enumerate(parsed.rows, start=1):
             try:
-                table.insert(
-                    self._coerce_row(schema, columns, row_values)
+                rows.append(
+                    schema.validate_row(self._coerce_row(schema, columns, row_values))
                 )
             except (ExecutionError, SchemaError) as error:
                 if not self.policy.lenient:
@@ -218,6 +222,7 @@ class Session:
                     self.diagnostics.record_error(
                         row_number, f"INSERT INTO {parsed.table}", error
                     )
+        table.insert_many(rows)
 
     @staticmethod
     def _coerce_row(

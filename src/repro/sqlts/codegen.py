@@ -16,12 +16,14 @@ and in the stream, the residual runs interpreted.
 
 :func:`lower_select` lowers the SELECT list once per plan, into one
 function per item of a match's element boundaries (see
-:class:`~repro.match.base.Match`).  A column reference ``V.attr`` is one
-index computation and one row lookup, and projects a cluster's matches
-as one comprehension over their boundaries; any other item runs the
-interpreted oracle, :func:`~repro.sqlts.expressions.evaluate_expr`,
-over the match's spans.  Either gives the oracle's NULLs, errors and
-error order (match order, then SELECT order).
+:class:`~repro.match.base.Match`).  A column reference ``V.attr``
+projects a cluster's matches as one comprehension over their
+boundaries, each value one index computation and two list lookups
+(the cluster's index, then the table's column); any other item runs
+the interpreted oracle, :func:`~repro.sqlts.expressions.evaluate_expr`,
+over the cluster's rows and the match's spans.  Either gives the
+oracle's NULLs, errors and error order (match order, then SELECT
+order).
 """
 
 from __future__ import annotations
@@ -112,41 +114,46 @@ class LoweredSelect:
         self.items = items
         self.gathers = gathers
 
-    def rows(
-        self, rows: Sequence[Mapping[str, object]], all_bounds: Sequence[tuple[int, ...]]
-    ) -> list[tuple]:
+    def rows(self, cluster, all_bounds: Sequence[tuple[int, ...]]) -> list[tuple]:
         """The output tuples of a cluster's matches, given by their
         boundaries, in match order.
 
-        Values are gathered column by column; a column reference is one
-        comprehension over the boundaries.  If one raises, the tuples are
-        rebuilt match by match, which raises again, so the error that
+        ``cluster`` is a :class:`~repro.engine.cluster.Cluster`.  Values
+        are gathered column by column; a column reference is one
+        comprehension over the boundaries, reading the table's column
+        through the cluster's ``index``, and any other item reads the
+        cluster's rows.  If one raises, the tuples are rebuilt match by
+        match over the rows, which raises again, so the error that
         escapes is the interpreter's first: in match order, then in
         SELECT order.
         """
         items = self.items
         try:
             columns = [
-                _column(rows, all_bounds, item, gather)
+                _column(cluster, all_bounds, item, gather)
                 for item, gather in zip(items, self.gathers)
             ]
         except Exception:
+            rows = cluster.rows
             return [
                 tuple([item(rows, bounds) for item in items]) for bounds in all_bounds
             ]
         return list(zip(*columns))
 
 
-def _column(rows, all_bounds, item: LoweredItem, gather) -> list:
-    """One SELECT item's values for every match; a row without the
-    attribute raises KeyError, which sends :meth:`LoweredSelect.rows` to
-    the item's own error."""
+def _column(cluster, all_bounds, item: LoweredItem, gather) -> list:
+    """One SELECT item's values for every match; a column the table
+    lacks raises KeyError, which sends :meth:`LoweredSelect.rows` to the
+    item's own error."""
     if gather is None:
+        rows = cluster.rows
         return [item(rows, bounds) for bounds in all_bounds]
     edge, offset, attr = gather
-    n = len(rows)
+    index = cluster.index
+    values = cluster.column(attr)
+    n = len(index)
     return [
-        rows[position][attr] if 0 <= (position := bounds[edge] + offset) < n else None
+        values[index[position]] if 0 <= (position := bounds[edge] + offset) < n else None
         for bounds in all_bounds
     ]
 

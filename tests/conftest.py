@@ -7,6 +7,7 @@ import pytest
 from repro.data.djia import djia_table
 from repro.data.quotes import quote_table
 from repro.engine.catalog import Catalog
+from repro.engine.table import float_array
 from repro.pattern.compiler import compile_pattern
 from repro.pattern.predicates import AttributeDomains, col, comparison, predicate
 from repro.pattern.spec import PatternElement, PatternSpec
@@ -100,6 +101,33 @@ def example9_refined(example9_pattern):
 def price_rows(*prices):
     """Rows with a single price column."""
     return [{"price": float(p)} for p in prices]
+
+
+class KernelColumns:
+    """The kernel columns of a cluster holding ``rows`` in order, for
+    ``materialize_kernels`` over rows built in a test: each column is
+    decided as a table decides it (``float_array``), and a row without
+    the column makes it decline."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self._arrays = {}
+
+    def __len__(self):
+        return len(self.rows)
+
+    def floats(self, name, np):
+        if name not in self._arrays:
+            try:
+                values = [row[name] for row in self.rows]
+            except KeyError:
+                self._arrays[name] = None
+            else:
+                self._arrays[name] = float_array(values, np)
+        array = self._arrays[name]
+        if array is None:
+            raise ValueError(f"column {name!r} is not all float")
+        return array
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,11 @@
 """CLUSTER BY / SEQUENCE BY: the paper's Figure 1 behaviour.
 
-The partitioning runs on C-level ``itemgetter`` keys and is kept on the
-table; a Hypothesis property pins every scan of it (cold, warm, and
-after each mutation) to the per-row reference it replaced (keys, row
-objects, order, and lenient-policy diagnostics).
+The partitioning groups and sorts row positions over the table's
+columns and is kept on the table; a Hypothesis property pins every scan
+of it (cold, warm, and after each mutation) to the per-row reference it
+replaced (keys, row positions and objects, order, and lenient-policy
+diagnostics).  The laziness tests count the cells each step reads
+through a :class:`CountingTable`.
 """
 
 import datetime as dt
@@ -20,8 +22,8 @@ from hypothesis import strategies as st
 
 from repro.data.quotes import QUOTE_SCHEMA, synthetic_quotes
 from repro.engine.catalog import Catalog
+from repro.engine import table as table_module
 from repro.engine.cluster import clusters_of, sequenced
-from repro.engine import columnar
 from repro.engine.columnar import load_columnar, write_columnar
 from repro.engine.executor import Executor
 from repro.engine.table import Table
@@ -29,8 +31,17 @@ from repro.errors import ExecutionError
 from repro.resilience import Diagnostics, ErrorPolicy
 
 
+QUOTE_COLUMNS = [("name", "str"), ("date", "date"), ("price", "float")]
+
+
 def quote_table(rows):
-    table = Table("quote", [("name", "str"), ("date", "date"), ("price", "float")])
+    table = Table("quote", QUOTE_COLUMNS)
+    table.insert_many(rows)
+    return table
+
+
+def counting_quote_table(rows):
+    table = CountingTable("quote", QUOTE_COLUMNS)
     table.insert_many(rows)
     return table
 
@@ -103,30 +114,28 @@ class TestClustering:
     def test_clusters_are_sorted_only_when_reached(self):
         # A scan that stops early (deadline, row budget) must not pay
         # for sorting the clusters it never reaches.
-        table = quote_table(ROWS)
-        table.rows[:] = [CountingRow(row) for row in table.rows]
+        table = counting_quote_table(ROWS)
         clusters = clusters_of(table, ["name"], ["date"])
         key, first = next(clusters)
         assert key == ("INTC",)
-        assert [row.date_reads for row in first] == [1, 1, 1]
-        ibm = [row for row in table.rows if row["name"] == "IBM"]
-        assert [row.date_reads for row in ibm] == [0, 0, 0]
+        dates = table.reads["date"]
+        assert [dates[position] for position in first.index] == [1, 1, 1]
+        assert [dates[position] for position in positions_of("IBM")] == [0, 0, 0]
 
     def test_rejected_cluster_is_never_sorted(self):
-        table = quote_table(ROWS)
-        table.rows[:] = [CountingRow(row) for row in table.rows]
+        table = counting_quote_table(ROWS)
         clusters = list(
             clusters_of(
                 table, ["name"], ["date"], keep=lambda rows: rows[0]["name"] == "IBM"
             )
         )
-        assert [(key, rows is None) for key, rows in clusters] == [
+        assert [(key, cluster is None) for key, cluster in clusters] == [
             (("INTC",), True),
             (("IBM",), False),
         ]
+        dates = table.reads["date"]
+        assert [dates[position] for position in positions_of("INTC")] == [0, 0, 0]
         assert [r["date"].day for r in clusters[1][1]] == [25, 26, 27]
-        intc = [row for row in table.rows if row["name"] == "INTC"]
-        assert [row.date_reads for row in intc] == [0, 0, 0]
 
 
 class TestHoistedClusterFilter:
@@ -138,12 +147,11 @@ class TestHoistedClusterFilter:
     )
 
     def run(self, policy):
-        table = quote_table(ROWS)
-        table.rows[:] = [CountingRow(row) for row in table.rows]
+        table = counting_quote_table(ROWS)
         executor = Executor(Catalog([table]), policy=policy)
         result, report = executor.execute_with_report(self.QUERY)
-        intc = [row for row in table.rows if row["name"] == "INTC"]
-        return result, report, [row.date_reads for row in intc]
+        dates = table.reads["date"]
+        return result, report, [dates[position] for position in positions_of("INTC")]
 
     def test_rejected_cluster_is_never_sorted(self):
         result, report, intc_reads = self.run("raise")
@@ -160,7 +168,7 @@ class TestHoistedClusterFilter:
 
 
 def reads_of(table, name):
-    return sum(row.reads[name] for row in table.rows)
+    return sum(table.reads[name].values())
 
 
 class TestPartitionMemo:
@@ -173,21 +181,23 @@ class TestPartitionMemo:
 
     @pytest.mark.parametrize("policy", ["raise", "collect", "skip"])
     def test_a_warm_scan_reads_no_cell(self, policy):
-        table = quote_table(ROWS)
-        table.rows[:] = [CountingRow(row) for row in table.rows]
+        table = counting_quote_table(ROWS)
         cold_diagnostics, warm_diagnostics = Diagnostics(), Diagnostics()
-        cold = list(
-            clusters_of(table, ["name"], ["date"], policy=policy,
-                        diagnostics=cold_diagnostics)
-        )
+        cold = [
+            (key, cluster.index)
+            for key, cluster in clusters_of(
+                table, ["name"], ["date"], policy=policy, diagnostics=cold_diagnostics
+            )
+        ]
         assert reads_of(table, "name") == len(ROWS)
-        for row in table.rows:
-            row.reads.clear()
-        warm = list(
-            clusters_of(table, ["name"], ["date"], policy=policy,
-                        diagnostics=warm_diagnostics)
-        )
-        assert all(not row.reads for row in table.rows)
+        table.clear_reads()
+        warm = [
+            (key, cluster.index)
+            for key, cluster in clusters_of(
+                table, ["name"], ["date"], policy=policy, diagnostics=warm_diagnostics
+            )
+        ]
+        assert not any(table.reads.values())
         assert warm == cold
         assert warm_diagnostics.warnings == cold_diagnostics.warnings
         # Under a lenient policy INTC's out-of-order warning is replayed.
@@ -197,37 +207,43 @@ class TestPartitionMemo:
         )
 
     def test_a_warm_query_reads_no_cluster_or_sequence_cell(self):
-        table = quote_table(ROWS)
-        table.rows[:] = [CountingRow(row) for row in table.rows]
+        table = counting_quote_table(ROWS)
         executor = Executor(Catalog([table]))
         cold = executor.execute(self.QUERY)
         assert reads_of(table, "date") >= len(ROWS)
-        for row in table.rows:
-            row.reads.clear()
+        table.clear_reads()
         warm = executor.execute(self.QUERY)
         assert warm.rows == cold.rows == ((60.0,), (80.5,))
         assert reads_of(table, "name") == reads_of(table, "date") == 0
-        # The kernels read the kept price column: only the SELECT reads
+        # The kernels read the kept price columns: only the SELECT reads
         # a price cell, one per match.
         assert reads_of(table, "price") == len(warm.rows)
 
     def test_a_warm_query_builds_no_column(self, monkeypatch):
-        """A warm query's kernels read the columns the partition keeps."""
-        built = []
-        build = columnar._float_column
+        """A warm query's kernels read the columns the partition keeps;
+        a cold one decides the table's ``price`` column once and takes
+        each cluster's from it."""
+        decided, taken = [], []
+        decide, take = table_module.float_array, Table.float_column
 
-        def counting(rows, name, np):
-            built.append(name)
-            return build(rows, name, np)
+        def counting_decide(values, np):
+            decided.append(len(values))
+            return decide(values, np)
 
-        monkeypatch.setattr(columnar, "_float_column", counting)
+        def counting_take(self, name, np):
+            taken.append(name)
+            return take(self, name, np)
+
+        monkeypatch.setattr(table_module, "float_array", counting_decide)
+        monkeypatch.setattr(Table, "float_column", counting_take)
         executor = Executor(Catalog([quote_table(ROWS)]))
         cold = executor.execute(self.QUERY)
-        assert built == ["price", "price"]
-        built.clear()
+        assert decided == [len(ROWS)] and taken == ["price", "price"]
+        decided.clear()
+        taken.clear()
         warm = executor.execute(self.QUERY)
         assert warm.rows == cold.rows == ((60.0,), (80.5,))
-        assert built == []
+        assert decided == taken == []
 
 
 def shuffled_quotes():
@@ -300,21 +316,46 @@ def test_threads_sharing_a_fresh_table_get_the_serial_answer(
             shared.close()
 
 
-class CountingRow(dict):
-    """A row that counts reads of each of its columns."""
+def positions_of(name):
+    """The table positions of ``name``'s rows in ``ROWS``."""
+    return [position for position, row in enumerate(ROWS) if row["name"] == name]
 
-    def __init__(self, row):
-        super().__init__(row)
-        self.reads = Counter()
 
-    @property
-    def date_reads(self):
-        """Reads of the SEQUENCE BY column."""
-        return self.reads["date"]
+class CountingColumn:
+    """A table column that counts the reads of each of its cells."""
 
-    def __getitem__(self, name):
-        self.reads[name] += 1
-        return super().__getitem__(name)
+    def __init__(self, values, reads):
+        self._values = values
+        self._reads = reads
+
+    def __len__(self):
+        return len(self._values)
+
+    def __getitem__(self, position):
+        self._reads[position] += 1
+        return self._values[position]
+
+    def __iter__(self):
+        for position, value in enumerate(self._values):
+            self._reads[position] += 1
+            yield value
+
+
+class CountingTable(Table):
+    """A table whose every cell read, through ``column``, is counted in
+    ``reads[name][position]``: grouping, sorting, kernel columns,
+    gathers and row dicts all read the table that way."""
+
+    def __init__(self, name, schema):
+        super().__init__(name, schema)
+        self.reads = {column: Counter() for column in self.schema.names}
+
+    def column(self, name):
+        return CountingColumn(super().column(name), self.reads[name])
+
+    def clear_reads(self):
+        for counter in self.reads.values():
+            counter.clear()
 
 
 class TestSequenced:
@@ -326,7 +367,7 @@ class TestSequenced:
             (26, "IBM"), (27, "IBM"), (27, "INTC"),
         ]
         ((_, single),) = clusters_of(table, [], ["date"])
-        assert rows == single
+        assert rows == single.rows
 
     def test_no_sequence_by_is_a_copy_in_insert_order(self):
         table = quote_table(ROWS)
@@ -352,9 +393,9 @@ def reference_clusters_of(
                 "(referenced by CLUSTER BY / SEQUENCE BY)"
             )
     groups = {}
-    for row in table:
+    for position, row in enumerate(table):
         key = tuple(row[name] for name in cluster_by)
-        groups.setdefault(key, []).append(row)
+        groups.setdefault(key, []).append(Positioned(position, row))
     for key, rows in groups.items():
         if sequence_by:
             if policy.lenient:
@@ -364,6 +405,15 @@ def reference_clusters_of(
             else:
                 rows = sorted(rows, key=lambda row: _reference_key(row, sequence_by))
         yield key, rows
+
+
+class Positioned(dict):
+    """A reference row: the table's row, and where the table holds it."""
+
+    def __init__(self, position, row):
+        super().__init__(row)
+        self.position = position
+        self.row = row
 
 
 def _reference_audit(table_name, key, rows, sequence_by, policy, diagnostics):
@@ -438,7 +488,7 @@ def _shape(key):
 
 def assert_matches_reference(table, cluster_by, sequence_by, policy):
     """One ``clusters_of`` scan against the reference on the table as it
-    is now: keys, row objects, order and diagnostics."""
+    is now: keys, row positions, row objects, order and diagnostics."""
     got_diagnostics, want_diagnostics = Diagnostics(), Diagnostics()
     got = list(
         clusters_of(
@@ -454,8 +504,11 @@ def assert_matches_reference(table, cluster_by, sequence_by, policy):
     )
     assert all(type(key) is tuple for key, _ in got)
     assert [_shape(key) for key, _ in got] == [_shape(key) for key, _ in want]
+    assert [cluster.index for _, cluster in got] == [
+        [row.position for row in cluster] for _, cluster in want
+    ]
     assert [[id(row) for row in cluster] for _, cluster in got] == [
-        [id(row) for row in cluster] for _, cluster in want
+        [id(row.row) for row in cluster] for _, cluster in want
     ]
     assert got_diagnostics.warnings == want_diagnostics.warnings
     assert repr(got_diagnostics.quarantined) == repr(want_diagnostics.quarantined)

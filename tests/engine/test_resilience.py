@@ -446,12 +446,17 @@ class TestGracefulDegradation:
 
     def test_raise_surfaces_the_first_failing_cluster(self):
         def error(corrupt):
-            # Corrupt after insert: schema validation passes, and the
-            # matcher meets the bad cell in the middle of its cluster.
+            # Corrupt a price cell after insert, through the column:
+            # schema validation passes, and the matcher meets the bad
+            # cell in the middle of its cluster.
             catalog = sawtooth_catalog(("IBM", "ACME", "INTC"))
-            for row in catalog.table("quote"):
-                if row["day"] == 5 and row["name"] in corrupt:
-                    row["price"] = corrupt[row["name"]]
+            table = catalog.table("quote")
+            prices = table.column("price")
+            for position, (name, day) in enumerate(
+                zip(table.column("name"), table.column("day"))
+            ):
+                if day == 5 and name in corrupt:
+                    prices[position] = corrupt[name]
             with pytest.raises(TypeError) as info:
                 Executor(catalog, matcher="naive").execute(STAR_QUERY)
             return str(info.value)

@@ -148,6 +148,34 @@ class TestSession:
         with pytest.raises(ExecutionError):
             session.execute("INSERT INTO t VALUES (1)")
 
+    def test_a_strict_insert_with_a_bad_row_inserts_nothing(self):
+        session = Session()
+        session.execute("CREATE TABLE q (name Varchar(8), price Real)")
+        with pytest.raises(SchemaError):
+            session.execute("INSERT INTO q VALUES ('a', 1.0), ('b', 'oops')")
+        assert session.catalog.table("q").rows == []
+        assert not session.diagnostics.quarantined
+
+    @pytest.mark.parametrize("policy", ["skip", "collect"])
+    def test_a_lenient_insert_keeps_the_good_rows_and_quarantines_each_bad_one(
+        self, policy
+    ):
+        session = Session(policy=policy)
+        session.execute("CREATE TABLE q (name Varchar(8), price Real)")
+        session.execute(
+            "INSERT INTO q VALUES ('a', 1.0), ('b', 'oops'), ('c', 2.0), ('d')"
+        )
+        assert session.catalog.table("q").rows == [
+            {"name": "a", "price": 1.0},
+            {"name": "c", "price": 2.0},
+        ]
+        quarantined = session.diagnostics.quarantined
+        assert [(row.source, row.line, row.values) for row in quarantined] == [
+            ("INSERT INTO q", 2, ("b", "oops")),
+            ("INSERT INTO q", 4, ("d",)),
+        ]
+        assert len(session.diagnostics.errors) == (2 if policy == "collect" else 0)
+
     def test_named_column_insert(self):
         session = Session()
         session.execute("CREATE TABLE t (a Integer, b Varchar(4))")

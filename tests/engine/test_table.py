@@ -92,6 +92,13 @@ class TestTable:
             table.insert({"name": "IBM", "price": "eighty"})
         assert len(table) == 0
 
+    def test_insert_many_with_a_bad_row_inserts_nothing(self):
+        table = self._table()
+        table.insert({"name": "IBM", "price": 80.0})
+        with pytest.raises(SchemaError):
+            table.insert_many([{"name": "a", "price": 1.0}, {"name": "b", "price": "x"}])
+        assert table.rows == [{"name": "IBM", "price": 80.0}]
+
     def test_extend_columns_builds_the_rows_insert_builds(self):
         by_columns, by_rows = self._table(), self._table()
         by_columns.extend_columns([("IBM", "GE"), [80.0, 81]])

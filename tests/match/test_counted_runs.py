@@ -31,7 +31,7 @@ from repro.pattern.compiler import compile_pattern
 from repro.pattern.predicates import comparison
 from repro.pattern.spec import PatternElement, PatternSpec
 from repro.resilience import Budget, ResourceLimits
-from tests.conftest import DOMAINS, PREV, PRICE, price_predicate
+from tests.conftest import DOMAINS, KernelColumns, PREV, PRICE, price_predicate
 
 RISE = price_predicate(comparison(PRICE, ">", PREV))
 FALL = price_predicate(comparison(PRICE, "<", PREV))
@@ -102,7 +102,7 @@ CASES = {
 
 def _case(name):
     plan, rows, loop = CASES[name]
-    kernels = materialize_kernels(plan, rows)
+    kernels = materialize_kernels(plan, KernelColumns(rows))
     assert kernels is not None and None not in kernels.truth
     return plan, rows, loop, kernels
 
@@ -303,7 +303,7 @@ ANCHORED = {
 def _anchored_case(name):
     pattern, where, rows, walks = ANCHORED[name]
     plan = _sql_plan(pattern, where)
-    kernels = materialize_kernels(plan, rows)
+    kernels = materialize_kernels(plan, KernelColumns(rows))
     assert kernels is not None
     return plan, rows, walks, kernels
 
@@ -372,7 +372,7 @@ def test_closure_raising_in_a_walk_matches_row():
     rows.append({"day": 8, "price": 60.0, "vol": 0.0})
     rows[1]["price"] = "bad"
     rows[0]["price"] = 100.0
-    kernels = materialize_kernels(plan, rows)
+    kernels = materialize_kernels(plan, KernelColumns(rows))
     assert kernels.truth[1] is not None and kernels.anchored[2] is None
     outcomes = []
     for truth in (None, kernels):

@@ -24,7 +24,7 @@ from repro.match.streaming import OpsStreamMatcher
 from repro.pattern.compiler import compile_pattern
 from repro.pattern.predicates import AttributeDomains, comparison
 from repro.pattern.spec import PatternElement, PatternSpec
-from tests.conftest import PREV, PRICE, price_predicate
+from tests.conftest import KernelColumns, PREV, PRICE, price_predicate
 
 #: The known-limit repro: X inherits Z's run of rows 12..17 on GE, so
 #: the match was reported from row 12 instead of row 17.
@@ -134,6 +134,6 @@ def test_ops_star_matches_interpreted_oracle(pattern, returns):
     oracle = NaiveMatcher().find_matches(rows, compile_pattern(spec, codegen=False))
     plan = compile_pattern(spec)
     assert OpsStarMatcher().find_matches(rows, plan) == oracle
-    kernels = materialize_kernels(plan, rows)
+    kernels = materialize_kernels(plan, KernelColumns(rows))
     assert OpsStarMatcher().find_matches(rows, plan, kernels=kernels) == oracle
     assert _stream(rows, plan) == oracle

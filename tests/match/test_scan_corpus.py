@@ -218,10 +218,10 @@ def _query_record(catalog, sql: str, evaluator: str) -> dict:
     scanned = []
     search_cluster = executor_module.search_cluster
 
-    def capture(plan, key, rows, instrumentation, budget, diagnostics, trace, columns):
-        scanned.append((plan, rows, columns))
+    def capture(plan, key, cluster, instrumentation, budget, diagnostics, trace):
+        scanned.append((plan, cluster))
         return search_cluster(
-            plan, key, rows, instrumentation, budget, diagnostics, trace, columns
+            plan, key, cluster, instrumentation, budget, diagnostics, trace
         )
 
     executor_module.search_cluster = capture
@@ -230,13 +230,13 @@ def _query_record(catalog, sql: str, evaluator: str) -> dict:
     finally:
         executor_module.search_cluster = search_cluster
     clusters = []
-    for plan, rows, columns in scanned:
+    for plan, cluster in scanned:
         kernels = (
-            materialize_kernels(plan.compiled, rows, columns=columns)
+            materialize_kernels(plan.compiled, cluster)
             if evaluator == "columnar"
             else None
         )
-        clusters.append(_cluster_record(plan.compiled, rows, kernels))
+        clusters.append(_cluster_record(plan.compiled, cluster.rows, kernels))
     record = {
         "rows_sha256": _sha256(result.rows),
         "tests": report.predicate_tests,

@@ -33,8 +33,10 @@ from repro.data.djia import djia_table
 from repro.data.workloads import ALL_EXAMPLES, EXAMPLE_10
 from repro.engine import columnar
 from repro.engine.catalog import Catalog
-from repro.engine.columnar import ColumnStore, materialize_kernels
+from repro.engine.cluster import clusters_of
+from repro.engine.columnar import materialize_kernels
 from repro.engine.executor import Executor
+from repro.engine.table import Table
 from repro.errors import ExecutionError
 from repro.match.base import Instrumentation
 from repro.match.naive import NaiveMatcher
@@ -54,6 +56,7 @@ from repro.pattern.predicates import (
 from repro.pattern.spec import PatternElement, PatternSpec
 from repro.sqlts import ast
 from repro.sqlts.parser import parse_query
+from tests.conftest import KernelColumns
 
 DOMAINS = AttributeDomains.prices()
 
@@ -133,8 +136,9 @@ def captured_kernels(executor, sql):
     calls = []
     original = columnar.materialize_kernels
 
-    def capture(compiled, rows, columns=None):
-        kernels = original(compiled, rows, columns=columns)
+    def capture(compiled, cluster):
+        kernels = original(compiled, cluster)
+        rows = cluster.rows
         calls.append((compiled, rows, kernels))
         return kernels
 
@@ -154,7 +158,7 @@ def captured_kernels(executor, sql):
 
 def test_empty_rows_materialize_empty_truth():
     compiled = prepare(DOWN_UP)
-    kernels = materialize_kernels(compiled, [])
+    kernels = materialize_kernels(compiled, KernelColumns([]))
     assert kernels is not None
     for j in (2, 3):
         assert kernels.truth[j - 1] == b""
@@ -164,7 +168,7 @@ def test_empty_rows_materialize_empty_truth():
 def test_nan_cells_are_false_on_both_paths():
     compiled = prepare(DOWN_UP)
     rows = price_rows([50.0, float("nan"), 45.0, 50.0, 52.0])
-    kernels = materialize_kernels(compiled, rows)
+    kernels = materialize_kernels(compiled, KernelColumns(rows))
     assert kernels is not None and kernels.lowered == compiled.m
     truth_matches_evaluators(compiled, rows, kernels)
     # NaN fails every comparison: positions touching the NaN cell are 0
@@ -180,7 +184,7 @@ def test_non_numeric_cell_falls_back_to_row_evaluator():
     compiled = prepare(DOWN_UP)
     rows = price_rows([50.0, 45.0, 50.0])
     rows[1]["price"] = "not-a-price"
-    kernels = materialize_kernels(compiled, rows)
+    kernels = materialize_kernels(compiled, KernelColumns(rows))
     if kernels is not None:
         assert kernels.truth[1] is None and kernels.truth[2] is None
 
@@ -191,7 +195,7 @@ def test_missing_column_cell_is_false():
     compiled = prepare(DOWN_UP)
     rows = price_rows([50.0, 45.0, 50.0, 52.0])
     del rows[1]["price"]
-    kernels = materialize_kernels(compiled, rows)
+    kernels = materialize_kernels(compiled, KernelColumns(rows))
     assert kernels.truth[1] is None and kernels.truth[2] is None
     for evaluator in compiled.evaluators[1:]:
         assert not evaluator(rows, 1, {}) and not evaluator(rows, 2, {})
@@ -203,7 +207,7 @@ def test_interpreted_plan_has_no_kernels():
         Catalog([djia_table()]), domains=AttributeDomains.prices(), codegen=False
     )
     _, compiled = executor.prepare(DOWN_UP)
-    assert materialize_kernels(compiled, price_rows([50.0, 45.0])) is None
+    assert materialize_kernels(compiled, KernelColumns(price_rows([50.0, 45.0]))) is None
 
 
 # ----------------------------------------------------------------------
@@ -222,7 +226,7 @@ def test_band_fused_element_lowers_with_flag():
     compiled = prepare(sql)
     assert getattr(compiled.evaluators[1], "band_fused", False)
     rows = price_rows([50.0, 49.5, 49.0, 51.0, 50.8])
-    kernels = materialize_kernels(compiled, rows)
+    kernels = materialize_kernels(compiled, KernelColumns(rows))
     assert kernels.truth[1] == bytes([0, 1, 1, 0, 1])
     assert kernels.lowered == 2
     truth_matches_evaluators(compiled, rows, kernels)
@@ -239,7 +243,7 @@ def test_residual_star_binding_element_lowers_anchored():
     )
     compiled = prepare(sql)
     rows = price_rows([60.0, 50.0, 40.0, 50.0])
-    kernels = materialize_kernels(compiled, rows)
+    kernels = materialize_kernels(compiled, KernelColumns(rows))
     assert kernels is not None and kernels.lowered == 2
     assert kernels.truth[0] is not None  # *A: offset-expressible
     assert kernels.truth[1] is None and kernels.anchored[0] is None
@@ -262,7 +266,7 @@ def test_disjunction_lowers():
     (condition,) = compiled.spec.elements[0].predicate.conditions
     assert isinstance(condition, OrCondition)
     rows = price_rows([30.0, 50.0, 70.0])
-    kernels = materialize_kernels(compiled, rows)
+    kernels = materialize_kernels(compiled, KernelColumns(rows))
     assert kernels.truth[0] == bytes([1, 0, 1])
 
 
@@ -280,7 +284,7 @@ def test_opaque_predicate_declines(example4_predicates):
     ]
     compiled = compile_pattern(PatternSpec(elements))
     rows = price_rows([50.0, 45.0, 44.0, 46.0, 48.0, 51.0])
-    kernels = materialize_kernels(compiled, rows)
+    kernels = materialize_kernels(compiled, KernelColumns(rows))
     assert kernels.truth[0] is None and kernels.anchored[0] is None
     assert None not in kernels.truth[1:]
     assert kernels.lowered == 4
@@ -295,7 +299,7 @@ def test_opaque_predicate_declines(example4_predicates):
 def test_truth_bytes_match_row_evaluators():
     compiled = prepare(DOWN_UP)
     rows = price_rows([50.0, 45.0, 44.0, 46.0, 48.0, 47.0, 49.0])
-    kernels = materialize_kernels(compiled, rows)
+    kernels = materialize_kernels(compiled, KernelColumns(rows))
     assert kernels.lowered == compiled.m
     truth_matches_evaluators(compiled, rows, kernels)
 
@@ -307,7 +311,7 @@ def test_example_10_repeated_shapes_share_truth():
     rows = price_rows(
         [50.0, 49.0, 47.0, 47.5, 49.5, 49.0, 47.0, 47.5, 49.5, 50.0]
     )
-    kernels = materialize_kernels(compiled, rows)
+    kernels = materialize_kernels(compiled, KernelColumns(rows))
     assert kernels.lowered == compiled.m  # everything lowers
     # Z, U, W share the flat band; Y, V share the drop; T, R the rise.
     assert kernels.truth[2] is kernels.truth[4] is kernels.truth[6]
@@ -324,7 +328,7 @@ def test_int_cells_decline_to_the_exact_closure():
     )
     compiled = prepare(sql)
     rows = [{"price": p, "date": i} for i, p in enumerate([49, 50, 51, 10**40])]
-    assert materialize_kernels(compiled, rows) is None
+    assert materialize_kernels(compiled, KernelColumns(rows)) is None
     evaluator = compiled.evaluators[0]
     assert [evaluator(rows, i, {}) for i in range(4)] == [False, False, True, True]
 
@@ -449,7 +453,7 @@ def test_truth_bytes_equal_the_interpreter_on_random_predicates(kind):
         element = PatternElement("X", predicate(*conditions))
         compiled = compile_pattern(PatternSpec([element]))
         rows = _random_rows(rng, kind)
-        kernels = materialize_kernels(compiled, rows)
+        kernels = materialize_kernels(compiled, KernelColumns(rows))
         if all(_vectorizes(condition, rows) for condition in conditions):
             lowered += 1
             assert kernels is not None and kernels.lowered == 1
@@ -480,31 +484,33 @@ def test_a_constant_only_side_compares_the_exact_int():
     assert not element.predicate.test(EvalContext(rows, 0))
     assert not compiled.evaluators[0](rows, 0, {})
     # float64 cannot hold the int: the element declines.
-    assert materialize_kernels(compiled, rows) is None
+    assert materialize_kernels(compiled, KernelColumns(rows)) is None
 
 
 def test_a_kept_store_serves_a_decline_then_a_numpy_build():
-    """A cluster's kept store is shared by every later query: a query
+    """A cluster's kept columns are shared by every later query: a query
     that declines (an int literal float64 cannot hold) must not stop a
     later query from vectorizing, and the kept float64 array stays
     unchanged."""
     prices = [50.0 + math.sin(i / 3.0) * 5.0 + (i % 7) * 0.3 for i in range(200)]
-    rows = price_rows(prices)
-    store = ColumnStore(rows)
+    table = Table("djia", [("date", "int"), ("price", "float")])
+    table.insert_many(price_rows(prices))
+    ((_, cluster),) = clusters_of(table, [], [])
+    rows = cluster.rows
     price = Attr("price")
     inexact = ComparisonCondition(
         LinearTerm(2**53 + 1, price, 0.0), Op.GT, LinearTerm(0.0, None, 4.9e17)
     )
     declined = compile_pattern(PatternSpec([PatternElement("X", predicate(inexact))]))
     vector = prepare(EXAMPLE_10)
-    assert materialize_kernels(declined, rows, columns=store) is None
+    assert materialize_kernels(declined, cluster) is None
     assert 0 < sum(declined.evaluators[0](rows, i, {}) for i in range(200)) < 200
-    second = materialize_kernels(vector, rows, columns=store)
-    again = materialize_kernels(vector, rows, columns=store)
+    second = materialize_kernels(vector, cluster)
+    again = materialize_kernels(vector, cluster)
     assert second.lowered == vector.m
     truth_matches_interpreter(vector, rows, second)
     assert second.truth == again.truth
-    kept = store.column("price", numpy)
+    kept = cluster.floats("price", numpy)
     assert not kept.flags.writeable
     assert kept.tolist() == prices
 
@@ -536,7 +542,7 @@ def assert_declined_like_row(compiled, rows, error=None):
     """Z keeps its evaluator, the interpreted residual: the scan gives
     the row path's and the interpreted plan's matches, or raises their
     error after the same tests."""
-    kernels = materialize_kernels(compiled, rows)
+    kernels = materialize_kernels(compiled, KernelColumns(rows))
     assert kernels is not None and kernels.truth[0] is not None
     assert kernels.truth[2] is None and kernels.anchored[2] is None
     got = scan_outcome(compiled, rows, kernels)
@@ -565,7 +571,7 @@ def test_anchored_sides_equal_the_closure():
     ):
         compiled = prepare(ANCHORED.format(condition))
         (residual,) = compiled.spec.elements[2].predicate.conditions
-        kernels = materialize_kernels(compiled, rows)
+        kernels = materialize_kernels(compiled, KernelColumns(rows))
         (gate, ((lhs, holds, rhs, edge, delta),)) = kernels.anchored[2]
         assert gate is None
         for start in range(len(rows) - 2):
@@ -586,7 +592,7 @@ def test_anchored_element_keeps_its_ordinary_steps():
     """An anchored element's other conditions AND in through its gate."""
     compiled = prepare(ANCHORED.format("Z.price > 40 AND Z.price > 0.9 * X.price"))
     rows = price_rows(SLIDE * 3)
-    kernels = materialize_kernels(compiled, rows)
+    kernels = materialize_kernels(compiled, KernelColumns(rows))
     gate, _ = kernels.anchored[2]
     assert gate == bytes(1 if price > 40 else 0 for price in SLIDE * 3)
     assert scan_outcome(compiled, rows, kernels) == scan_outcome(
@@ -599,7 +605,7 @@ def test_int_column_keeps_the_closure():
     comparison."""
     compiled = prepare(ANCHORED.format("Z.price > 1.01 * X.price"))
     rows = price_rows([int(price) for price in SLIDE * 3])
-    assert materialize_kernels(compiled, rows).truth[1] is None
+    assert materialize_kernels(compiled, KernelColumns(rows)).truth[1] is None
     assert_declined_like_row(compiled, rows)
     assert scan_outcome(compiled, rows, None)[0]
 
