@@ -35,7 +35,7 @@ import time
 from typing import Optional, Sequence
 
 from repro.engine.catalog import Catalog
-from repro.engine.cluster import sequenced
+from repro.engine.cluster import sequenced_source
 from repro.engine.columnar import load_table
 from repro.engine.csv_io import _render, iter_csv
 from repro.engine.executor import MATCHERS, Executor
@@ -165,9 +165,9 @@ def _build_catalog(
         catalog.register(quote_table())
     policy = getattr(args, "on_error", "raise")
     for name, path, schema in args.table:
-        # load_table serves .rcol columnar files (and CSV sidecars)
-        # out-of-core via mmap; a rejected sidecar falls back to plain
-        # CSV ingest with a diagnostic, never an error.
+        # load_table reads .rcol columnar files (and CSV sidecars); a
+        # rejected sidecar falls back to plain CSV ingest with a
+        # diagnostic, never an error.
         catalog.register(
             load_table(path, name, schema, policy=policy, diagnostics=diagnostics)
         )
@@ -288,7 +288,8 @@ def _stream_source(args: argparse.Namespace, diagnostics: Diagnostics):
 
     A ``--table`` spec whose name matches the query's FROM clause streams
     straight from its CSV file (resumable by offset, never fully
-    loaded); ``--demo-data`` tables are materialized and sliced.
+    loaded); a ``--demo-data`` table streams its rows in SEQUENCE BY
+    order (:func:`~repro.engine.cluster.sequenced_source`).
     """
     from repro.sqlts.parser import parse_query
 
@@ -310,12 +311,7 @@ def _stream_source(args: argparse.Namespace, diagnostics: Diagnostics):
 
         for table in (djia_table(), quote_table()):
             if table.name == table_name:
-                rows = sequenced(table, parsed.sequence_by)
-                return lambda start: (
-                    (offset, row)
-                    for offset, row in enumerate(rows)
-                    if offset >= start
-                )
+                return sequenced_source(table, parsed.sequence_by)
     raise ExecutionError(
         f"no stream source for table {table_name!r}: pass a matching "
         f"--table spec or --demo-data"

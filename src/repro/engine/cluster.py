@@ -13,7 +13,7 @@ and no row dict is built.
 The grouping depends only on the table, so each table keeps it: the
 first query that asks for a (CLUSTER BY, SEQUENCE BY, error policy)
 triple groups the rows, and the partition stays on the table
-(:attr:`~repro.engine.table.BaseTable.partitions`) until a mutation
+(:attr:`~repro.engine.table.Table.partitions`) until a mutation
 drops it.  A cluster is sorted only when a scan first reaches it, and a
 ``keep`` test (the query's hoisted cluster filter) runs before that
 sort, so a cluster it rejects is not sorted unless the lenient audit
@@ -41,7 +41,7 @@ from collections import defaultdict
 from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from repro.engine.table import BaseTable, float_array
+from repro.engine.table import Table, float_array
 from repro.errors import ExecutionError
 from repro.resilience import Diagnostics, ErrorPolicy
 
@@ -79,7 +79,7 @@ class Cluster:
 
     __slots__ = ("key", "index", "_table", "_group")
 
-    def __init__(self, table: BaseTable, group: "_Group") -> None:
+    def __init__(self, table: Table, group: "_Group") -> None:
         self.key = group.key
         self.index = group.index
         self._table = table
@@ -113,7 +113,7 @@ class Cluster:
 
         Raises ValueError where a value of the column in the cluster is
         not a ``float``.  Where every value in the table is one
-        (:meth:`~repro.engine.table.BaseTable.float_column`), the array
+        (:meth:`~repro.engine.table.Table.float_column`), the array
         is taken from the table's; otherwise the cluster's own values
         decide.
         """
@@ -135,7 +135,7 @@ class Cluster:
 
 
 def clusters_of(
-    table: BaseTable,
+    table: Table,
     cluster_by: Sequence[str],
     sequence_by: Sequence[str],
     *,
@@ -177,10 +177,30 @@ def clusters_of(
         yield group.key, Cluster(table, group)
 
 
-def sequenced(table: BaseTable, sequence_by: Sequence[str]) -> list:
-    """The table's rows stably sorted by SEQUENCE BY: the single-cluster order."""
-    _require_columns(table, sequence_by)
-    return sorted(table, key=itemgetter(*sequence_by)) if sequence_by else list(table)
+def sequenced_source(
+    table: Table, sequence_by: Sequence[str]
+) -> Callable[[int], Iterator[tuple[int, dict[str, object]]]]:
+    """An offset-addressable source over the table's rows in SEQUENCE BY
+    order, for a stream (``Executor.stream``'s ``source_factory``).
+
+    The rows are the table's kept single cluster (:func:`clusters_of`
+    with no CLUSTER BY, under the default policy), stably sorted as
+    batch execution sorts a cluster, so the stream's order guard passes
+    and offsets are deterministic.  They are read once, here: a resume
+    sees the rows the stream started on.  ``source(start)`` yields
+    ``(offset, row)`` from ``start`` on without stepping through the
+    rows before it.
+    """
+    # An empty table has no cluster.
+    clusters = clusters_of(table, (), sequence_by)
+    rows = next((cluster.rows for _, cluster in clusters), [])
+
+    def source(start: int) -> Iterator[tuple[int, dict[str, object]]]:
+        if start < 0:
+            raise ValueError(f"start offset must be non-negative, got {start}")
+        return enumerate(rows[start:], start)
+
+    return source
 
 
 class _Group:
@@ -219,7 +239,7 @@ class _Partition:
 
     def __init__(
         self,
-        table: BaseTable,
+        table: Table,
         cluster_by: tuple[str, ...],
         sequence_by: tuple[str, ...],
         policy: ErrorPolicy,
@@ -254,7 +274,7 @@ class _Partition:
             head = group.head = [dict(zip(self.cluster_by, group.key))]
         return head
 
-    def settle(self, group: _Group, table: BaseTable, scan: ClusterScan) -> None:
+    def settle(self, group: _Group, table: Table, scan: ClusterScan) -> None:
         """Sort the cluster if no scan has yet."""
         if not group.ready:
             with self.lock:
@@ -264,7 +284,7 @@ class _Partition:
                     return
         scan.reused += 1
 
-    def _sort(self, group: _Group, table: BaseTable) -> None:
+    def _sort(self, group: _Group, table: Table) -> None:
         """Sort (or audit) one cluster and publish it, under the lock."""
         index = group.index
         audit: tuple = ()
@@ -288,7 +308,7 @@ _FIRST = itemgetter(0)
 
 
 def _partition(
-    table: BaseTable,
+    table: Table,
     cluster_by: tuple[str, ...],
     sequence_by: tuple[str, ...],
     policy: ErrorPolicy,
@@ -311,7 +331,7 @@ def _partition(
     return partition
 
 
-def _require_columns(table: BaseTable, names: Sequence[str]) -> None:
+def _require_columns(table: Table, names: Sequence[str]) -> None:
     for name in names:
         if name not in table.schema:
             raise ExecutionError(
@@ -324,7 +344,7 @@ def _audit_sequence(
     table_name: str,
     key: tuple[object, ...],
     index: list[int],
-    table: BaseTable,
+    table: Table,
     sequence_by: Sequence[str],
     policy: ErrorPolicy,
 ) -> tuple[list[int], tuple]:

@@ -45,16 +45,13 @@ table.  NumPy is a declared dependency, imported on the first
 materialization (the stream path never materializes, so it never loads
 it).
 
-**Out-of-core columnar files**: a single-file binary format (magic,
-JSON header, CRC32-checksummed little-endian column blobs) written
-atomically and loaded through ``mmap``, so a table larger than memory
-is paged in by the OS instead of materialized as row dicts.
-:class:`ColumnarTable` serves the mapped blobs through the column
-accessor every :class:`~repro.engine.table.BaseTable` has: a column is
-decoded into a list the first time a query reads it, and a ``float``
-column becomes float64 straight from its blob.  Loading validates
-magic, version, blob extents, and checksums — a torn write or partial
-file raises :class:`~repro.errors.ColumnarFormatError` and
+**Columnar files**: a single-file binary format (magic, JSON header,
+CRC32-checksummed little-endian column blobs), written atomically.
+:func:`load_columnar` reads a file whole into an ordinary
+:class:`~repro.engine.table.Table`, as CSV ingest does.  Loading
+validates magic, version, blob extents, checksums, string offsets and
+each column's declared type against its stored kind — a torn write or
+partial file raises :class:`~repro.errors.ColumnarFormatError` and
 :func:`load_table` falls back to CSV ingest with a diagnostic, which is
 what the failpoint-driven crash-consistency suite pins
 (``tests/engine/test_columnar_file.py``).
@@ -67,17 +64,16 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
-import mmap
+import operator
 import os
 import struct
-import threading
 import zlib
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from repro import failpoints
-from repro.engine.table import BaseTable, Schema
-from repro.errors import ColumnarFormatError, ExecutionError
+from repro.engine.table import Schema, Table
+from repro.errors import ColumnarFormatError
 from repro.pattern.predicates import (
     AnchoredCompare,
     ComparisonCondition,
@@ -382,7 +378,7 @@ def _f8_term(term: LinearTerm, columns, lo: int, hi: int, np):
 
 
 # ----------------------------------------------------------------------
-# Out-of-core columnar files
+# Columnar files
 # ----------------------------------------------------------------------
 
 #: File magic: 8 bytes, versioned via the header's ``version`` field.
@@ -400,16 +396,15 @@ _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
 
-def write_columnar(table: BaseTable, path: Union[str, Path]) -> None:
+def write_columnar(table: Table, path: Union[str, Path]) -> None:
     """Serialize a table to the columnar format, atomically.
 
-    ``table`` is a :class:`~repro.engine.table.Table` or a
-    :class:`ColumnarTable`, read column by column.  The payload is
-    assembled fully, passed through the ``columnar.write`` failpoint
-    (torn-write injection), written to ``<path>.tmp``, fsynced
-    (``columnar.fsync``), and renamed into place (``columnar.rename``) —
-    a crash at any point leaves either the old file or no file, never a
-    half-written one the loader would trust.
+    The table is read column by column.  The payload is assembled fully,
+    passed through the ``columnar.write`` failpoint (torn-write
+    injection), written to ``<path>.tmp``, fsynced (``columnar.fsync``),
+    and renamed into place (``columnar.rename``) — a crash at any point
+    leaves either the old file or no file, never a half-written one the
+    loader would trust.
     """
     path = str(path)
     payload = _serialize(table)
@@ -431,7 +426,7 @@ def write_columnar(table: BaseTable, path: Union[str, Path]) -> None:
         raise
 
 
-def _serialize(table: BaseTable) -> bytes:
+def _serialize(table: Table) -> bytes:
     schema: Schema = table.schema
     rows = len(table)
     blobs: list[bytes] = []
@@ -491,142 +486,38 @@ def _serialize(table: BaseTable) -> bytes:
     return prefix + b"\x00" * pad + b"".join(blobs)
 
 
-class _StoredColumn:
-    """One mmap-backed column: a typed view, decoded a whole column at a
-    time."""
-
-    __slots__ = ("kind", "data", "aux")
-
-    def __init__(self, kind: str, data, aux=None):
-        self.kind = kind
-        self.data = data
-        self.aux = aux
-
-    def values(self) -> list:
-        """Every cell: dates as ``datetime.date``, strings as ``str``."""
-        if self.kind == "f8" or self.kind == "i8":
-            return self.data.tolist()
-        if self.kind == _DATE_KIND:
-            return list(map(_dt.date.fromordinal, self.data.tolist()))
-        data = bytes(self.data)
-        offsets = self.aux.tolist()
-        return [data[start:end].decode("utf-8") for start, end in zip(offsets, offsets[1:])]
-
-
-class ColumnarTable(BaseTable):
-    """A table read from a columnar file via ``mmap``.
-
-    Column data stays in the mapping until a query reads the column:
-    :meth:`column` decodes it whole into a list, kept with the table,
-    and a ``float`` column's float64 array is copied straight from its
-    blob.  The table is immutable, so only :meth:`close` drops what is
-    kept and the partitions.
-    """
-
-    __slots__ = ("_stored", "_mmap", "_file")
-
-    def __init__(self, name, schema, columns, length, mapped, handle):
-        self.name = name
-        self.schema = schema
-        self._stored = columns
-        self._length = length
-        self._mmap = mapped
-        self._file = handle
-        self._kept: dict = {}
-        self.partitions: dict = {}
-        self.partition_lock = threading.Lock()
-
-    def column(self, name: str) -> list:
-        kept = self._kept
-        key = ("column", name)
-        values = kept.get(key)
-        if values is None:
-            values = kept.setdefault(key, self._mapped(name).values())
-        return values
-
-    def _float_array(self, name: str, np):
-        stored = self._mapped(name)
-        if stored.kind != "f8":
-            return None
-        array = np.array(stored.data, dtype=np.float64)
-        array.flags.writeable = False
-        return array
-
-    def _mapped(self, name: str) -> _StoredColumn:
-        if self._mmap.closed:
-            raise ExecutionError(f"table {self.name!r} is closed")
-        return self._stored[name]
-
-    def close(self) -> None:
-        """Release the mapping; reading or querying the table then
-        raises :class:`~repro.errors.ExecutionError`."""
-        self._kept = {}
-        self.partitions = {}
-        self._stored = {}
-        self._mmap.close()
-        self._file.close()
-
-
-def load_columnar(path: Union[str, Path], name: Optional[str] = None) -> ColumnarTable:
-    """mmap a columnar file, validating structure and checksums.
+def load_columnar(path: Union[str, Path], name: Optional[str] = None) -> Table:
+    """Read a columnar file into a :class:`~repro.engine.table.Table`,
+    validating structure and checksums.
 
     Every rejection — bad magic, unsupported version, truncated blobs,
-    checksum mismatches, malformed headers — raises
+    checksum mismatches, malformed headers, a column whose declared type
+    does not match its stored kind — raises
     :class:`~repro.errors.ColumnarFormatError` naming the file and the
     failed check, so callers can distinguish "corrupt cache" (fall back
     to CSV) from I/O errors.  ``name``, when given, overrides the table
     name stored in the header.
     """
     path = str(path)
-    handle = open(path, "rb")
-    try:
-        size = os.fstat(handle.fileno()).st_size
-        if size < len(MAGIC) + 4:
-            raise ColumnarFormatError(f"{path}: truncated (only {size} bytes)")
-        mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        try:
-            return _load_mapped(path, handle, mapped, size, name)
-        except BaseException:
-            mapped.close()
-            raise
-    except BaseException:
-        handle.close()
-        raise
-
-
-def _load_mapped(path, handle, mapped, size, name) -> ColumnarTable:
-    # Every memoryview over the mapping is tracked so the rejection path
-    # can release them before the caller closes the mmap — the raised
-    # exception's traceback keeps these frames (and their locals) alive,
-    # and an un-released view makes mmap.close() raise BufferError.
-    views: list[memoryview] = []
-
-    def track(v: memoryview) -> memoryview:
-        views.append(v)
-        return v
-
-    try:
-        return _parse_mapped(path, handle, mapped, size, name, track)
-    except BaseException:
-        for v in views:
-            v.release()
-        raise
-
-
-def _parse_mapped(path, handle, mapped, size, name, track) -> ColumnarTable:
-    view = track(memoryview(mapped))
-    if bytes(view[: len(MAGIC)]) != MAGIC:
+    with open(path, "rb") as handle:
+        data = handle.read()
+    size = len(data)
+    if size < len(MAGIC) + 4:
+        raise ColumnarFormatError(f"{path}: truncated (only {size} bytes)")
+    if data[: len(MAGIC)] != MAGIC:
         raise ColumnarFormatError(f"{path}: bad magic (not a columnar file)")
-    (header_len,) = struct.unpack_from("<I", view, len(MAGIC))
+    (header_len,) = struct.unpack_from("<I", data, len(MAGIC))
     header_end = len(MAGIC) + 4 + header_len
     if header_end > size:
         raise ColumnarFormatError(
             f"{path}: truncated header (declares {header_len} bytes)"
         )
     try:
-        header = json.loads(bytes(view[len(MAGIC) + 4 : header_end]))
+        header = json.loads(data[len(MAGIC) + 4 : header_end])
     except ValueError as error:
         raise ColumnarFormatError(f"{path}: malformed header ({error})") from None
+    if not isinstance(header, dict):
+        raise ColumnarFormatError(f"{path}: malformed header (not an object)")
     if header.get("version") != FORMAT_VERSION:
         raise ColumnarFormatError(
             f"{path}: unsupported format version {header.get('version')!r}"
@@ -635,6 +526,7 @@ def _parse_mapped(path, handle, mapped, size, name, track) -> ColumnarTable:
     if not isinstance(rows, int) or rows < 0:
         raise ColumnarFormatError(f"{path}: invalid row count {rows!r}")
     data_start = header_end + ((-header_end) % 8)
+    view = memoryview(data)
 
     def checked_blob(entry: dict, what: str) -> memoryview:
         try:
@@ -648,14 +540,16 @@ def _parse_mapped(path, handle, mapped, size, name, track) -> ColumnarTable:
                 f"{path}: {what}: blob extends past end of file "
                 f"(offset {offset}, {nbytes} bytes, file is {size})"
             )
-        blob = track(view[start:end])
+        blob = view[start:end]
         if zlib.crc32(blob) != crc:
             raise ColumnarFormatError(f"{path}: {what}: checksum mismatch")
         return blob
 
-    columns: dict[str, _StoredColumn] = {}
+    columns: list[list] = []
     schema_columns: list[tuple[str, str]] = []
     for entry in header.get("columns", []):
+        if not isinstance(entry, dict):
+            raise ColumnarFormatError(f"{path}: malformed column entry {entry!r}")
         column_name = entry.get("name")
         column_type = entry.get("type")
         kind = entry.get("kind")
@@ -664,31 +558,45 @@ def _parse_mapped(path, handle, mapped, size, name, track) -> ColumnarTable:
                 f"{path}: column {column_name!r}: unknown kind {kind!r}"
             )
         what = f"column {column_name!r}"
+        if column_type in _KIND_BY_TYPE and _KIND_BY_TYPE[column_type] != kind:
+            # The header carries no checksum: a column must not load
+            # values its declared type does not hold.
+            raise ColumnarFormatError(
+                f"{path}: {what}: type {column_type!r} is not stored as {kind!r}"
+            )
         blob = checked_blob(entry, what)
         if kind == "str":
             aux_blob = checked_blob(entry.get("aux") or {}, f"{what} offsets")
             if len(aux_blob) != (rows + 1) * 8:
                 raise ColumnarFormatError(f"{path}: {what}: offsets size mismatch")
-            aux = track(aux_blob.cast("q"))
-            if aux[0] != 0:
+            offsets = aux_blob.cast("q").tolist()
+            if offsets[0] != 0:
                 raise ColumnarFormatError(f"{path}: {what}: offsets must start at 0")
-            for i in range(rows):
-                if aux[i] > aux[i + 1]:
-                    raise ColumnarFormatError(
-                        f"{path}: {what}: offsets not monotone"
-                    )
-            if aux[rows] != len(blob):
+            if any(map(operator.gt, offsets, offsets[1:])):
+                raise ColumnarFormatError(f"{path}: {what}: offsets not monotone")
+            if offsets[rows] != len(blob):
                 raise ColumnarFormatError(f"{path}: {what}: offsets/data mismatch")
-            columns[column_name] = _StoredColumn("str", blob, aux)
+            text = bytes(blob)
+            try:
+                values = [
+                    text[start:end].decode("utf-8")
+                    for start, end in zip(offsets, offsets[1:])
+                ]
+            except UnicodeDecodeError as error:
+                raise ColumnarFormatError(f"{path}: {what}: {error}") from None
         else:
-            width = 8
-            if len(blob) != rows * width:
+            if len(blob) != rows * 8:
                 raise ColumnarFormatError(
-                    f"{path}: {what}: expected {rows * width} data bytes, "
+                    f"{path}: {what}: expected {rows * 8} data bytes, "
                     f"found {len(blob)}"
                 )
-            code = "d" if kind == "f8" else "q"
-            columns[column_name] = _StoredColumn(kind, track(blob.cast(code)))
+            values = blob.cast("d" if kind == "f8" else "q").tolist()
+            if kind == _DATE_KIND:
+                try:
+                    values = list(map(_dt.date.fromordinal, values))
+                except (ValueError, OverflowError) as error:
+                    raise ColumnarFormatError(f"{path}: {what}: {error}") from None
+        columns.append(values)
         schema_columns.append((column_name, column_type))
     try:
         schema = Schema(schema_columns)
@@ -697,9 +605,9 @@ def _parse_mapped(path, handle, mapped, size, name, track) -> ColumnarTable:
     table_name = header.get("name")
     if not isinstance(table_name, str) or not table_name:
         raise ColumnarFormatError(f"{path}: missing table name")
-    if name is not None:
-        table_name = name
-    return ColumnarTable(table_name, schema, columns, rows, mapped, handle)
+    table = Table(table_name if name is None else name, schema)
+    table.extend_columns(columns)
+    return table
 
 
 def sidecar_path(csv_path: Union[str, Path]) -> str:
@@ -720,7 +628,7 @@ def load_table(
     - ``*.rcol`` paths load strictly through :func:`load_columnar`
       (schema must match; corruption raises);
     - CSV paths first probe the ``<path>.rcol`` sidecar: a valid,
-      schema-matching sidecar is mmap'd; a rejected one (torn write,
+      schema-matching sidecar is read; a rejected one (torn write,
       checksum mismatch, schema drift) records a warning on
       ``diagnostics`` and the CSV is ingested instead — the clean
       fallback the crash-consistency suite pins.
@@ -730,22 +638,15 @@ def load_table(
     path = str(path)
     if path.endswith(".rcol"):
         table = load_columnar(path, name=name)
-        try:
-            _check_schema(path, table.schema, schema)
-        except BaseException:
-            table.close()
-            raise
+        _check_schema(path, table.schema, schema)
         return table
     sidecar = sidecar_path(path)
     if os.path.exists(sidecar):
-        table = None
         try:
             table = load_columnar(sidecar, name=name)
             _check_schema(sidecar, table.schema, schema)
             return table
         except ColumnarFormatError as error:
-            if table is not None:
-                table.close()
             if diagnostics is not None:
                 diagnostics.warn(
                     f"columnar sidecar rejected ({error}); "
@@ -769,7 +670,7 @@ def _main(argv: Optional[list[str]] = None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="Convert a CSV table to the mmap-able columnar format."
+        description="Convert a CSV table to the columnar format."
     )
     parser.add_argument("csv", help="input CSV path")
     parser.add_argument(

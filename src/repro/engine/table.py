@@ -6,7 +6,7 @@ examples need — strings, integers, floats, and dates — with ``int``
 acceptable wherever ``float`` is declared (SQL numeric widening).
 
 Row dicts are built only for a reader that asks for them
-(:attr:`BaseTable.rows`, iteration); the engine groups, sorts, builds
+(:attr:`Table.rows`, iteration); the engine groups, sorts, builds
 kernels and projects from the columns (:mod:`repro.engine.cluster`).
 """
 
@@ -127,16 +127,19 @@ def float_array(values: Sequence[object], np):
     return array
 
 
-#: Keys in ``BaseTable._kept``: the row dicts, and ``(_FLOATS, name)``
-#: for a column's float64 array.
+#: Keys in ``Table._kept``: the row dicts, and ``(_FLOATS, name)`` for
+#: a column's float64 array.
 _ROWS = "rows"
 _FLOATS = "floats"
 
 
-class BaseTable:
-    """What the engine reads of a table: ``name``, ``schema``, its
-    length, one column at a time (:meth:`column`), and what is derived
-    from the columns and kept until the table changes.
+class Table:
+    """An insert-ordered bag of schema-validated rows, one list per column.
+
+    :meth:`insert`, :meth:`insert_many` and :meth:`extend_columns` check
+    every new value before they append any, so a rejected row leaves the
+    table unchanged.  What the engine derives from the columns is kept
+    until the table changes:
 
     - :attr:`rows`: one dict per row, built on first use;
     - :meth:`float_column`: a column as float64, or the verdict that it
@@ -148,68 +151,16 @@ class BaseTable:
     A reader reads the dict a derivation is kept in before the columns,
     and a mutation replaces the dicts after its rows are in, so whatever
     is derived from older rows lands in a dropped dict, never in its
-    replacement.
+    replacement.  Those derivations rely on cells not being changed in
+    place: a cell is validated only at insert, and a later query may
+    answer from what an earlier one derived.  Changing a cell through
+    :meth:`column` before anything is derived from it, as fault-injection
+    tests do, is fine.
     """
 
-    __slots__ = ("name", "schema", "_length", "_kept", "partitions", "partition_lock")
-
-    def column(self, name: str) -> Sequence[object]:
-        """Column ``name``, one value per row (read-only); KeyError for a
-        name outside the schema."""
-        raise NotImplementedError
-
-    @property
-    def rows(self) -> list[dict[str, object]]:
-        """One dict per row, in schema order, built on first use and kept
-        until the table changes (read-only: appending to it bypasses
-        validation and the columns)."""
-        kept = self._kept
-        rows = kept.get(_ROWS)
-        if rows is None:
-            length = self._length
-            names = self.schema.names
-            cells = islice(zip(*map(self.column, names)), length)
-            rows = kept.setdefault(_ROWS, list(map(dict, map(zip, repeat(names), cells))))
-        return rows
-
-    def float_column(self, name: str, np):
-        """Column ``name`` as a read-only float64 array, or None where a
-        value is not a ``float`` (:func:`float_array`); decided once and
-        kept until the table changes."""
-        kept = self._kept
-        key = (_FLOATS, name)
-        try:
-            return kept[key]
-        except KeyError:
-            return kept.setdefault(key, self._float_array(name, np))
-
-    def _float_array(self, name: str, np):
-        return float_array(self.column(name), np)
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __iter__(self) -> Iterator[dict[str, object]]:
-        return iter(self.rows)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.name!r}, {len(self)} rows, {self.schema!r})"
-
-
-class Table(BaseTable):
-    """An insert-ordered bag of schema-validated rows, one list per column.
-
-    :meth:`insert`, :meth:`insert_many` and :meth:`extend_columns` check
-    every new value before they append any, so a rejected row leaves the
-    table unchanged.  Each of them then drops what was derived from the
-    old rows: the row dicts, the float64 columns and the partitions.
-    Those rely on cells not being changed in place: a cell is validated
-    only at insert, and a later query may answer from what an earlier
-    one derived.  Changing a cell through :meth:`column` before anything
-    is derived from it, as fault-injection tests do, is fine.
-    """
-
-    __slots__ = ("_columns",)
+    __slots__ = (
+        "name", "schema", "_columns", "_length", "_kept", "partitions", "partition_lock",
+    )
 
     def __init__(self, name: str, schema: Schema | Iterable[Column | tuple[str, str]]):
         self.name = name
@@ -223,8 +174,42 @@ class Table(BaseTable):
         self.partition_lock = threading.Lock()
 
     def column(self, name: str) -> list[object]:
-        """The live list of column ``name`` (read-only, see the class)."""
+        """The live list of column ``name``, one value per row (read-only,
+        see the class); KeyError for a name outside the schema."""
         return self._columns[name]
+
+    @property
+    def rows(self) -> list[dict[str, object]]:
+        """One dict per row, in schema order, built on first use and kept
+        until the table changes (read-only: appending to it bypasses
+        validation and the columns)."""
+        kept = self._kept
+        rows = kept.get(_ROWS)
+        if rows is None:
+            names = self.schema.names
+            cells = islice(zip(*map(self.column, names)), self._length)
+            rows = kept.setdefault(_ROWS, list(map(dict, map(zip, repeat(names), cells))))
+        return rows
+
+    def float_column(self, name: str, np):
+        """Column ``name`` as a read-only float64 array, or None where a
+        value is not a ``float`` (:func:`float_array`); decided once and
+        kept until the table changes."""
+        kept = self._kept
+        key = (_FLOATS, name)
+        try:
+            return kept[key]
+        except KeyError:
+            return kept.setdefault(key, float_array(self.column(name), np))
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self) -> Iterator[dict[str, object]]:
+        return iter(self.rows)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.name!r}, {len(self)} rows, {self.schema!r})"
 
     def insert(self, row: Mapping[str, object]) -> None:
         values = self.schema.validate_row(row)
@@ -264,7 +249,7 @@ class Table(BaseTable):
 
     def _changed(self) -> None:
         # The length is published once every column holds the new rows,
-        # and the kept derivations are dropped after it (see BaseTable).
+        # and the kept derivations are dropped after it (see the class).
         self._length = len(next(iter(self._columns.values())))
         self._kept = {}
         self.partitions = {}

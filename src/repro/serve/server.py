@@ -55,7 +55,7 @@ from typing import Any, Callable, Mapping, Optional
 
 from repro import failpoints
 from repro.engine.catalog import Catalog
-from repro.engine.cluster import sequenced
+from repro.engine.cluster import sequenced_source
 from repro.engine.executor import Executor
 from repro.errors import ExecutionError, ReproError
 from repro.obs import MetricsRegistry, SlowQueryLog
@@ -777,25 +777,6 @@ class QueryServer:
             diagnostics=diagnostics,
         )
 
-    def _table_source(self, sql: str):
-        """An offset-addressable source over the query's registered table.
-
-        The table snapshot is sorted by the SEQUENCE BY key (the same
-        order batch execution imposes per cluster), so the streaming
-        order guard always passes and ``seq`` values are deterministic.
-        """
-        parsed = parse_query(sql)
-        rows = sequenced(self._catalog.table(parsed.table), parsed.sequence_by)
-
-        def factory(start: int):
-            return (
-                (offset, row)
-                for offset, row in enumerate(rows)
-                if offset >= start
-            )
-
-        return factory
-
     async def _handle_subscribe(
         self, request: dict, rid: Any, tenant: str, writer: asyncio.StreamWriter
     ) -> None:
@@ -869,9 +850,12 @@ class QueryServer:
                         store.exists()
                         and after_seq >= _checkpoint_high_water(store)
                     )
+                parsed = parse_query(sql)
                 streaming = self._executor.stream(
                     sql,
-                    self._table_source(sql),
+                    sequenced_source(
+                        self._catalog.table(parsed.table), parsed.sequence_by
+                    ),
                     store=store,
                     checkpoints=CheckpointPolicy(
                         # Checkpoint *behind* delivery: after a crash the

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.data.quotes import QUOTE_SCHEMA, synthetic_quotes
 from repro.engine.catalog import Catalog
 from repro.engine import table as table_module
-from repro.engine.cluster import clusters_of, sequenced
+from repro.engine.cluster import clusters_of, sequenced_source
 from repro.engine.columnar import load_columnar, write_columnar
 from repro.engine.executor import Executor
 from repro.engine.table import Table
@@ -261,59 +261,52 @@ THREADED_QUERY = (
 
 
 @pytest.mark.parametrize("policy", ["raise", "collect"])
-@pytest.mark.parametrize("mmapped", [False, True], ids=["table", "rcol"])
+@pytest.mark.parametrize("from_file", [False, True], ids=["table", "rcol"])
 def test_threads_sharing_a_fresh_table_get_the_serial_answer(
-    policy, mmapped, tmp_path
+    policy, from_file, tmp_path
 ):
     rows = shuffled_quotes()
 
     def fresh(name):
         table = Table("quote", QUOTE_SCHEMA)
         table.insert_many(rows)
-        if not mmapped:
+        if not from_file:
             return table
         path = str(tmp_path / f"{name}.rcol")
         write_columnar(table, path)
         return load_columnar(path)
 
     serial_table, shared = fresh("serial"), fresh("shared")
+    serial = Executor(Catalog([serial_table]), policy=policy).execute(THREADED_QUERY)
+    executor = Executor(Catalog([shared]), policy=policy)
+    executor.prepare(THREADED_QUERY)  # so the threads meet in the scan
+    barrier = threading.Barrier(8, timeout=60)
+    results = [None] * 8
+
+    def run(index):
+        barrier.wait()
+        results[index] = executor.execute(THREADED_QUERY)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads mid-group and mid-sort
     try:
-        serial = Executor(Catalog([serial_table]), policy=policy).execute(
-            THREADED_QUERY
-        )
-        executor = Executor(Catalog([shared]), policy=policy)
-        executor.prepare(THREADED_QUERY)  # so the threads meet in the scan
-        barrier = threading.Barrier(8, timeout=60)
-        results = [None] * 8
-
-        def run(index):
-            barrier.wait()
-            results[index] = executor.execute(THREADED_QUERY)
-
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads mid-group and mid-sort
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert serial.rows
-        if policy == "collect":
-            assert serial.diagnostics.warnings
-        for result in results:
-            assert result.rows == serial.rows
-            assert result.diagnostics.warnings == serial.diagnostics.warnings
-            assert repr(result.diagnostics.quarantined) == repr(
-                serial.diagnostics.quarantined
-            )
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
     finally:
-        if mmapped:
-            serial_table.close()
-            shared.close()
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert serial.rows
+    if policy == "collect":
+        assert serial.diagnostics.warnings
+    for result in results:
+        assert result.rows == serial.rows
+        assert result.diagnostics.warnings == serial.diagnostics.warnings
+        assert repr(result.diagnostics.quarantined) == repr(
+            serial.diagnostics.quarantined
+        )
 
 
 def positions_of(name):
@@ -359,24 +352,44 @@ class CountingTable(Table):
 
 
 class TestSequenced:
+    """:func:`sequenced_source`: the rows of the table's single cluster,
+    addressed by offset."""
+
     def test_stable_sequence_order(self):
         table = quote_table(ROWS)
-        rows = sequenced(table, ["date"])
+        pairs = list(sequenced_source(table, ["date"])(0))
+        assert [offset for offset, _ in pairs] == list(range(len(ROWS)))
+        rows = [row for _, row in pairs]
         assert [(r["date"].day, r["name"]) for r in rows] == [
             (25, "IBM"), (25, "INTC"), (26, "INTC"),
             (26, "IBM"), (27, "IBM"), (27, "INTC"),
         ]
         ((_, single),) = clusters_of(table, [], ["date"])
         assert rows == single.rows
+        assert all(a is b for a, b in zip(rows, single.rows))
 
     def test_no_sequence_by_is_a_copy_in_insert_order(self):
         table = quote_table(ROWS)
-        rows = sequenced(table, [])
-        assert rows == table.rows and rows is not table.rows
+        source = sequenced_source(table, [])
+        assert [row for _, row in source(0)] == table.rows
+        table.insert(dict(ROWS[0], date=d(28)))
+        # The source keeps the rows it started on.
+        assert len(list(source(0))) == len(ROWS)
+
+    def test_a_resume_starts_at_its_offset(self):
+        source = sequenced_source(quote_table(ROWS), ["date"])
+        pairs = list(source(0))
+        for start in range(len(ROWS) + 2):
+            assert list(source(start)) == pairs[start:]
+        with pytest.raises(ValueError, match="non-negative"):
+            source(-1)
+
+    def test_an_empty_table_yields_nothing(self):
+        assert list(sequenced_source(quote_table([]), ["date"])(0)) == []
 
     def test_unknown_column_rejected(self):
         with pytest.raises(ExecutionError, match="no column 'when'"):
-            sequenced(quote_table(ROWS), ["when"])
+            sequenced_source(quote_table(ROWS), ["when"])
 
 
 # -- reference: the per-row partitioning the itemgetter path replaced ------
@@ -521,35 +534,29 @@ def assert_matches_reference(table, cluster_by, sequence_by, policy):
     cluster_by=key_columns,
     sequence_by=key_columns,
     policy=st.sampled_from(list(ErrorPolicy)),
-    mmapped=st.booleans(),
+    from_file=st.booleans(),
 )
 def test_partitioning_matches_per_row_reference(
-    rows, extra, cluster_by, sequence_by, policy, mmapped
+    rows, extra, cluster_by, sequence_by, policy, from_file
 ):
     # Cold (the scan that groups), then warm (the kept partition and its
     # replayed audit), then after each kind of mutation a Table allows.
     table = Table("t", PROPERTY_SCHEMA)
     table.insert_many(rows)
-    with tempfile.TemporaryDirectory() as workdir:
-        if mmapped:
+    if from_file:
+        with tempfile.TemporaryDirectory() as workdir:
             path = os.path.join(workdir, "t.rcol")
             write_columnar(table, path)
             table = load_columnar(path)
-        try:
-            assert_matches_reference(table, cluster_by, sequence_by, policy)
-            assert_matches_reference(table, cluster_by, sequence_by, policy)
-            if mmapped:
-                return
-            for row in extra[:2]:
-                table.insert(row)
-                assert_matches_reference(table, cluster_by, sequence_by, policy)
-            table.insert_many(extra[2:5])
-            assert_matches_reference(table, cluster_by, sequence_by, policy)
-            added = extra[5:]
-            table.extend_columns(
-                [[row[name] for row in added] for name, _ in PROPERTY_SCHEMA]
-            )
-            assert_matches_reference(table, cluster_by, sequence_by, policy)
-        finally:
-            if mmapped:
-                table.close()
+    assert_matches_reference(table, cluster_by, sequence_by, policy)
+    assert_matches_reference(table, cluster_by, sequence_by, policy)
+    for row in extra[:2]:
+        table.insert(row)
+        assert_matches_reference(table, cluster_by, sequence_by, policy)
+    table.insert_many(extra[2:5])
+    assert_matches_reference(table, cluster_by, sequence_by, policy)
+    added = extra[5:]
+    table.extend_columns(
+        [[row[name] for row in added] for name, _ in PROPERTY_SCHEMA]
+    )
+    assert_matches_reference(table, cluster_by, sequence_by, policy)

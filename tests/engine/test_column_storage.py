@@ -6,8 +6,8 @@ query whose every element lowers and whose every SELECT item is a
 column reference builds none, and still returns what the per-row loader
 and the interpreted oracle return; that each mutation drops the row
 dicts, the float columns and the partitions derived from the old rows;
-and that threads racing to build them on one fresh table, in memory or
-mmapped, each get the serial answer.
+and that threads racing to build them on one fresh table, built in
+memory or read from an ``.rcol`` file, each get the serial answer.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.engine import csv_io
 from repro.engine.catalog import Catalog
 from repro.engine.columnar import load_columnar, load_table, write_columnar
 from repro.engine.executor import Executor
-from repro.engine.table import BaseTable, Schema, Table
+from repro.engine.table import Schema, Table
 from repro.errors import SchemaError
 from repro.obs import Trace
 from repro.pattern.predicates import AttributeDomains
@@ -62,7 +62,7 @@ def write_panel(path, tickers=8, days=300):
 def row_dicts(monkeypatch):
     """Counts of every path that builds or checks a row dict."""
     calls = {"rows": 0, "validate_row": 0, "convert_record": 0}
-    rows, validate, convert = BaseTable.rows, Schema.validate_row, csv_io._convert_record
+    rows, validate, convert = Table.rows, Schema.validate_row, csv_io._convert_record
 
     def counting_rows(self):
         calls["rows"] += 1
@@ -76,7 +76,7 @@ def row_dicts(monkeypatch):
         calls["convert_record"] += 1
         return convert(*args, **kwargs)
 
-    monkeypatch.setattr(BaseTable, "rows", property(counting_rows))
+    monkeypatch.setattr(Table, "rows", property(counting_rows))
     monkeypatch.setattr(Schema, "validate_row", counting_validate)
     monkeypatch.setattr(csv_io, "_convert_record", counting_convert)
     return calls
@@ -203,58 +203,53 @@ THREAD_PLANS = [
 ]
 
 
-@pytest.mark.parametrize("mmapped", [False, True], ids=["table", "rcol"])
+@pytest.mark.parametrize("from_file", [False, True], ids=["table", "rcol"])
 def test_eight_threads_building_one_fresh_table_get_the_serial_answer(
-    mmapped, tmp_path
+    from_file, tmp_path
 ):
     path = write_panel(tmp_path / "panel.csv", tickers=6, days=200)
 
     def fresh(name):
         table = load_table(path, "quote", SCHEMA)
-        if not mmapped:
+        if not from_file:
             return table
         rcol = str(tmp_path / f"{name}.rcol")
         write_columnar(table, rcol)
         return load_columnar(rcol)
 
     serial_table, shared = fresh("serial"), fresh("shared")
+    serial = [
+        Executor(Catalog([serial_table]), domains=DOMAINS, **options)
+        .execute(query)
+        .rows
+        for query, options in THREAD_PLANS
+    ]
+    executors = [
+        Executor(Catalog([shared]), domains=DOMAINS, **options)
+        for _, options in THREAD_PLANS
+    ]
+    for executor, (query, _) in zip(executors, THREAD_PLANS):
+        executor.prepare(query)  # so the threads meet in the scan
+    barrier = threading.Barrier(8, timeout=60)
+    results = [None] * 8
+
+    def run(index):
+        plan = index % len(THREAD_PLANS)
+        barrier.wait()
+        results[index] = executors[plan].execute(THREAD_PLANS[plan][0]).rows
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads mid-build
     try:
-        serial = [
-            Executor(Catalog([serial_table]), domains=DOMAINS, **options)
-            .execute(query)
-            .rows
-            for query, options in THREAD_PLANS
-        ]
-        executors = [
-            Executor(Catalog([shared]), domains=DOMAINS, **options)
-            for _, options in THREAD_PLANS
-        ]
-        for executor, (query, _) in zip(executors, THREAD_PLANS):
-            executor.prepare(query)  # so the threads meet in the scan
-        barrier = threading.Barrier(8, timeout=60)
-        results = [None] * 8
-
-        def run(index):
-            plan = index % len(THREAD_PLANS)
-            barrier.wait()
-            results[index] = executors[plan].execute(THREAD_PLANS[plan][0]).rows
-
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads mid-build
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert all(serial)
-        assert serial[0] == serial[2] == serial[3]
-        for index, rows in enumerate(results):
-            assert rows == serial[index % len(THREAD_PLANS)], index
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
     finally:
-        if mmapped:
-            serial_table.close()
-            shared.close()
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(serial)
+    assert serial[0] == serial[2] == serial[3]
+    for index, rows in enumerate(results):
+        assert rows == serial[index % len(THREAD_PLANS)], index

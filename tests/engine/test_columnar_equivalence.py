@@ -3,7 +3,7 @@
 The tentpole contract of the columnar storage + vectorized-kernel path
 (see ``docs/performance.md``): for every query, dataset and matcher,
 executing with ``evaluator="columnar"`` — against an
-in-memory table or an out-of-core mmap'd ``.rcol`` file — produces the
+in-memory table or one read from an ``.rcol`` file — produces the
 same :class:`~repro.engine.result.Result`, the same instrumented
 predicate-test counts, the same skip accounting, the same diagnostics,
 and the same budget spend as the row-path oracle.  Hypothesis sweeps
@@ -165,21 +165,15 @@ def assert_equivalent(table, sql, matchers=MATCHERS):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "quote.rcol")
         write_columnar(table, path)
-        mapped = load_columnar(path)
-        try:
-            mapped_catalog = Catalog([mapped])
-            for matcher in matchers:
-                oracle = fingerprint(*run(catalog, sql, matcher=matcher))
-                got = fingerprint(
-                    *run(catalog, sql, matcher=matcher, evaluator="columnar")
-                )
-                assert got == oracle, (matcher, "columnar")
-                mmapped = fingerprint(
-                    *run(mapped_catalog, sql, matcher=matcher, evaluator="columnar")
-                )
-                assert mmapped == oracle, (matcher, "mmap")
-        finally:
-            mapped.close()
+        loaded_catalog = Catalog([load_columnar(path)])
+    for matcher in matchers:
+        oracle = fingerprint(*run(catalog, sql, matcher=matcher))
+        got = fingerprint(*run(catalog, sql, matcher=matcher, evaluator="columnar"))
+        assert got == oracle, (matcher, "columnar")
+        loaded = fingerprint(
+            *run(loaded_catalog, sql, matcher=matcher, evaluator="columnar")
+        )
+        assert loaded == oracle, (matcher, "rcol")
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,7 +4,10 @@ import datetime as dt
 
 import pytest
 
+from repro.engine.columnar import load_table, sidecar_path, write_columnar
+from repro.engine.csv_io import save_csv
 from repro.engine.session import Session, split_statements
+from repro.engine.table import Schema, Table
 from repro.errors import ExecutionError, SchemaError, SqlTsSyntaxError
 from repro.pattern.predicates import AttributeDomains
 from repro.sqlts.ddl import (
@@ -221,6 +224,33 @@ class TestSession:
             ("IBM", dt.date(1999, 1, 25)),
             ("INTC", dt.date(1999, 1, 26)),
         )
+
+    @pytest.mark.parametrize("sidecar", [False, True], ids=["rcol", "sidecar"])
+    def test_an_insert_lands_in_a_table_read_from_a_columnar_file(
+        self, tmp_path, sidecar
+    ):
+        schema = Schema([("name", "str"), ("date", "date"), ("price", "float")])
+        table = Table("quote", schema)
+        table.insert({"name": "IBM", "date": dt.date(1999, 1, 25), "price": 100.0})
+        if sidecar:
+            path = str(tmp_path / "quote.csv")
+            save_csv(table, path)
+            write_columnar(table, sidecar_path(path))
+        else:
+            path = str(tmp_path / "quote.rcol")
+            write_columnar(table, path)
+        session = Session(domains=DOMAINS, policy="collect")
+        session.catalog.register(load_table(path, "quote", schema))
+        results = session.run_script(
+            "INSERT INTO quote VALUES ('IBM', '1999-01-26', 120.0);"
+            "SELECT X.name, Y.date FROM quote CLUSTER BY name SEQUENCE BY date "
+            "AS (X, Y) WHERE Y.price > 1.15 * X.price"
+        )
+        assert not session.diagnostics.errors
+        assert [result.rows for result in results] == [
+            (("IBM", dt.date(1999, 1, 26)),)
+        ]
+        assert len(session.catalog.table("quote")) == 2
 
 
 class TestSplitStatements:
